@@ -319,12 +319,14 @@ def subalgebra_tower(sequence: BetaSequence, steps: int) -> BetaSequence:
 def two_path_check(params: ExceptionalParams, depth: Optional[int] = None,
                    algebra: Optional[ConstructedAlgebra] = None) -> bool:
     """The same sequence arises by direct construction with (n, m) and by
-    transforming the type-(m + 1) family member n - m - 1 times."""
+    transforming the type-(m + 1) family member n - m - 1 times.  For
+    n = m + 1 the member is its own parent and is not built again."""
     if algebra is None:
         algebra = construct(params, depth)
     steps = params.n - params.m - 1
-    parent_params = ExceptionalParams(params.field, params.c, params.m + 1, params.m)
-    parent = construct(parent_params, algebra.depth + steps)
+    parent = algebra if steps == 0 else construct(
+        ExceptionalParams(params.field, params.c, params.m + 1, params.m),
+        algebra.depth + steps)
     return subalgebra_tower(parent.sequence, steps) == algebra.sequence
 
 
@@ -374,8 +376,8 @@ def exceptional_report(params: ExceptionalParams, depth: Optional[int] = None,
     """Full validation of one family member, all at tolerance zero:
     constituent statistics against their predicted values, entries against
     the piecewise closed form and the rational series, the two
-    construction paths against each other, and the bracket axioms by
-    exhaustive sweep (capped at 3q by default; pass jacobi_cap to change).
+    construction paths against each other, and the bracket axioms through
+    jacobi_verify (capped at 3q by default; pass jacobi_cap to change).
     """
     if algebra is None:
         algebra = construct(params, depth)

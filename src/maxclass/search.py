@@ -1,23 +1,22 @@
 """Depth-first enumeration of admissible structure-constant prefixes.
 
 Entries beta_(n+1), ..., beta_depth are assigned one index at a time; after
-each assignment, every antisymmetry pair and every basis Jacobi triple
-whose expansion windows close at that index is checked, and the branch is
-cut on the first violation.  The bracket coefficients are maintained
-incrementally: writing gamma(a, b) for the coefficient of [e_a, e_b] and
-grouping by s = a + b, the row for s follows from the row for s - 1 via
+each assignment, every antisymmetry pair and every Jacobi triple
+(e_n, e_b, e_c) whose expansion windows close at that index is checked, and
+the branch is cut on the first violation.  The bracket coefficients are
+maintained by level: writing gamma(a, b) for the coefficient of [e_a, e_b],
+the row of level s = a + b follows from the row of level s - 1 by
+sequences.pascal_row, seeded with gamma(s - n, n) = beta_(s - n), so each
+level costs O(depth) on top of its own constraint checks.  Triples with
+first index above n need no check: they hold once those with first index n
+do (see jacobi_verify).
 
-    gamma(a, b) = gamma(a, b - 1) - gamma(a + 1, b - 1),
-
-filled right to left starting from gamma(s - n, n) = beta_(s - n), so each
-level costs O(depth) on top of its own constraint checks.
-
-Prefixes surviving to full depth are emitted; they pass the full sweep of
-jacobi_verify by construction (the search checks a superset of its
-constraints).  Odd first-constituent lengths die immediately: placing the
-first nonzero entry at index c with c + n even makes the diagonal
-coefficient gamma(a, a) at a = (c + n) / 2 a unit multiple of beta_c, and
-the pair check at that level rejects it.
+Prefixes surviving to full depth are emitted; they pass jacobi_verify by
+construction (the search checks a superset of its constraints).  Odd
+first-constituent lengths die immediately: placing the first nonzero entry
+at index c with c + n even makes the diagonal coefficient gamma(a, a) at
+a = (c + n) / 2 a unit multiple of beta_c, and the pair check at that level
+rejects it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
 from .arith import PrimeField
-from .sequences import BetaSequence
+from .sequences import BetaSequence, pascal_row
 
 
 @dataclass
@@ -101,8 +100,9 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     report = SearchReport(p=p, n=n, depth=depth, seed_depth=n + len(seed_vals),
                           normalized=normalize, budget=budget, deepest=n)
     betas = [0] * (depth - n)
-    # rows[s][a - n] = gamma(a, s - a) for a = n .. s - n
-    rows: dict[int, list[int]] = {2 * n: [0]}
+    # rows[s][a - n] = gamma(a, s - a) for a = n .. s - n, along the current branch
+    rows: list[list[int]] = [[]] * (depth + n + 1)
+    rows[2 * n] = [0]
     full_range = tuple(range(p))
     norm_range = (0, 1)
 
@@ -110,24 +110,17 @@ def search_sequences(field: PrimeField, n: int, depth: int,
         """Coefficient row for a + b = idx + n, with the pair and triple
         checks that close at this level; None on the first violation."""
         s = idx + n
-        prev = rows[s - 1]
-        row = [0] * (idx - n + 1)
-        row[idx - n] = betas[idx - n - 1]
-        for a in range(idx - 1, n - 1, -1):
-            row[a - n] = (prev[a - n] - row[a - n + 1]) % p
-        for a in range(n, s // 2 + 1):
-            if (row[a - n] + row[s - a - n]) % p:
+        row = pascal_row(rows[s - 1], betas[idx - n - 1], p)
+        # pairs (a, s - a) for a = n .. s // 2
+        if any((x + y) % p for x, y in zip(row[:s // 2 - n + 1], reversed(row))):
+            return None
+        # triples (n, b, c): the factors gamma(b, c), gamma(n, b),
+        # gamma(n, c) live in earlier rows, their partners in this one
+        for b in range(n, (s - n) // 2 + 1):
+            c = s - n - b
+            if (rows[b + c][b - n] * row[0] - rows[n + b][0] * row[b]
+                    + rows[n + c][0] * row[c]) % p:
                 return None
-        # triples (a, b, c): the factors gamma(b, c), gamma(a, b),
-        # gamma(a, c) live in earlier rows, their partners in this one
-        for a in range(n, s // 3 + 1):
-            for b in range(a, (s - a) // 2 + 1):
-                c = s - a - b
-                v = (rows[b + c][b - n] * row[a - n]
-                     - rows[a + b][a - n] * row[a + b - n]
-                     + rows[a + c][a - n] * row[a + c - n]) % p
-                if v:
-                    return None
         return row
 
     def extend(idx: int, has_nonzero: bool) -> None:
@@ -159,7 +152,6 @@ def search_sequences(field: PrimeField, n: int, depth: int,
                 report.deepest = idx
             rows[idx + n] = row
             extend(idx + 1, has_nonzero or value != 0)
-            del rows[idx + n]
         betas[idx - n - 1] = 0
 
     extend(n + 1, False)

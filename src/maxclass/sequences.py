@@ -7,14 +7,15 @@ iterated bracket of e_n with z gives
 
     [e_a, e_b] = sum_i (-1)^i C(b - n, i) beta_(a+i) e_(a+b),
 
-with beta_n read as 0.  Everything here works with finite prefixes of the
+with beta_n read as 0.  bracket_coeff evaluates this sum for one entry;
+whole tables come level by level from the equivalent Pascal recurrence
+(pascal_row).  Everything here works with finite prefixes of the
 sequence: reads beyond the recorded depth are unknowns, never silent zeros.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
@@ -117,6 +118,11 @@ class BetaSequence:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BetaSequence":
+        if not isinstance(data, dict) or not isinstance(data.get("betas"), list):
+            raise ValueError('a sequence must be a JSON object with a "betas" list')
+        if not all(type(v) is int for v in [data.get("p"), data.get("n"),
+                                             data.get("depth"), *data["betas"]]):
+            raise ValueError("p, n, depth and every entry of betas must be integers")
         seq = cls(PrimeField(data["p"]), data["n"], data["betas"])
         if seq.depth != data["depth"]:
             raise ValueError(f"depth field {data['depth']} does not match {len(data['betas'])} entries")
@@ -157,28 +163,35 @@ def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[Fp]:
     return Fp(total, seq.field)
 
 
-def _gamma_table(seq: BetaSequence, bound: int) -> list[list[int]]:
-    """gamma[a - n][b - n] = bracket coefficient of [e_a, e_b] for a + b <= bound.
+def pascal_row(prev: list[int], beta: int, p: int) -> list[int]:
+    """The bracket coefficients of level s from those of level s - 1.
 
-    All windows close strictly inside the prefix, so every entry is exact.
+    Entry a - n of the row for level s is gamma(a, s - a), a = n .. s - n.
+    The last entry is gamma(s - n, n) = beta_(s-n); the others follow right
+    to left from gamma(a, b) = gamma(a, b - 1) - gamma(a + 1, b - 1), which
+    is Jacobi on (e_a, e_(b-1), z).  The level-2n row is [0].
+    """
+    row = [beta]
+    right = beta
+    for g in reversed(prev):
+        right = (g - right) % p
+        row.append(right)
+    row.reverse()
+    return row
+
+
+def gamma_rows(seq: BetaSequence, bound: int) -> list[list[int]]:
+    """rows[s][a - n] = gamma(a, s - a) for 2n <= s <= bound (empty below 2n).
+
+    Level s reads entries up to beta_(s-n), so every row is exact.
     """
     n, p = seq.n, seq.field.p
-    if bound > seq.depth:
-        raise DepthError(f"gamma table to {bound} needs depth {bound}, have {seq.depth}")
-    betas = (0,) + seq.betas  # local index i - n
-    table: list[list[int]] = []
-    for a in range(n, bound - n + 1):
-        row_out = []
-        base = a - n
-        for b in range(n, bound - a + 1):
-            srow = signed_binom_row(b - n, p)
-            s = 0
-            for i, c in enumerate(srow):
-                if c:
-                    s += c * betas[base + i]
-            row_out.append(s % p)
-        table.append(row_out)
-    return table
+    if bound - n > seq.depth:
+        raise DepthError(f"gamma rows to {bound} need depth {bound - n}, have {seq.depth}")
+    rows = [[]] * (2 * n) + [[0]]
+    for s in range(2 * n + 1, bound + 1):
+        rows.append(pascal_row(rows[-1], seq.betas[s - 2 * n - 1], p))
+    return rows
 
 
 @dataclass
@@ -186,7 +199,6 @@ class JacobiReport:
     depth: int
     pairs_checked: int = 0
     triples_checked: int = 0
-    pascal_checked: int = 0
     failure: Optional[dict] = None
 
     @property
@@ -198,26 +210,29 @@ class JacobiReport:
             "depth": self.depth,
             "pairs_checked": self.pairs_checked,
             "triples_checked": self.triples_checked,
-            "pascal_checked": self.pascal_checked,
             "ok": self.ok,
             "failure": self.failure,
         }
 
 
-def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None,
-                  pascal_samples: int = 25, seed: int = 20260823) -> JacobiReport:
+def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiReport:
     """Consistency of the bracket table determined by the prefix.
 
-    Checks, over all indices that close within `depth`:
-      1. antisymmetry: [e_a, e_b] = -[e_b, e_a] as expanded coefficients,
-         including the diagonal [e_a, e_a] = 0 (for a, b >= n, a + b <= depth);
-      2. Jacobi on basis triples (e_a, e_b, e_c) for a <= b <= c,
-         a + b + c <= depth;
-      3. the Pascal recurrence gamma(a,b) = gamma(a+1,b) + gamma(a,b+1),
-         which encodes the Jacobi instances involving z, asserted on seeded
-         random index pairs (it holds identically, whatever the prefix).
+    Checks, over all indices that close within `depth`, and reports the
+    first violation with its indices and value:
+      1. antisymmetry [e_a, e_b] = -[e_b, e_a], diagonal included, for
+         n <= a <= b, a + b <= depth, in order of a, then b;
+      2. Jacobi on (e_n, e_b, e_c) for n <= b <= c, n + b + c <= depth, in
+         order of b, then c.
 
-    Reports the first violation found, with indices and value.
+    Jacobi with z holds by construction: the table is built by the Pascal
+    recurrence, which says ad z is a derivation.  Then J(e_(a+1), e_b, e_c)
+    = J([e_a, z], e_b, e_c) is a combination of [J(e_a, e_b, e_c), z],
+    J(e_a, e_(b+1), e_c) and J(e_a, e_b, e_(c+1)), none of higher degree, so
+    by induction on a every triple within the depth holds once those with
+    a = n do.  A sweep over all a <= b <= c visits the a = n triples first,
+    in this order, so it stops at the same witness; only triples_checked on
+    passing prefixes differs.
     """
     D = seq.depth if depth is None else depth
     if D > seq.depth:
@@ -226,10 +241,10 @@ def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None,
     report = JacobiReport(depth=D)
     if D < 2 * n:
         return report
-    G = _gamma_table(seq, D)
+    G = gamma_rows(seq, D)
 
     def g(a: int, b: int) -> int:
-        return G[a - n][b - n]
+        return G[a + b][a - n]
 
     for a in range(n, D // 2 + 1):
         for b in range(a, D - a + 1):
@@ -238,26 +253,14 @@ def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None,
             if r:
                 report.failure = {"kind": "antisymmetry", "indices": [a, b], "value": r}
                 return report
-    for a in range(n, D // 3 + 1):
-        for b in range(a, (D - a) // 2 + 1):
-            gab = g(a, b)
-            for c in range(b, D - a - b + 1):
-                report.triples_checked += 1
-                v = (g(b, c) * g(a, b + c) - gab * g(a + b, c) + g(a, c) * g(a + c, b)) % p
-                if v:
-                    report.failure = {"kind": "jacobi", "indices": [a, b, c], "value": v}
-                    return report
-    rng = random.Random(seed)
-    for _ in range(pascal_samples):
-        if D < 2 * n + 1:
-            break
-        a = rng.randrange(n, D - n)
-        b = rng.randrange(n, D - a)
-        report.pascal_checked += 1
-        v = (g(a, b) - g(a + 1, b) - g(a, b + 1)) % p
-        if v:
-            report.failure = {"kind": "pascal", "indices": [a, b], "value": v}
-            return report
+    for b in range(n, (D - n) // 2 + 1):
+        gnb = g(n, b)
+        for c in range(b, D - n - b + 1):
+            report.triples_checked += 1
+            v = (g(b, c) * g(n, b + c) - gnb * g(n + b, c) + g(n, c) * g(n + c, b)) % p
+            if v:
+                report.failure = {"kind": "jacobi", "indices": [n, b, c], "value": v}
+                return report
     return report
 
 
@@ -588,11 +591,7 @@ def constituents_via_lcs(seq: BetaSequence, depth: Optional[int] = None) -> LcsR
     if D > n + 1 and seq._beta_int(n + 1) != 0:
         raise ValueError(
             "constituent lengths via the lower central series require beta_(n+1) = 0")
-    G = _gamma_table(seq, D)
-
-    def g(a: int, b: int) -> int:
-        return G[a - n][b - n]
-
+    G = gamma_rows(seq, D)
     current = set(range(n + 1, D + 1))
     levels = [current]
     while levels[-1]:
@@ -600,7 +599,7 @@ def constituents_via_lcs(seq: BetaSequence, depth: Optional[int] = None) -> LcsR
         nxt = set()
         for d in prev:
             for b in range(n + 1, D - d + 1):
-                if g(d, b):
+                if G[d + b][d - n]:
                     nxt.add(d + b)
         levels.append(nxt)
     if len(levels) >= 2 and not levels[1]:

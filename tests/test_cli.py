@@ -121,6 +121,21 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    @pytest.mark.parametrize("document", [
+        [3, 2, 5, [0, 0, 0]],
+        {"p": 3, "n": 2, "depth": 5, "betas": None},
+        {"p": None, "n": 2, "depth": 3, "betas": [1]},
+        {"p": 3, "n": 2, "depth": 3, "betas": [None]},
+        {"p": 3, "n": 2, "depth": 3, "betas": [1.5]},
+    ])
+    def test_malformed_file_is_usage_error(self, capsys, tmp_path, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_depth_truncation(self, capsys, tmp_path, algebra_cache):
         path = tmp_path / "seq.json"
         algebra_cache(3, 2, 2, 1).sequence.to_file(path)

@@ -198,6 +198,20 @@ class TestTwoPaths:
         fake = ConstructedAlgebra(params, BetaSequence(F5, 4, betas), {})
         assert not two_path_check(params, algebra=fake)
 
+    def test_substituted_parent_member_caught_by_closed_forms(self):
+        # n = m + 1 is its own parent: the two-path check reuses the given
+        # algebra and has nothing to compare, so the closed forms catch it
+        params = ExceptionalParams(F5, 2, 2, 1)
+        algebra = construct(params, 60)
+        betas = list(algebra.sequence.betas)
+        betas[-1] = (betas[-1] + 1) % 5
+        fake = ConstructedAlgebra(params, BetaSequence(F5, 2, betas), {})
+        assert two_path_check(params, algebra=fake)
+        report = exceptional_report(params, algebra=fake)
+        assert not report.closed_form_ok
+        assert not report.genfunc_ok
+        assert not report.ok
+
 
 class TestReport:
     @pytest.mark.parametrize("params", [

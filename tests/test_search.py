@@ -2,8 +2,11 @@
 
 import itertools
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxclass.arith import PrimeField
 from maxclass.exceptional import ExceptionalParams, closed_form_betas
@@ -211,6 +214,34 @@ class TestLimits:
         report = search_sequences(F3, 2, 12)
         assert report.complete
         assert not report.truncated_solutions
+
+
+class TestDepthSteps:
+    def test_deep_budgeted_search_counts(self):
+        # 1100 assigned levels.  The recursive walk takes one frame per
+        # level, more than the default limit of 1000 allows, so the limit
+        # is raised for this call; a walk with an explicit stack must give
+        # the same numbers at the default limit.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(2000)
+        try:
+            report = search_sequences(F3, 1000, 2100, budget=3000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report.nodes == 3001
+        assert report.solution_count == 318
+        assert report.exhausted
+        assert report.deepest == 2100
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.sampled_from([3, 5]), st.integers(1, 3), st.integers(4, 16),
+           st.booleans())
+    def test_solutions_truncate_to_solutions(self, p, n, depth, normalize):
+        field = PrimeField(p)
+        shallow = search_sequences(field, n, depth, normalize=normalize)
+        deep = search_sequences(field, n, depth + 1, normalize=normalize)
+        assert shallow.complete and deep.complete
+        assert {sol[:-1] for sol in deep.solutions} <= set(shallow.solutions)
 
 
 class TestTypeOne:

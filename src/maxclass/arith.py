@@ -78,6 +78,14 @@ def lucas_symmetry_check(a: int, b: int, q: int, p: int) -> bool:
     return lhs == rhs
 
 
+def x_minus_one_coeff(k: int, m: int, p: int) -> int:
+    """[X^m](X - 1)^k = (-1)^(k-m) C(k, m) mod p, as a residue; 0 unless 0 <= m <= k."""
+    if m < 0 or m > k:
+        return 0
+    c = binom_mod_p(k, m, p)
+    return (-c) % p if (k - m) % 2 else c
+
+
 @lru_cache(maxsize=None)
 def signed_binom_row(h: int, p: int) -> tuple[int, ...]:
     """Row ((-1)^i C(h, i) mod p for 0 <= i <= h), cached."""
@@ -397,9 +405,4 @@ class FpPoly:
 
 def x_minus_one_pow(field: PrimeField, k: int) -> FpPoly:
     """(X - 1)^k, expanded via binomials rather than repeated multiplication."""
-    p = field.p
-    out = []
-    for j in range(k + 1):
-        v = binom_mod_p(k, j, p)
-        out.append((-v) % p if (k - j) % 2 else v)
-    return FpPoly(field, out)
+    return FpPoly(field, [x_minus_one_coeff(k, j, field.p) for j in range(k + 1)])

@@ -13,6 +13,7 @@ fails (the report still prints), and 2 for unusable arguments.
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import PrimeField
@@ -91,8 +92,7 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 
 
 def _cmd_classify(args) -> tuple[dict, bool]:
-    report = classify_admissible_k(_field(args.p), args.n, args.k_max,
-                                   workers=args.workers)
+    report = classify_admissible_k(_field(args.p), args.n, args.k_max)
     return report.to_dict(), report.ok
 
 
@@ -220,13 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cla = sub.add_parser(
         "classify",
-        help="exhaust first constituent polynomials per exponent")
+        help="solve for first constituent polynomials per exponent")
     cla.add_argument("--p", type=int, required=True, help="odd prime")
     cla.add_argument("--n", type=int, required=True, help="type, 1 < n < p")
     cla.add_argument("--k-max", type=int, required=True,
                      help="largest exponent to test")
-    cla.add_argument("--workers", type=int, default=None,
-                     help="process count for the sweep")
     add_format(cla)
 
     sea = sub.add_parser(
@@ -260,10 +258,16 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(_render_json(payload))
-    else:
-        _TEXT_RENDERERS[args.command](payload, sys.stdout)
+    try:
+        if args.format == "json":
+            print(_render_json(payload))
+        else:
+            _TEXT_RENDERERS[args.command](payload, sys.stdout)
+        sys.stdout.flush()  # raise a closed pipe here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away; send the rest of the output nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

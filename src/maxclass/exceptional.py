@@ -379,6 +379,8 @@ def exceptional_report(params: ExceptionalParams, depth: Optional[int] = None,
     construction paths against each other, and the bracket axioms through
     jacobi_verify (capped at 3q by default; pass jacobi_cap to change).
     """
+    if jacobi_cap < 0:
+        raise ValueError(f"jacobi depth must be nonnegative, got {jacobi_cap}")
     if algebra is None:
         algebra = construct(params, depth)
     seq = algebra.sequence

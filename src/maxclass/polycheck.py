@@ -2,21 +2,22 @@
 
 The central question: for which exponents k does some monic g of degree n - 1
 make every coefficient of (X - 1)^k g(X) vanish in the window
-ceil((k + n)/2) <= j < k?  classify_admissible_k answers by exhausting all
-p^(n-1) candidates per k; the admissible k are then compared against a short
-menu of values tied to powers of p.
+ceil((k + n)/2) <= j < k?  The window conditions are affine-linear in the
+coefficients of g, so classify_admissible_k row-reduces them over F_p per k
+and lists the affine solution space; the admissible k are then compared
+against a short menu of values tied to powers of p.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .arith import Fp, FpPoly, PrimeField, binom_mod_p, x_minus_one_pow
+from .arith import Fp, FpPoly, PrimeField, x_minus_one_coeff, x_minus_one_pow
 
-CLASSIFY_BUDGET = 5_000_000  # candidate-times-exponent cost bound per call
+# Bound on p^(n-1) * k_max per call.  Solving costs little, but at k = q every
+# one of the p^(n-1) monic g survives, so this caps the size of the report.
+CLASSIFY_BUDGET = 5_000_000
 
 
 def coeff(f: FpPoly, j: int) -> Fp:
@@ -27,21 +28,9 @@ def coeff(f: FpPoly, j: int) -> Fp:
 def product_coeff_int(g_coeffs: tuple[int, ...], k: int, j: int, p: int) -> int:
     """[X^j] of (X - 1)^k g(X), with g given by its coefficient tuple.
 
-    Uses [X^m](X - 1)^k = (-1)^(k-m) C(k, m); only deg(g) + 1 terms
-    contribute, so no full product is ever formed.
+    Only deg(g) + 1 terms contribute, so no full product is ever formed.
     """
-    total = 0
-    for i, gi in enumerate(g_coeffs):
-        if gi == 0:
-            continue
-        m = j - i
-        if m < 0 or m > k:
-            continue
-        c = binom_mod_p(k, m, p)
-        if (k - m) % 2:
-            c = -c
-        total += gi * c
-    return total % p
+    return sum(gi * x_minus_one_coeff(k, j - i, p) for i, gi in enumerate(g_coeffs) if gi) % p
 
 
 def product_coeff(g: FpPoly, k: int, j: int) -> Fp:
@@ -88,44 +77,43 @@ def range_condition_holds(g: FpPoly, cond: RangeCondition) -> bool:
     return True
 
 
-def _survivors_for_k(p: int, n: int, k: int) -> list[tuple[int, ...]]:
-    """All monic g (as coefficient tuples, low degree first) passing the window at k."""
-    j_lo = (k + n + 1) // 2
-    # per-window row of signed C(k, j - i) values, indexed so that
-    # row[j - j_lo][i] multiplies g_i
-    rows = []
-    for j in range(j_lo, k):
-        row = []
-        for i in range(n):
-            m = j - i
-            if m < 0 or m > k:
-                row.append(0)
-                continue
-            c = binom_mod_p(k, m, p)
-            if (k - m) % 2:
-                c = -c % p
-            row.append(c)
-        rows.append(tuple(row))
+def window_solutions(p: int, k: int, n: int, j_lo: int, j_hi: int) -> list[tuple[int, ...]]:
+    """All monic g of degree n - 1 with [X^j](X - 1)^k g(X) = 0 for j_lo <= j < j_hi.
+
+    Coefficient tuples, low degree first, sorted lexicographically.  Each row
+    is reduced against the pivots so far and kept in reduced echelon form; the
+    first row reducing to 0 = c with c != 0 ends the call, so an exponent with
+    no survivors rarely builds its whole window.
+    """
+    m = n - 1  # unknowns g_0 .. g_(n-2); column m is the constant from g_(n-1) = 1
+    pivots: dict[int, list[int]] = {}  # pivot column -> its row, scaled to 1 there
+    for j in range(j_lo, j_hi):
+        row = [x_minus_one_coeff(k, j - i, p) for i in range(n)]
+        for col, prow in pivots.items():
+            if c := row[col]:
+                row = [(a - c * b) % p for a, b in zip(row, prow)]
+        lead = next((i for i in range(m) if row[i]), None)
+        if lead is None:
+            if row[m]:
+                return []
+            continue
+        inv = pow(row[lead], p - 2, p)
+        row = [a * inv % p for a in row]
+        for col, prow in pivots.items():
+            if c := prow[lead]:
+                pivots[col] = [(a - c * b) % p for a, b in zip(prow, row)]
+        pivots[lead] = row
+    free = [i for i in range(m) if i not in pivots]
+    known = free + [m]
     out = []
-    for low in product(range(p), repeat=n - 1):
-        g = low + (1,)
-        ok = True
-        for row in rows:
-            s = 0
-            for gi, ci in zip(g, row):
-                if gi:
-                    s += gi * ci
-            if s % p:
-                ok = False
-                break
-        if ok:
-            out.append(g)
-    return out
-
-
-def _survivors_job(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
-    p, n, k = args
-    return k, _survivors_for_k(p, n, k)
+    for values in product(range(p), repeat=len(free)):
+        g = [0] * m + [1]
+        for i, v in zip(free, values):
+            g[i] = v
+        for col, prow in pivots.items():
+            g[col] = -sum(prow[i] * g[i] for i in known) % p
+        out.append(tuple(g))
+    return sorted(out)
 
 
 def powers_of(p: int, limit: int, above: int = 1) -> list[int]:
@@ -222,35 +210,28 @@ def _check_structure(report: ClassifyReport) -> None:
                         report.structure_violations.append((k, g, f"X^{k0} does not divide g"))
 
 
-def classify_admissible_k(field: PrimeField, n: int, k_max: int,
-                          workers: int | None = None) -> ClassifyReport:
-    """Exhaust all monic g of degree n - 1 per exponent n + 1 < k <= k_max.
+def classify_admissible_k(field: PrimeField, n: int, k_max: int) -> ClassifyReport:
+    """All monic g of degree n - 1 passing the window, per exponent n + 1 < k <= k_max.
 
-    Requires 1 < n < p.  Enumeration of g is lexicographic on the coefficient
-    vector, low degree first, so reports are deterministic.  Refuses when the
-    total cost p^(n-1) * k_max exceeds the desk-scale budget.
+    Requires 1 < n < p and k_max >= n + 2.  Survivors of each k come from
+    window_solutions, lexicographic on the coefficient vector, low degree
+    first, so reports are deterministic.  Refuses when p^(n-1) * k_max
+    exceeds CLASSIFY_BUDGET.
     """
     p = field.p
     if not (1 < n < p):
         raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+    if k_max < n + 2:
+        raise ValueError(f"need k_max >= n + 2 = {n + 2}, got k_max={k_max}")
     cost = p ** (n - 1) * k_max
     if cost > CLASSIFY_BUDGET:
         raise ValueError(
             f"refusing classify run: cost p^(n-1)*k_max = {cost} exceeds budget {CLASSIFY_BUDGET}")
-    if workers is None:
-        workers = int(os.environ.get("MAXCLASS_WORKERS", "1"))
-    ks = range(n + 2, k_max + 1)
     survivors: dict[int, list[tuple[int, ...]]] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for k, gs in pool.map(_survivors_job, [(p, n, k) for k in ks], chunksize=8):
-                if gs:
-                    survivors[k] = gs
-    else:
-        for k in ks:
-            gs = _survivors_for_k(p, n, k)
-            if gs:
-                survivors[k] = gs
+    for k in range(n + 2, k_max + 1):
+        gs = window_solutions(p, k, n, (k + n + 1) // 2, k)
+        if gs:
+            survivors[k] = gs
     report = ClassifyReport(field, n, k_max, survivors)
     for k in sorted(survivors):
         if k >= 4 * p:
@@ -280,7 +261,8 @@ def lemma_pairs_check(field: PrimeField, k_max: int, strengthened: bool = False)
     coefficient of (X - 1)^k (X - a) vanishes for k/2 + 1 <= j <= k
     (strengthened: (k + 1)/2 <= j <= k; differs only for odd k).
 
-    Returned as (k, a) with a a residue in [0, p); sorted.
+    Returned as (k, a) with a a residue in [0, p); sorted.  X - a is the
+    n = 2 case of window_solutions, with a = -g_0.
     """
     p = field.p
     out = []
@@ -289,21 +271,7 @@ def lemma_pairs_check(field: PrimeField, k_max: int, strengthened: bool = False)
             j_lo = (k + 2) // 2  # ceil((k + 1)/2)
         else:
             j_lo = k // 2 + 2 if k % 2 else k // 2 + 1  # ceil(k/2 + 1)
-        for a in range(p):
-            ok = True
-            for j in range(j_lo, k + 1):
-                # [X^j](X - 1)^k (X - a) = [X^(j-1)](X-1)^k - a [X^j](X-1)^k
-                c1 = binom_mod_p(k, j - 1, p)
-                if (k - j + 1) % 2:
-                    c1 = -c1
-                c2 = binom_mod_p(k, j, p)
-                if (k - j) % 2:
-                    c2 = -c2
-                if (c1 - a * c2) % p:
-                    ok = False
-                    break
-            if ok:
-                out.append((k, a))
+        out.extend(sorted((k, -g[0] % p) for g in window_solutions(p, k, 2, j_lo, k + 1)))
     return out
 
 

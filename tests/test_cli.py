@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -62,6 +63,14 @@ class TestConstruct:
         assert code == EXIT_USAGE
         assert out == ""
         assert "not prime" in err
+
+    def test_negative_jacobi_depth_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "construct", "--p", "3", "--c", "2",
+                             "--n", "2", "--m", "1", "--report",
+                             "--jacobi-depth", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "jacobi depth" in err
 
     def test_bad_shape(self, capsys):
         code, _, err = run(capsys, "construct", "--p", "3", "--c", "1",
@@ -166,8 +175,7 @@ class TestClassify:
 
     def test_text_matches_fixture_lines(self, capsys, fixture_dir):
         code, out, _ = run(capsys, "classify", "--p", "5", "--n", "3",
-                           "--k-max", "130", "--format", "text",
-                           "--workers", "2")
+                           "--k-max", "130", "--format", "text")
         assert code == EXIT_OK
         body = "".join(line + "\n" for line in out.splitlines()
                        if not line.startswith(("menu:", "structure:")))
@@ -178,6 +186,13 @@ class TestClassify:
                            "--k-max", "40")
         assert code == EXIT_USAGE
         assert "1 < n < p" in err
+
+    def test_no_exponent_to_test(self, capsys):
+        code, out, err = run(capsys, "classify", "--p", "5", "--n", "3",
+                             "--k-max", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "k_max >= n + 2" in err
 
 
 class TestSearch:
@@ -224,6 +239,19 @@ class TestEntryPoints:
         assert proc.returncode == EXIT_OK
         payload = json.loads(proc.stdout)
         assert payload["constituents"]["metabelian_within_depth"] is True
+
+    def test_closed_pipe_ends_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "maxclass", "search", "--p", "3",
+                 "--n", "2", "--depth", "8", "--seed", "5,5"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CHECK_FAILED
+        assert proc.stderr == ""
 
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run(

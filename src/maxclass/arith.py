@@ -88,12 +88,9 @@ def x_minus_one_coeff(k: int, m: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def signed_binom_row(h: int, p: int) -> tuple[int, ...]:
-    """Row ((-1)^i C(h, i) mod p for 0 <= i <= h), cached."""
-    row = []
-    for i in range(h + 1):
-        v = binom_mod_p(h, i, p)
-        row.append((-v) % p if i % 2 else v)
-    return tuple(row)
+    """Row ((-1)^i C(h, i) mod p for 0 <= i <= h), cached: the coefficients
+    of (X - 1)^h from the top down."""
+    return tuple(x_minus_one_coeff(h, h - i, p) for i in range(h + 1))
 
 
 class PrimeField:

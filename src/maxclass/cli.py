@@ -32,10 +32,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _field(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
 def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -48,7 +44,7 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def _cmd_construct(args) -> tuple[dict, bool]:
-    params = ExceptionalParams(_field(args.p), args.c, args.n, args.m)
+    params = ExceptionalParams(PrimeField(args.p), args.c, args.n, args.m)
     algebra = construct(params, depth=args.depth)
     seq = algebra.sequence
     payload = {
@@ -70,7 +66,7 @@ def _load_sequence(args) -> BetaSequence:
         return BetaSequence.from_file(args.file)
     if args.p is None or args.n is None:
         raise ValueError("--betas needs --p and --n alongside it")
-    return BetaSequence(_field(args.p), args.n, args.betas)
+    return BetaSequence(PrimeField(args.p), args.n, args.betas)
 
 
 def _cmd_verify(args) -> tuple[dict, bool]:
@@ -92,12 +88,12 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 
 
 def _cmd_classify(args) -> tuple[dict, bool]:
-    report = classify_admissible_k(_field(args.p), args.n, args.k_max)
+    report = classify_admissible_k(PrimeField(args.p), args.n, args.k_max)
     return report.to_dict(), report.ok
 
 
 def _cmd_search(args) -> tuple[dict, bool]:
-    report = search_sequences(_field(args.p), args.n, args.depth,
+    report = search_sequences(PrimeField(args.p), args.n, args.depth,
                               seed=args.seed, normalize=not args.no_normalize,
                               budget=args.budget,
                               max_solutions=args.max_solutions)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import FpPoly, PrimeField, binom_mod_p, x_minus_one_pow
+from .arith import FpPoly, PrimeField, x_minus_one_coeff, x_minus_one_pow
 from .divided_powers import (
     DividedPowers,
     DPElement,
@@ -35,9 +35,9 @@ from .divided_powers import (
 from .sequences import (
     BetaSequence,
     RationalSeries,
-    bracket_coeff,
     constituents,
     jacobi_verify,
+    pascal_row,
     subalgebra_sequence,
 )
 
@@ -184,21 +184,20 @@ def closed_form_betas(params: ExceptionalParams, depth: int) -> list[int]:
     p, q, n, m = params.p, params.q, params.n, params.m
 
     def entry(i: int) -> int:
+        # (-1)^(j-m) C(n-1-m, j-m) and (-1)^j C(n-1, j) are the coefficients
+        # of X^(n-1-j) in (X - 1)^(n-1-m) and (X - 1)^(n-1)
         if i <= q + m:
             j = q + m - i
             if j >= n:
                 return 0
-            sign_m = -1 if m % 2 else 1
-            term = sign_m * binom_mod_p(n - 1 - m, j - m, p) if j >= m else 0
-            val = term - binom_mod_p(n - 1, j, p)
-            return (-val if j % 2 else val) % p
+            return (x_minus_one_coeff(n - 1 - m, n - 1 - j, p)
+                    - x_minus_one_coeff(n - 1, n - 1 - j, p)) % p
         r, jp = divmod(i - m - 1, q)
         jp += 1
         if jp <= q - n:
             return 0
         j = q - jp
-        val = binom_mod_p(n - 1, j, p)
-        return (val if j % 2 else -val) % p
+        return -x_minus_one_coeff(n - 1, n - 1 - j, p) % p
 
     return [entry(i) for i in range(n + 1, depth + 1)]
 
@@ -278,31 +277,42 @@ def abelian_ideal_check(params: ExceptionalParams, depth: Optional[int] = None,
     report = AbelianIdealReport(depth=D, pairs_checked=0, pairs_ok=True,
                                 adjoint_series_ok=True,
                                 adjoint_window=(n, D - q - 1 + n), top_action_ok=True)
+    # One Pascal pass up to level D + n, the last the prefix determines,
+    # keeping from the row of level s only what the checks read:
+    # gamma(a, s - a) for q < a <= s/2, gamma(s - q - 1, q + 1), gamma(s - q, q).
+    pair, adjoint, top = {}, {}, {}
+    row = [0]
+    for s in range(2 * n + 1, D + n + 1):
+        row = pascal_row(row, seq.betas[s - 2 * n - 1], p)
+        if s >= 2 * q + 2:
+            pair[s] = row[q + 1 - n:s // 2 - n + 1]
+        if s >= q + 1 + n:
+            adjoint[s] = row[s - q - 1 - n]
+        if s >= 2 * q + 1:
+            top[s] = row[s - q - n]
     for i in range(q + 1, D):
         for j in range(i, D):
             if i + j - n > D:
                 break
             report.pairs_checked += 1
-            val = bracket_coeff(seq, i, j)
-            if int(val) != 0:
+            val = pair[i + j][i - q - 1]
+            if val != 0:
                 report.pairs_ok = False
-                report.failure = {"kind": "pair", "indices": [i, j], "value": int(val)}
+                report.failure = {"kind": "pair", "indices": [i, j], "value": val}
                 return report
     rhs = x_minus_one_pow(params.field, q - m).shift(m) + FpPoly.monomial(params.field, 1, m)
     for i in range(n, D - q - 1 + n + 1):
-        val = bracket_coeff(seq, i, q + 1)
-        if val is None:
-            break
-        if int(val) != rhs[i]:
+        val = adjoint[i + q + 1]
+        if val != rhs[i]:
             report.adjoint_series_ok = False
             report.failure = {"kind": "adjoint_series", "index": i,
-                              "value": int(val), "expected": rhs[i]}
+                              "value": val, "expected": rhs[i]}
             return report
     for i in range(q + 1, D - q + 1):
-        val = bracket_coeff(seq, i, q)
-        if int(val) != (p - 1):
+        val = top[i + q]
+        if val != (p - 1):
             report.top_action_ok = False
-            report.failure = {"kind": "top_action", "index": i, "value": int(val)}
+            report.failure = {"kind": "top_action", "index": i, "value": val}
             return report
     return report
 

@@ -20,11 +20,6 @@ from .arith import Fp, FpPoly, PrimeField, x_minus_one_coeff, x_minus_one_pow
 CLASSIFY_BUDGET = 5_000_000
 
 
-def coeff(f: FpPoly, j: int) -> Fp:
-    """Coefficient of the j-th power of f, zero outside the support."""
-    return f.coeff(j)
-
-
 def product_coeff_int(g_coeffs: tuple[int, ...], k: int, j: int, p: int) -> int:
     """[X^j] of (X - 1)^k g(X), with g given by its coefficient tuple.
 

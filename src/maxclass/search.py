@@ -80,12 +80,16 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     to 1 (any other value is a rescaling of e_n).  budget caps the number
     of assignments tried; on exhaustion the report carries exhausted=True
     and whatever was found so far.  Solutions appear in lexicographic
-    order; at most max_solutions are stored, all are counted.
+    order; at most max_solutions are stored, all are counted.  Negative
+    limits are refused.
     """
     if n < 1:
         raise ValueError(f"type must be a positive integer, got {n}")
     if depth < n + 1:
         raise ValueError(f"depth {depth} leaves no entries to assign")
+    if budget < 0 or max_solutions < 0:
+        raise ValueError(f"budget and max_solutions must be nonnegative, "
+                         f"got {budget} and {max_solutions}")
     p = field.p
     if isinstance(seed, BetaSequence):
         if seed.field != field or seed.n != n:

@@ -19,11 +19,20 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
-from .arith import Fp, FpPoly, PrimeField, binom_mod_p, signed_binom_row
+from .arith import Fp, FpPoly, PrimeField, signed_binom_row, x_minus_one_coeff
 
 
 class DepthError(Exception):
     """A sequence entry outside the recorded window (n, depth] was requested."""
+
+
+def _check_document(data, fields: tuple[str, ...], entries: str) -> None:
+    """Reject a sequence document unless it is a JSON object whose `fields`
+    are integers and whose `entries` are a list of integers."""
+    if not isinstance(data, dict) or not isinstance(data.get(entries), list):
+        raise ValueError(f'a sequence must be a JSON object with a "{entries}" list')
+    if not all(type(v) is int for v in [*map(data.get, fields), *data[entries]]):
+        raise ValueError(f"{', '.join(fields)} and every entry of {entries} must be integers")
 
 
 class BetaSequence:
@@ -118,11 +127,7 @@ class BetaSequence:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BetaSequence":
-        if not isinstance(data, dict) or not isinstance(data.get("betas"), list):
-            raise ValueError('a sequence must be a JSON object with a "betas" list')
-        if not all(type(v) is int for v in [data.get("p"), data.get("n"),
-                                             data.get("depth"), *data["betas"]]):
-            raise ValueError("p, n, depth and every entry of betas must be integers")
+        _check_document(data, ("p", "n", "depth"), "betas")
         seq = cls(PrimeField(data["p"]), data["n"], data["betas"])
         if seq.depth != data["depth"]:
             raise ValueError(f"depth field {data['depth']} does not match {len(data['betas'])} entries")
@@ -142,6 +147,8 @@ class BetaSequence:
 def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[Fp]:
     """Coefficient of e_(a+b) in [e_a, e_b], for a, b >= n.
 
+    The per-entry form of the bracket table: whole tables come from
+    pascal_row, and the tests use this sum as their reference for it.
     Returns None when the value is not determined by the recorded prefix,
     which happens exactly when the window end a + b - n exceeds the depth
     (that term always carries a unit binomial coefficient).  Interior terms
@@ -305,13 +312,8 @@ class ConstituentReport:
 def _is_ordinary(entries: list[int], n: int, p: int) -> bool:
     """Entries (lam_(j-m+1), ..., lam_j) with lam_(j-i) = (-1)^i C(n-1, i) lam_j."""
     last = entries[-1]
-    for i in range(len(entries)):
-        want = binom_mod_p(n - 1, i, p) * last
-        if i % 2:
-            want = -want
-        if entries[-1 - i] != want % p:
-            return False
-    return True
+    return all(e == x_minus_one_coeff(n - 1, n - 1 - i, p) * last % p
+               for i, e in enumerate(reversed(entries)))
 
 
 def constituents(seq: BetaSequence) -> ConstituentReport:
@@ -416,6 +418,7 @@ class AlphaSequence:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AlphaSequence":
+        _check_document(data, ("p", "depth"), "alphas")
         seq = cls(PrimeField(data["p"]), data["alphas"])
         if seq.depth != data["depth"]:
             raise ValueError("depth field does not match entry count")
@@ -436,32 +439,21 @@ def project_type1(alpha: AlphaSequence, n: int) -> BetaSequence:
     """Sequence of the type-n subalgebra generated by z and e_n inside a
     type-1 algebra with sequence alpha:
 
-        beta_i = sum_k (-1)^k C(n-1, k) alpha_(i+k),  0 <= k <= n - 1.
+        beta_i = sum_k (-1)^k C(n-1, k) alpha_(i+k),  0 <= k <= n - 1,
 
+    which is the bracket coefficient of [e_i, e_n] in the type-1 algebra.
     Output depth is alpha.depth - n + 1.  When consecutive nonzero alpha
     entries are at least n apart, every complete later constituent of the
     result is ordinary; that is asserted.
     """
     if n < 1:
         raise ValueError("type must be positive")
-    p = alpha.field.p
     D_out = alpha.depth - n + 1
     if D_out <= n:
         raise ValueError(f"alpha depth {alpha.depth} too shallow to project to type {n}")
-    row = signed_binom_row(n - 1, p)
-    alphas = alpha.alphas
-
-    def a_int(i):  # alpha_i, defined for 1 < i <= alpha.depth
-        return alphas[i - 2]
-
-    betas = []
-    for i in range(n + 1, D_out + 1):
-        s = 0
-        for k, c in enumerate(row):
-            if c:
-                s += c * a_int(i + k)
-        betas.append(s % p)
-    out = BetaSequence(alpha.field, n, betas)
+    type1 = alpha.to_beta()
+    out = BetaSequence(alpha.field, n,
+                       [bracket_coeff(type1, i, n) for i in range(n + 1, D_out + 1)])
     nz = alpha.nonzero_indices()
     if all(b - a >= n for a, b in zip(nz, nz[1:])):
         rep = constituents(out)
@@ -533,28 +525,18 @@ def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[Fp]:
     """The two-row constraint usable whenever beta_(n+h) = 0 (caller-checked):
 
         beta_(i+h+n) sum_g (-1)^g C(h, g) beta_(i+g)
-          - beta_i sum_g (-1)^g C(h, g) beta_(i+n+g)  = 0.
+          - beta_i sum_g (-1)^g C(h, g) beta_(i+n+g)  = 0,
 
-    Returns None when entries beyond the depth are required; terms killed by
-    a vanishing binomial are skipped first.
+    that is beta_(i+h+n) gamma(i, n+h) - beta_i gamma(i+n, n+h) = 0.
+    Returns None when the depth is below i + h + n.
     """
     n = seq.n
     if i <= n or h <= 0:
         raise ValueError(f"need i > n and h > 0, got i={i}, h={h}")
     if i + h + n > seq.depth:
         return None
-    p = seq.field.p
-    row = signed_binom_row(h, p)
-    s1 = s2 = 0
-    for g, c in enumerate(row):
-        if c == 0:
-            continue
-        if i + n + g > seq.depth:
-            return None
-        s1 += c * seq._beta_int(i + g)
-        s2 += c * seq._beta_int(i + n + g)
-    val = seq._beta_int(i + h + n) * s1 - seq._beta_int(i) * s2
-    return Fp(val, seq.field)
+    return (seq.beta(i + h + n) * bracket_coeff(seq, i, n + h)
+            - seq.beta(i) * bracket_coeff(seq, i + n, n + h))
 
 
 @dataclass

@@ -72,6 +72,14 @@ class TestConstruct:
         assert out == ""
         assert err.count("\n") == 1 and "jacobi depth" in err
 
+    def test_full_report_at_q343(self, capsys):
+        # the default depth 3q + 2n = 1033 runs the ideal check on all of it
+        code, out, _ = run(capsys, "construct", "--p", "7", "--c", "3",
+                           "--n", "2", "--m", "1", "--report")
+        assert code == EXIT_OK
+        report = json.loads(out)["report"]
+        assert report["depth"] == 1033 and report["ideal_ok"] is True
+
     def test_bad_shape(self, capsys):
         code, _, err = run(capsys, "construct", "--p", "3", "--c", "1",
                            "--n", "2", "--m", "2")
@@ -221,6 +229,14 @@ class TestSearch:
         assert code == EXIT_CHECK_FAILED
         payload = json.loads(out)
         assert payload["exhausted"] is True
+
+    @pytest.mark.parametrize("limit", ["--budget", "--max-solutions"])
+    def test_negative_limit_is_usage_error(self, capsys, limit):
+        code, out, err = run(capsys, "search", "--p", "3", "--n", "2",
+                             "--depth", "8", limit, "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "nonnegative" in err
 
     def test_text_lists_solutions(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "3", "--n", "2",

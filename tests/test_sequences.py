@@ -257,6 +257,21 @@ class TestAlphaSequence:
         back = AlphaSequence.from_file(path)
         assert back.alphas == al.alphas and back.field == al.field
 
+    @pytest.mark.parametrize("document, message", [
+        ([3, 4, [0, 1, 0]], "JSON object"),
+        ({"p": 3, "depth": 4}, "JSON object"),
+        ({"p": 3, "depth": 4, "alphas": None}, "JSON object"),
+        ({"p": 3.0, "depth": 4, "alphas": [0, 1, 0]}, "integers"),
+        ({"p": 3, "depth": 4, "alphas": [0, 1.7, 0]}, "integers"),
+        ({"p": 3, "depth": "4", "alphas": [0, 1, 0]}, "integers"),
+        ({"p": 3, "depth": 4, "alphas": [0, True, 0]}, "integers"),
+        ({"p": 3, "depth": 5, "alphas": [0, 1, 0]}, "depth"),
+    ])
+    def test_from_dict_rejects_malformed(self, document, message):
+        with pytest.raises(ValueError, match=message) as info:
+            AlphaSequence.from_dict(document)
+        assert "\n" not in str(info.value)
+
     def test_to_beta_is_type_one(self):
         al = AlphaSequence(F5, [1, 0, 2, 0])
         seq = al.to_beta()

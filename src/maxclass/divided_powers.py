@@ -13,6 +13,10 @@ so iterating Z walks down the divided-power ladder and re-enters at the top
 with one more factor of t.  Pairs (module element, operator) form a Lie
 algebra under the semidirect bracket; generators of the maximal-class
 algebras live there.
+
+Module elements and operators are stored alike: a dict from monomial keys,
+(i, s) for t^s x^(i) and (row, col, s) for a matrix entry t^s, to nonzero
+residues mod p.
 """
 
 from __future__ import annotations
@@ -69,114 +73,102 @@ class DividedPowers:
         return coeff, i + j
 
 
-def _as_poly(ring: DividedPowers, value: Union[Scalar, FpPoly]) -> FpPoly:
-    if isinstance(value, FpPoly):
-        if value.field != ring.field:
-            raise ValueError("scalar polynomial over a different field")
-        return value
-    return FpPoly(ring.field, [value])
+class _Sparse:
+    """Sparse F_p-linear combination of monomials: entries maps a key, whose
+    last component is the power of t, to a nonzero residue mod p.
 
+    The constructor reduces mod p and drops zeros, so equal values have
+    equal entries.  Instances are immutable by convention: all operations
+    return new ones.
+    """
 
-class DPElement:
-    """Module element sum_i f_i(t) x^(i), stored sparsely as exponent -> f_i."""
+    __slots__ = ("ring", "entries")
 
-    __slots__ = ("ring", "parts")
-
-    def __init__(self, ring: DividedPowers, parts: Optional[dict[int, FpPoly]] = None):
-        clean = {}
-        if parts:
-            for i, poly in parts.items():
-                if not (0 <= i < ring.q):
-                    raise ValueError(f"exponent {i} outside [0, {ring.q})")
-                if poly.field != ring.field:
-                    raise ValueError("coefficient over a different field")
-                if poly:
-                    clean[i] = poly
+    def __init__(self, ring: DividedPowers, entries: Optional[dict] = None):
+        p = ring.field.p
         self.ring = ring
-        self.parts = clean
+        self.entries = {key: r for key, c in entries.items() if (r := c % p)} if entries else {}
 
     @classmethod
-    def zero(cls, ring: DividedPowers) -> "DPElement":
+    def zero(cls, ring: DividedPowers):
         return cls(ring)
+
+    def _check_ring(self, other) -> None:
+        if self.ring != other.ring:
+            raise ValueError("values from different rings")
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ring == other.ring and self.entries == other.entries
+
+    def __add__(self, other):
+        self._check_ring(other)
+        out = dict(self.entries)
+        for key, c in other.entries.items():
+            out[key] = out.get(key, 0) + c
+        return type(self)(self.ring, out)
+
+    def __neg__(self):
+        return type(self)(self.ring, {key: -c for key, c in self.entries.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, value: Union[Scalar, FpPoly]):
+        """Multiply by an int, an Fp, or a polynomial in t."""
+        factor = value.coeffs if isinstance(value, FpPoly) else (int(value),)
+        out = {}
+        for key, c in self.entries.items():
+            for k, f in enumerate(factor):
+                if f:
+                    shifted = key[:-1] + (key[-1] + k,)
+                    out[shifted] = out.get(shifted, 0) + c * f
+        return type(self)(self.ring, out)
+
+
+class DPElement(_Sparse):
+    """Module element sum c t^s x^(i), with entries[(i, s)] = c."""
+
+    __slots__ = ()
 
     @classmethod
     def basis(cls, ring: DividedPowers, exponent: int, t_power: int = 0,
               coeff: Scalar = 1) -> "DPElement":
         """coeff * t^t_power * x^(exponent)."""
-        poly = FpPoly.monomial(ring.field, coeff, t_power)
-        return cls(ring, {exponent: poly})
-
-    def __bool__(self) -> bool:
-        return bool(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DPElement):
-            return NotImplemented
-        return self.ring == other.ring and self.parts == other.parts
-
-    def __add__(self, other: "DPElement") -> "DPElement":
-        if self.ring != other.ring:
-            raise ValueError("elements from different rings")
-        out = dict(self.parts)
-        for i, poly in other.parts.items():
-            out[i] = out.get(i, FpPoly.zero(self.ring.field)) + poly
-        return DPElement(self.ring, out)
-
-    def __neg__(self) -> "DPElement":
-        return DPElement(self.ring, {i: -poly for i, poly in self.parts.items()})
-
-    def __sub__(self, other: "DPElement") -> "DPElement":
-        return self + (-other)
-
-    def scale(self, value: Union[Scalar, FpPoly]) -> "DPElement":
-        poly = _as_poly(self.ring, value)
-        return DPElement(self.ring, {i: f * poly for i, f in self.parts.items()})
+        if not (0 <= exponent < ring.q):
+            raise ValueError(f"exponent {exponent} outside [0, {ring.q})")
+        return cls(ring, {(exponent, t_power): int(coeff)})
 
     def monomials(self) -> Iterator[tuple[int, int, int]]:
         """Yield (exponent, t_power, coefficient) over all nonzero monomials."""
-        for i in sorted(self.parts):
-            poly = self.parts[i]
-            for s, c in enumerate(poly.coeffs):
-                if c:
-                    yield i, s, c
+        for (i, s), c in sorted(self.entries.items()):
+            yield i, s, c
 
     def __repr__(self) -> str:
-        return f"DPElement({self.parts!r})"
+        return f"DPElement({self.entries!r})"
 
 
-class Endo:
+class Endo(_Sparse):
     """t-linear endomorphism of the module, as a sparse matrix over F_p[t].
 
-    entries[(row, col)] = f(t) means x^(col) contributes f(t) x^(row).
-    Instances are immutable by convention: all operations return new ones.
+    entries[(row, col, s)] = c means x^(col) contributes c t^s x^(row).
     """
 
-    __slots__ = ("ring", "entries", "_by_row")
+    __slots__ = ("_by_row",)
 
     def __init__(self, ring: DividedPowers, entries: Optional[dict] = None):
-        clean = {}
-        if entries:
-            for (row, col), poly in entries.items():
-                if not (0 <= row < ring.q and 0 <= col < ring.q):
-                    raise ValueError(f"index ({row}, {col}) outside [0, {ring.q})^2")
-                if poly.field != ring.field:
-                    raise ValueError("entry over a different field")
-                if poly:
-                    clean[(row, col)] = poly
-        self.ring = ring
-        self.entries = clean
+        super().__init__(ring, entries)
         self._by_row = None
-
-    @classmethod
-    def zero(cls, ring: DividedPowers) -> "Endo":
-        return cls(ring)
 
     @classmethod
     def derivation(cls, ring: DividedPowers) -> "Endo":
         """x^(i) -> x^(i-1); kills 1.  A derivation of the divided-power
         product, by the Pascal rule on the coefficients."""
-        one = FpPoly.one(ring.field)
-        return cls(ring, {(i - 1, i): one for i in range(1, ring.q)})
+        return cls(ring, {(i - 1, i, 0): 1 for i in range(1, ring.q)})
 
     @classmethod
     def mult_op(cls, ring: DividedPowers, shift: int,
@@ -184,14 +176,9 @@ class Endo:
         """Multiplication by scale * x^(shift): x^(j) -> scale C(j+shift, shift) x^(j+shift)."""
         if not (0 <= shift < ring.q):
             raise ValueError(f"shift must lie in [0, {ring.q})")
-        poly = _as_poly(ring, scale)
         p = ring.field.p
-        entries = {}
-        for j in range(ring.q - shift):
-            coeff = binom_mod_p(j + shift, shift, p)
-            if coeff:
-                entries[(j + shift, j)] = poly.scale(coeff)
-        return cls(ring, entries)
+        return cls(ring, {(j + shift, j, 0): binom_mod_p(j + shift, shift, p)
+                          for j in range(ring.q - shift)}).scale(scale)
 
     @classmethod
     def z_op(cls, ring: DividedPowers) -> "Endo":
@@ -202,63 +189,37 @@ class Endo:
     def _rows(self) -> dict:
         if self._by_row is None:
             by_row = {}
-            for (row, col), poly in self.entries.items():
-                by_row.setdefault(row, []).append((col, poly))
+            for (row, col, s), c in self.entries.items():
+                by_row.setdefault(row, []).append((col, s, c))
             self._by_row = by_row
         return self._by_row
 
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Endo):
-            return NotImplemented
-        return self.ring == other.ring and self.entries == other.entries
-
-    def __add__(self, other: "Endo") -> "Endo":
-        if self.ring != other.ring:
-            raise ValueError("operators from different rings")
-        out = dict(self.entries)
-        zero = FpPoly.zero(self.ring.field)
-        for key, poly in other.entries.items():
-            out[key] = out.get(key, zero) + poly
-        return Endo(self.ring, out)
-
-    def __neg__(self) -> "Endo":
-        return Endo(self.ring, {k: -poly for k, poly in self.entries.items()})
-
-    def __sub__(self, other: "Endo") -> "Endo":
-        return self + (-other)
-
-    def scale(self, value: Union[Scalar, FpPoly]) -> "Endo":
-        poly = _as_poly(self.ring, value)
-        return Endo(self.ring, {k: f * poly for k, f in self.entries.items()})
-
     def compose(self, other: "Endo") -> "Endo":
         """Operator product self applied after other."""
-        if self.ring != other.ring:
-            raise ValueError("operators from different rings")
-        zero = FpPoly.zero(self.ring.field)
+        self._check_ring(other)
         out = {}
         other_rows = other._rows()
-        for (row, mid), left in self.entries.items():
-            for col, right in other_rows.get(mid, ()):
-                key = (row, col)
-                out[key] = out.get(key, zero) + left * right
+        for (row, mid, s), left in self.entries.items():
+            if mid in other_rows:
+                for col, r, right in other_rows[mid]:
+                    key = (row, col, s + r)
+                    out[key] = out.get(key, 0) + left * right
         return Endo(self.ring, out)
 
     def bracket(self, other: "Endo") -> "Endo":
         return self.compose(other) - other.compose(self)
 
     def apply(self, element: DPElement) -> DPElement:
-        if self.ring != element.ring:
-            raise ValueError("operator and element from different rings")
-        zero = FpPoly.zero(self.ring.field)
+        self._check_ring(element)
+        by_exponent = {}
+        for (i, r), c in element.entries.items():
+            by_exponent.setdefault(i, []).append((r, c))
         out = {}
-        for (row, col), poly in self.entries.items():
-            part = element.parts.get(col)
-            if part is not None:
-                out[row] = out.get(row, zero) + poly * part
+        for (row, col, s), c in self.entries.items():
+            if col in by_exponent:
+                for r, part in by_exponent[col]:
+                    key = (row, s + r)
+                    out[key] = out.get(key, 0) + c * part
         return DPElement(self.ring, out)
 
     def __repr__(self) -> str:
@@ -326,30 +287,12 @@ class SemidirectElement:
             return field.zero
         if not other:
             return None
-        pairs = []
-        for mine, theirs in ((self.vec.parts, other.vec.parts),
-                             (self.op.entries, other.op.entries)):
-            if set(mine) != set(theirs):
-                return None
-            for key, poly in mine.items():
-                ref = theirs[key]
-                if poly.degree != ref.degree:
-                    return None
-                pairs.append((poly, ref))
-        lam = None
-        for poly, ref in pairs:
-            for k in range(int(ref.degree) + 1):
-                a, b = poly[k], ref[k]
-                if (a == 0) != (b == 0):
-                    return None
-                if b == 0:
-                    continue
-                ratio = Fp(a, field) / Fp(b, field)
-                if lam is None:
-                    lam = ratio
-                elif lam != ratio:
-                    return None
-        return lam
+        # lam is fixed by any one entry of other; then check all of them
+        mine, theirs = (self.vec, other.vec) if other.vec else (self.op, other.op)
+        key, ref = next(iter(theirs.entries.items()))
+        p = field.p
+        lam = mine.entries.get(key, 0) * pow(ref, p - 2, p) % p
+        return Fp(lam, field) if other.scale(lam) == self else None
 
     def __repr__(self) -> str:
         return f"SemidirectElement(vec={self.vec!r}, op={self.op!r})"
@@ -377,15 +320,9 @@ def graded_degree(element: SemidirectElement, m: int) -> int:
     sits in degree r q + (q + m) - i, and an operator entry t^s at
     (row, col) in degree col - row + s q.  Raises on zero or mixed input.
     """
-    ring = element.ring
-    q = ring.q
-    degrees = set()
-    for i, r, _ in element.vec.monomials():
-        degrees.add(r * q + q + m - i)
-    for (row, col), poly in element.op.entries.items():
-        for s, coeff in enumerate(poly.coeffs):
-            if coeff:
-                degrees.add(col - row + s * q)
+    q = element.ring.q
+    degrees = {r * q + q + m - i for i, r in element.vec.entries}
+    degrees.update(col - row + s * q for row, col, s in element.op.entries)
     if not degrees:
         raise ValueError("the zero element has no degree")
     if len(degrees) > 1:

@@ -42,6 +42,13 @@ from .sequences import (
 )
 
 
+# Largest q = p^c that construct accepts.  Z and e_n are built with about q
+# operator entries each before any check runs, so without a bound
+# `--p 3 --c 20` would ask for about 3.5e9 of them.  A deep build keeps more:
+# the elements up to degree q hold about (p(p+1)/2)^c entries in all.
+CONSTRUCT_MAX_Q = 10_000
+
+
 class ConstructionError(Exception):
     """An internal invariant of the operator construction failed."""
 
@@ -105,8 +112,12 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     Every graded component is checked to be the expected monomial pair, and
     each entry beta_i is obtained as the exact scalar with
     [e_i, e_n] = beta_i e_(i+n); failure of proportionality raises
-    ConstructionError with the offending degree.
+    ConstructionError with the offending degree.  Refuses q above
+    CONSTRUCT_MAX_Q.
     """
+    if params.q > CONSTRUCT_MAX_Q:
+        raise ValueError(
+            f"refusing construct: q = {params.q} exceeds CONSTRUCT_MAX_Q = {CONSTRUCT_MAX_Q}")
     if depth is None:
         depth = params.default_depth
     q, n, m = params.q, params.n, params.m

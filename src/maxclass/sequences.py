@@ -443,8 +443,10 @@ def project_type1(alpha: AlphaSequence, n: int) -> BetaSequence:
 
     which is the bracket coefficient of [e_i, e_n] in the type-1 algebra.
     Output depth is alpha.depth - n + 1.  When consecutive nonzero alpha
-    entries are at least n apart, every complete later constituent of the
-    result is ordinary; that is asserted.
+    entries are at least n apart and the first of them has index at least
+    2n, every complete later constituent of the result is ordinary; that is
+    asserted.  (A nonzero alpha_K spreads over beta_(K-n+1), ..., beta_K; for
+    K < 2n that block starts below the first index n + 1 and is cut.)
     """
     if n < 1:
         raise ValueError("type must be positive")
@@ -455,7 +457,7 @@ def project_type1(alpha: AlphaSequence, n: int) -> BetaSequence:
     out = BetaSequence(alpha.field, n,
                        [bracket_coeff(type1, i, n) for i in range(n + 1, D_out + 1)])
     nz = alpha.nonzero_indices()
-    if all(b - a >= n for a, b in zip(nz, nz[1:])):
+    if nz and nz[0] >= 2 * n and all(b - a >= n for a, b in zip(nz, nz[1:])):
         rep = constituents(out)
         for con in rep.constituents[1:]:
             if not con.ordinary:
@@ -509,11 +511,14 @@ class RationalSeries:
         """Coefficients 0..depth of the power-series expansion."""
         p = self.num.field.p
         d0_inv = pow(self.den[0], p - 2, p)
+        tail = [(j, d) for j, d in enumerate(self.den.coeffs) if j and d]
         out = []
         for k in range(depth + 1):
             s = self.num[k]
-            for j in range(1, min(k, int(self.den.degree) if self.den.degree >= 0 else 0) + 1):
-                s -= self.den[j] * out[k - j]
+            for j, d in tail:
+                if j > k:
+                    break
+                s -= d * out[k - j]
             out.append(s * d0_inv % p)
         return out
 

@@ -1,11 +1,17 @@
 """Shared fixtures: fixture paths and a cache of constructed algebras."""
 
+import os
 from pathlib import Path
 
 import pytest
 
 from maxclass.arith import PrimeField
 from maxclass.exceptional import ExceptionalParams, construct
+
+# Tests that run `python -m maxclass` in a subprocess find the package in
+# src/ too, as the test process does through pytest's pythonpath setting.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from maxclass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from maxclass.exceptional import CONSTRUCT_MAX_Q
 from maxclass.sequences import BetaSequence
 from maxclass.arith import PrimeField
 
@@ -92,6 +93,16 @@ class TestConstruct:
                            "--n", "4", "--m", "1", "--report")
         assert code == EXIT_USAGE
         assert "closed forms" in err
+
+    def test_q_above_size_guard_is_refused(self, capsys):
+        # q = 3^20 would need about 3.5e9 operator entries; refused unbuilt.
+        # The benchmark builds q = 3^7, which must stay under the bound.
+        assert 3 ** 7 <= CONSTRUCT_MAX_Q < 3 ** 20
+        code, out, err = run(capsys, "construct", "--p", "3", "--c", "20",
+                             "--n", "2", "--m", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "CONSTRUCT_MAX_Q" in err
 
     def test_construct_without_report_allows_any_shape(self, capsys):
         code, out, _ = run(capsys, "construct", "--p", "5", "--c", "1",

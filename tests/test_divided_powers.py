@@ -117,20 +117,22 @@ class TestDPElement:
 
 
 def random_endo(ring, rng, max_entries=4, max_tdeg=2):
-    entries = {}
+    polys = {}
     for _ in range(rng.randrange(max_entries + 1)):
         key = (rng.randrange(ring.q), rng.randrange(ring.q))
-        coeffs = [rng.randrange(ring.field.p) for _ in range(max_tdeg + 1)]
-        entries[key] = FpPoly(ring.field, coeffs)
-    return Endo(ring, entries)
+        polys[key] = [rng.randrange(ring.field.p) for _ in range(max_tdeg + 1)]
+    return Endo(ring, {(row, col, s): c for (row, col), coeffs in polys.items()
+                       for s, c in enumerate(coeffs)})
 
 
 def random_element(ring, rng):
     parts = {}
     for _ in range(rng.randrange(4)):
         coeffs = [rng.randrange(ring.field.p) for _ in range(3)]
-        parts[rng.randrange(ring.q)] = FpPoly(ring.field, coeffs)
-    return SemidirectElement(DPElement(ring, parts), random_endo(ring, rng))
+        parts[rng.randrange(ring.q)] = coeffs
+    vec = DPElement(ring, {(i, s): c for i, coeffs in parts.items()
+                           for s, c in enumerate(coeffs)})
+    return SemidirectElement(vec, random_endo(ring, rng))
 
 
 class TestEndo:
@@ -338,12 +340,7 @@ class TestGradedDegree:
 
 
 def _flatten(endo):
-    vec = {}
-    for (row, col), poly in endo.entries.items():
-        for s, coeff in enumerate(poly.coeffs):
-            if coeff:
-                vec[(row, col, s)] = coeff
-    return vec
+    return dict(endo.entries)
 
 
 class _Span:

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
+from maxclass import cli, exceptional
 from maxclass.arith import FpPoly, PrimeField, x_minus_one_pow
+from maxclass.divided_powers import DPElement, SemidirectElement, make_generators
 from maxclass.exceptional import (
     AbelianIdealReport,
     ConstructedAlgebra,
+    ConstructionError,
     ExceptionalParams,
     abelian_ideal_check,
     closed_form_betas,
@@ -116,6 +119,23 @@ class TestConstruct:
     def test_depth_validation(self):
         with pytest.raises(ValueError, match="shallow"):
             construct(ExceptionalParams(F5, 1, 2, 1), 2)
+
+    def test_tampered_generator_raises(self, monkeypatch, capsys):
+        # e_n with its module term x^(q+m-n) added once more stays homogeneous
+        # of degree n, so only the closed-form comparison can catch it
+        def tampered(ring, n, m):
+            z, e_n = make_generators(ring, n, m)
+            extra = DPElement.basis(ring, ring.q + m - n)
+            return z, SemidirectElement(e_n.vec + extra, e_n.op)
+
+        monkeypatch.setattr(exceptional, "make_generators", tampered)
+        with pytest.raises(ConstructionError, match="degree 3 deviates from its closed form"):
+            construct(ExceptionalParams(F5, 1, 2, 1))
+        code = cli.main(["construct", "--p", "5", "--c", "1", "--n", "2", "--m", "1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CHECK_FAILED
+        assert out == ""
+        assert err.startswith("construction failed:") and err.count("\n") == 1
 
     def test_constituent_structure_q27(self):
         params = ExceptionalParams(F3, 3, 2, 1)

@@ -295,6 +295,15 @@ class TestProjection:
         with pytest.raises(ValueError, match="shallow"):
             project_type1(AlphaSequence(F5, [0, 1, 0]), 4)
 
+    def test_early_spike_projects_without_raising(self):
+        # nonzero alphas 2 apart, but alpha_3 sits below 2n = 4: its block
+        # beta_2, beta_3 is cut at index n + 1, leaving a non-ordinary
+        # constituent that the spacing argument does not cover
+        al = AlphaSequence(F3, [0, 1, 0, 2, 0, 1])
+        seq = project_type1(al, 2)
+        assert seq.betas == (1, 1, 2, 2)
+        assert not all(c.ordinary for c in constituents(seq).constituents[1:])
+
     def test_spaced_spikes_give_ordinary_constituents(self):
         # isolated alpha entries at mutual distance >= n project to ordinary
         # blocks; project_type1 asserts this internally

@@ -11,7 +11,8 @@ import math
 from functools import lru_cache
 from typing import Iterable, Union
 
-NEG_INF = float("-inf")  # degree of the zero polynomial
+# Largest modulus accepted: primality is decided by trial division to sqrt(p).
+MAX_PRIME = 10**9
 
 
 class FieldMismatch(ValueError):
@@ -103,6 +104,8 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if p > MAX_PRIME:
+            raise ValueError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         if p == 2:
@@ -132,9 +135,6 @@ class PrimeField:
     @property
     def one(self) -> "Fp":
         return Fp(1, self)
-
-    def binom(self, a: int, b: int) -> "Fp":
-        return Fp(binom_mod_p(a, b, self.p), self)
 
     def poly(self, coeffs: Iterable[Union[int, "Fp"]]) -> "FpPoly":
         return FpPoly(self, coeffs)
@@ -266,8 +266,9 @@ class FpPoly:
         return cls(field, (0,) * exponent + (c,))
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs

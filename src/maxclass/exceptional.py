@@ -35,9 +35,9 @@ from .divided_powers import (
 from .sequences import (
     BetaSequence,
     RationalSeries,
+    bracket_levels,
     constituents,
     jacobi_verify,
-    pascal_row,
     subalgebra_sequence,
 )
 
@@ -292,9 +292,7 @@ def abelian_ideal_check(params: ExceptionalParams, depth: Optional[int] = None,
     # keeping from the row of level s only what the checks read:
     # gamma(a, s - a) for q < a <= s/2, gamma(s - q - 1, q + 1), gamma(s - q, q).
     pair, adjoint, top = {}, {}, {}
-    row = [0]
-    for s in range(2 * n + 1, D + n + 1):
-        row = pascal_row(row, seq.betas[s - 2 * n - 1], p)
+    for s, row in bracket_levels(seq, D + n):
         if s >= 2 * q + 2:
             pair[s] = row[q + 1 - n:s // 2 - n + 1]
         if s >= q + 1 + n:

@@ -1,15 +1,14 @@
 """Depth-first enumeration of admissible structure-constant prefixes.
 
-Entries beta_(n+1), ..., beta_depth are assigned one index at a time; after
-each assignment, every antisymmetry pair and every Jacobi triple
-(e_n, e_b, e_c) whose expansion windows close at that index is checked, and
-the branch is cut on the first violation.  The bracket coefficients are
-maintained by level: writing gamma(a, b) for the coefficient of [e_a, e_b],
-the row of level s = a + b follows from the row of level s - 1 by
-sequences.pascal_row, seeded with gamma(s - n, n) = beta_(s - n), so each
-level costs O(depth) on top of its own constraint checks.  Triples with
-first index above n need no check: they hold once those with first index n
-do (see jacobi_verify).
+Entries beta_(n+1), ..., beta_depth are assigned one index at a time.
+Assigning beta_i completes the bracket level s = i + n: writing gamma(a, b)
+for the coefficient of [e_a, e_b], its row follows from the row of level
+s - 1 by sequences.pascal_row, seeded with gamma(s - n, n) = beta_(s - n),
+and sequences.level_failure checks it, the same per-level check that
+jacobi_verify runs.  That check reads one antisymmetry pair per level and
+the Jacobi triples (e_n, e_b, e_c) with n + b + c = s; both suffice because
+every lower level on the branch already passed.  The branch is cut on the
+first violation.  Each level costs O(depth) on top of its triples.
 
 Prefixes surviving to full depth are emitted; they pass jacobi_verify by
 construction (the search checks a superset of its constraints).  Odd
@@ -22,10 +21,10 @@ rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .arith import PrimeField
-from .sequences import BetaSequence, pascal_row
+from .sequences import BetaSequence, level_failure, pascal_row
 
 
 @dataclass
@@ -104,28 +103,13 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     report = SearchReport(p=p, n=n, depth=depth, seed_depth=n + len(seed_vals),
                           normalized=normalize, budget=budget, deepest=n)
     betas = [0] * (depth - n)
-    # rows[s][a - n] = gamma(a, s - a) for a = n .. s - n, along the current branch
+    # rows[s][a - n] = gamma(a, s - a) for a = n .. s - n, and
+    # col[s - 2n] = gamma(n, s - n), along the current branch
     rows: list[list[int]] = [[]] * (depth + n + 1)
     rows[2 * n] = [0]
+    col = [0]
     full_range = tuple(range(p))
     norm_range = (0, 1)
-
-    def level_row(idx: int) -> Optional[list[int]]:
-        """Coefficient row for a + b = idx + n, with the pair and triple
-        checks that close at this level; None on the first violation."""
-        s = idx + n
-        row = pascal_row(rows[s - 1], betas[idx - n - 1], p)
-        # pairs (a, s - a) for a = n .. s // 2
-        if any((x + y) % p for x, y in zip(row[:s // 2 - n + 1], reversed(row))):
-            return None
-        # triples (n, b, c): the factors gamma(b, c), gamma(n, b),
-        # gamma(n, c) live in earlier rows, their partners in this one
-        for b in range(n, (s - n) // 2 + 1):
-            c = s - n - b
-            if (rows[b + c][b - n] * row[0] - rows[n + b][0] * row[b]
-                    + rows[n + c][0] * row[c]) % p:
-                return None
-        return row
 
     def extend(idx: int, has_nonzero: bool) -> None:
         if idx > depth:
@@ -149,12 +133,15 @@ def search_sequences(field: PrimeField, n: int, depth: int,
                 report.exhausted = True
                 return
             betas[idx - n - 1] = value
-            row = level_row(idx)
-            if row is None:
+            s = idx + n
+            row = pascal_row(rows[s - 1], value, p)
+            if level_failure(row, rows[s - n], col, n, p) is not None:
                 continue
             if idx > report.deepest:
                 report.deepest = idx
-            rows[idx + n] = row
+            rows[s] = row
+            del col[s - 2 * n:]
+            col.append(row[0])
             extend(idx + 1, has_nonzero or value != 0)
         betas[idx - n - 1] = 0
 

@@ -16,8 +16,9 @@ sequence: reads beyond the recorded depth are unknowns, never silent zeros.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .arith import Fp, FpPoly, PrimeField, signed_binom_row, x_minus_one_coeff
 
@@ -187,18 +188,54 @@ def pascal_row(prev: list[int], beta: int, p: int) -> list[int]:
     return row
 
 
-def gamma_rows(seq: BetaSequence, bound: int) -> list[list[int]]:
-    """rows[s][a - n] = gamma(a, s - a) for 2n <= s <= bound (empty below 2n).
+def bracket_levels(seq: BetaSequence, bound: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (s, row) for 2n <= s <= bound, row[a - n] = gamma(a, s - a).
 
-    Level s reads entries up to beta_(s-n), so every row is exact.
+    Level s reads entries up to beta_(s-n), so every row is exact.  Each
+    row is a fresh list, so callers keep only the levels they read.
     """
     n, p = seq.n, seq.field.p
     if bound - n > seq.depth:
-        raise DepthError(f"gamma rows to {bound} need depth {bound - n}, have {seq.depth}")
-    rows = [[]] * (2 * n) + [[0]]
-    for s in range(2 * n + 1, bound + 1):
-        rows.append(pascal_row(rows[-1], seq.betas[s - 2 * n - 1], p))
-    return rows
+        raise DepthError(f"bracket levels to {bound} need depth {bound - n}, have {seq.depth}")
+    row = [0]
+    for s in range(2 * n, bound + 1):
+        if s > 2 * n:
+            row = pascal_row(row, seq.betas[s - 2 * n - 1], p)
+        yield s, row
+
+
+def level_failure(row: list[int], low: list[int], col: list[int],
+                  n: int, p: int) -> Optional[dict]:
+    """First bracket-axiom violation on one level, given that antisymmetry
+    holds on the levels below it: None, or a failure dict as in JacobiReport.
+
+    row is level s, low is level s - n, and col[j] = gamma(n, n + j), the
+    first entry of level 2n + j, for the levels up to s - n.
+
+    Antisymmetry needs one pair per level.  Write A(a, b) = gamma(a, b) +
+    gamma(b, a); the Pascal recurrence gamma(a, b) = gamma(a, b + 1) +
+    gamma(a + 1, b) gives A(a, b) = A(a, b + 1) + A(a + 1, b).  If level
+    s - 1 holds, the defects of level s alternate in sign along the row, so
+    they are all +-A(n, s - n), and A(a, b) = A(b, a) makes them vanish when
+    s is odd.  So the pair (n, s - n) fails whenever any pair of the level
+    does.  Jacobi is checked on the triples (e_n, e_b, e_c) of the level, in
+    order of b (see jacobi_verify).
+    """
+    s = len(row) + 2 * n - 1
+    r = (row[0] + row[-1]) % p
+    if r:
+        return {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
+    for b in range(n, (s - n) // 2 + 1):
+        c = s - n - b
+        v = (low[b - n] * row[0] - col[b - n] * row[b] + col[c - n] * row[c]) % p
+        if v:
+            return {"kind": "jacobi", "indices": [n, b, c], "value": v}
+    return None
+
+
+def _sweep_count(n: int, top: int, a: int) -> int:
+    """Number of pairs (x, y) with n <= x < a and x <= y <= top - x."""
+    return max(0, (a - n) * (top + 2 - a - n))
 
 
 @dataclass
@@ -240,6 +277,12 @@ def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiRepor
     a = n do.  A sweep over all a <= b <= c visits the a = n triples first,
     in this order, so it stops at the same witness; only triples_checked on
     passing prefixes differs.
+
+    The levels are streamed through level_failure, keeping rows s - n .. s
+    and the column gamma(n, .): O(n depth) memory.  A first failing level s
+    fails at (n, s - n), the first failing pair in the order above.  The
+    smallest Jacobi witness (b, c) over all levels is kept, and the counts
+    are the witness's positions in the sweep order.
     """
     D = seq.depth if depth is None else depth
     if D > seq.depth:
@@ -248,26 +291,26 @@ def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiRepor
     report = JacobiReport(depth=D)
     if D < 2 * n:
         return report
-    G = gamma_rows(seq, D)
-
-    def g(a: int, b: int) -> int:
-        return G[a + b][a - n]
-
-    for a in range(n, D // 2 + 1):
-        for b in range(a, D - a + 1):
-            report.pairs_checked += 1
-            r = (g(a, b) + g(b, a)) % p
-            if r:
-                report.failure = {"kind": "antisymmetry", "indices": [a, b], "value": r}
-                return report
-    for b in range(n, (D - n) // 2 + 1):
-        gnb = g(n, b)
-        for c in range(b, D - n - b + 1):
-            report.triples_checked += 1
-            v = (g(b, c) * g(n, b + c) - gnb * g(n + b, c) + g(n, c) * g(n + c, b)) % p
-            if v:
-                report.failure = {"kind": "jacobi", "indices": [n, b, c], "value": v}
-                return report
+    ring: deque[list[int]] = deque(maxlen=n + 1)
+    col: list[int] = []
+    for s, row in bracket_levels(seq, D):
+        ring.append(row)
+        failure = level_failure(row, ring[0], col, n, p)
+        col.append(row[0])
+        if failure is None:
+            continue
+        if failure["kind"] == "antisymmetry":
+            report.pairs_checked = s - 2 * n + 1
+            report.failure = failure
+            return report
+        if report.failure is None or failure["indices"] < report.failure["indices"]:
+            report.failure = failure
+    report.pairs_checked = _sweep_count(n, D, D // 2 + 1)
+    if report.failure is None:
+        report.triples_checked = _sweep_count(n, D - n, (D - n) // 2 + 1)
+    else:
+        _, b, c = report.failure["indices"]
+        report.triples_checked = _sweep_count(n, D - n, b) + c - b + 1
     return report
 
 
@@ -574,37 +617,28 @@ def constituents_via_lcs(seq: BetaSequence, depth: Optional[int] = None) -> LcsR
     D = seq.depth if depth is None else depth
     if D > seq.depth:
         raise DepthError(f"lcs to depth {D} needs depth {D}, have {seq.depth}")
-    n, p = seq.n, seq.field.p
+    n = seq.n
     if D > n + 1 and seq._beta_int(n + 1) != 0:
         raise ValueError(
             "constituent lengths via the lower central series require beta_(n+1) = 0")
-    G = gamma_rows(seq, D)
-    current = set(range(n + 1, D + 1))
-    levels = [current]
-    while levels[-1]:
-        prev = levels[-1]
-        nxt = set()
-        for d in prev:
-            for b in range(n + 1, D - d + 1):
-                if G[d + b][d - n]:
-                    nxt.add(d + b)
-        levels.append(nxt)
-    if len(levels) >= 2 and not levels[1]:
+    # The terms are nested: e_d lies in terms 0 .. ranks[d - n - 1], and e_s
+    # joins term r + 1 iff [e_d, e_(s-d)] != 0 for some e_d of term r, s - d > n.
+    ranks = [0] * max(0, min(D, 2 * n) - n)
+    for s, row in bracket_levels(seq, D):
+        if s > 2 * n:
+            ranks.append(1 + max((r for r, g in zip(ranks, row[1:s - 2 * n]) if g),
+                                 default=-1))
+    counts = [ranks.count(r) for r in range(max(ranks, default=-1) + 1)]
+    if len(counts) == 1:
         return LcsReport(depth=D, lengths=[], incomplete_count=None,
                          no_second_power=True, contiguous=True)
-    contiguous = all(lv == set(range(min(lv), D + 1)) for lv in levels if lv)
-    lengths = []
-    incomplete = None
-    for r in range(len(levels) - 1):
-        count = len(levels[r]) - len(levels[r + 1])
-        if r == 0:
-            count += n
-        if levels[r + 1]:
-            lengths.append(count)
-        else:
-            incomplete = count  # cut off by the horizon, not a true dimension
-    return LcsReport(depth=D, lengths=lengths, incomplete_count=incomplete,
-                     no_second_power=False, contiguous=contiguous)
+    if counts:
+        counts[0] += n
+    # the last term is cut off by the horizon, not a true dimension
+    return LcsReport(depth=D, lengths=counts[:-1],
+                     incomplete_count=counts[-1] if counts else None,
+                     no_second_power=False,
+                     contiguous=all(a <= b for a, b in zip(ranks, ranks[1:])))
 
 
 def first_constituent_poly(seq: BetaSequence) -> FpPoly:

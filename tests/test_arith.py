@@ -10,7 +10,6 @@ from maxclass.arith import (
     Fp,
     FieldMismatch,
     FpPoly,
-    NEG_INF,
     PrimeField,
     binom_mod_p,
     is_power_of,
@@ -166,7 +165,7 @@ class TestFpPoly:
     def test_normalization(self):
         f = F5.poly([1, 2, 0, 0])
         assert f.coeffs == (1, 2)
-        assert FpPoly.zero(F5).degree == NEG_INF
+        assert FpPoly.zero(F5).degree == -1
         assert F5.poly([0, 0, 5]).is_zero()
 
     def test_worked_product(self):

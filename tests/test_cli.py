@@ -144,6 +144,17 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "--betas needs --p and --n" in err
 
+    def test_modulus_above_bound_refused_at_once(self):
+        # a 19-digit prime: trial division to its square root takes minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxclass", "verify", "--betas", "1",
+             "--p", "1000000000000000003", "--n", "2"],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: modulus 1000000000000000003 exceeds")
+        assert proc.stderr.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "--file", "/does/not/exist.json")
         assert code == EXIT_USAGE

@@ -18,7 +18,7 @@ from maxclass.sequences import (
     BetaSequence,
     JacobiReport,
     bracket_coeff,
-    gamma_rows,
+    bracket_levels,
     jacobi_verify,
 )
 
@@ -26,6 +26,11 @@ from test_acceptance import FAMILY_PRIMES
 from test_sequences import periodic_fixture
 
 F3 = PrimeField(3)
+
+
+def gamma_rows(seq, bound):
+    """rows[s][a - n] = gamma(a, s - a) for 2n <= s <= bound (empty below 2n)."""
+    return [[]] * (2 * seq.n) + [row for _, row in bracket_levels(seq, bound)]
 
 
 def binomial_gamma_table(seq, bound):
@@ -150,6 +155,23 @@ class TestAgreement:
                 if report.failure is not None and report.failure["kind"] == "jacobi":
                     triple_failures += 1
         assert triple_failures == 1260
+        # and random prefixes over larger fields: uniform ones, which fail
+        # antisymmetry early, and ones drawing each entry among the values
+        # that close the pair (n, i) on its level, which reach Jacobi
+        rng = random.Random(20261018)
+        kinds = {"antisymmetry": 0, "jacobi": 0, None: 0}
+        for p in (5, 7, 11):
+            field = PrimeField(p)
+            for n in range(1, 6):
+                for closing in (False, True) * 5:
+                    tail = []
+                    for i in range(n + 1, n + 31):
+                        fits = [v for v in range(p) if closing and (v + int(
+                            bracket_coeff(BetaSequence(field, n, tail + [v]), n, i))) % p == 0]
+                        tail.append(rng.choice(fits or range(p)))
+                    report = assert_agrees(BetaSequence(field, n, tail))
+                    kinds[report.failure and report.failure["kind"]] += 1
+        assert kinds["antisymmetry"] > 0 and kinds["jacobi"] > 0
 
     def test_family_and_its_single_entry_perturbations(self):
         # each member past its first constituent, and every entry moved by 1

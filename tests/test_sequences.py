@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxclass.arith import Fp, FpPoly, PrimeField
+from maxclass.exceptional import ExceptionalParams, closed_form_betas
 from maxclass.sequences import (
     AlphaSequence,
     BetaSequence,
@@ -169,6 +171,19 @@ class TestJacobiVerify:
         a = jacobi_verify(periodic_fixture()).to_dict()
         b = jacobi_verify(periodic_fixture()).to_dict()
         assert a == b
+
+    def test_memory_is_a_window_of_levels(self):
+        # the full table to depth 600 would hold about 90,000 coefficients
+        params = ExceptionalParams(F7, 3, 3, 2)
+        seq = BetaSequence(F7, 3, closed_form_betas(params, 600))
+        tracemalloc.start()
+        try:
+            report = jacobi_verify(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 256 * 1024
 
 
 class TestConstituents:

@@ -53,6 +53,34 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
     return result % p
 
 
+def binom_column_mod_p(b: int, q: int, p: int) -> dict[int, int]:
+    """{a: C(a, b) mod p} over the a < q where the value is nonzero, for q a
+    power of p and 0 <= b < q.
+
+    By Lucas, C(a, b) is nonzero mod p exactly when every base-p digit of a
+    is at least the matching digit of b, and is then the product of the
+    digit binomials.  The column is built one digit at a time, low digit
+    first, so it costs one step per nonzero entry; keys come out ascending.
+    """
+    if not is_power_of(q, p):
+        raise ValueError(f"{q} is not a power of {p}")
+    if not 0 <= b < q:
+        raise ValueError(f"need 0 <= b < q, got b={b}, q={q}")
+    column = {0: 1}
+    place = 1
+    while place < q:
+        bd = b // place % p
+        wider, digit_binom = {}, 1
+        for d in range(bd, p):
+            if d > bd:   # C(d, bd) = C(d - 1, bd) d / (d - bd)
+                digit_binom = digit_binom * d * pow(d - bd, -1, p) % p
+            for a, v in column.items():
+                wider[a + d * place] = v * digit_binom % p
+        column = wider
+        place *= p
+    return column
+
+
 def is_power_of(q: int, p: int) -> bool:
     """True when q = p^e for some e >= 1."""
     if q < p:

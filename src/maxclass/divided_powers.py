@@ -17,13 +17,19 @@ algebras live there.
 Module elements and operators are stored alike: a dict from monomial keys,
 (i, s) for t^s x^(i) and (row, col, s) for a matrix entry t^s, to nonzero
 residues mod p.
+
+Only the two generators' operators, Z and t * x^(q-n), are indexed by row
+and by column (`Endo.index`, called by `make_generators`).  Every bracket
+of the construction has one of them on one side, so a product iterates the
+other, transient operand and costs O(its entries), not O(q).  Transient
+operators carry no index: it would double their memory for a single use.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from .arith import Fp, FpPoly, PrimeField, binom_mod_p
+from .arith import Fp, FpPoly, PrimeField, binom_column_mod_p, binom_mod_p
 
 Scalar = Union[int, Fp]
 
@@ -156,13 +162,16 @@ class Endo(_Sparse):
     """t-linear endomorphism of the module, as a sparse matrix over F_p[t].
 
     entries[(row, col, s)] = c means x^(col) contributes c t^s x^(row).
+    An operator that is composed or applied many times can be indexed by
+    row and by column with `index()`; products then cost one lookup per
+    entry of the other operand.
     """
 
-    __slots__ = ("_by_row",)
+    __slots__ = ("_index",)
 
     def __init__(self, ring: DividedPowers, entries: Optional[dict] = None):
         super().__init__(ring, entries)
-        self._by_row = None
+        self._index = None
 
     @classmethod
     def derivation(cls, ring: DividedPowers) -> "Endo":
@@ -176,9 +185,8 @@ class Endo(_Sparse):
         """Multiplication by scale * x^(shift): x^(j) -> scale C(j+shift, shift) x^(j+shift)."""
         if not (0 <= shift < ring.q):
             raise ValueError(f"shift must lie in [0, {ring.q})")
-        p = ring.field.p
-        return cls(ring, {(j + shift, j, 0): binom_mod_p(j + shift, shift, p)
-                          for j in range(ring.q - shift)}).scale(scale)
+        column = binom_column_mod_p(shift, ring.q, ring.field.p)
+        return cls(ring, {(a, a - shift, 0): v for a, v in column.items()}).scale(scale)
 
     @classmethod
     def z_op(cls, ring: DividedPowers) -> "Endo":
@@ -186,22 +194,34 @@ class Endo(_Sparse):
         t = FpPoly.monomial(ring.field, 1, 1)
         return -cls.derivation(ring) - cls.mult_op(ring, ring.q - 1, t)
 
-    def _rows(self) -> dict:
-        if self._by_row is None:
-            by_row = {}
-            for (row, col, s), c in self.entries.items():
-                by_row.setdefault(row, []).append((col, s, c))
-            self._by_row = by_row
-        return self._by_row
+    def index(self) -> "Endo":
+        """Index the entries by row and by column, and return self.
+
+        Only for long-lived operators: the index roughly doubles the
+        operator's memory.
+        """
+        self._index = (_group(self.entries, 0, 1), _group(self.entries, 1, 0))
+        return self
 
     def compose(self, other: "Endo") -> "Endo":
-        """Operator product self applied after other."""
+        """Operator product self applied after other.
+
+        Iterates an operand that is not indexed and looks up the other one;
+        with no index on either side, other is grouped by row for this call.
+        """
         self._check_ring(other)
         out = {}
-        other_rows = other._rows()
-        for (row, mid, s), left in self.entries.items():
-            if mid in other_rows:
-                for col, r, right in other_rows[mid]:
+        if self._index is not None and other._index is None:
+            by_col = self._index[1]
+            for (mid, col, r), right in other.entries.items():
+                for row, s, left in by_col.get(mid, ()):
+                    key = (row, col, s + r)
+                    out[key] = out.get(key, 0) + left * right
+        else:
+            by_row = (other._index[0] if other._index is not None
+                      else _group(other.entries, 0, 1))
+            for (row, mid, s), left in self.entries.items():
+                for col, r, right in by_row.get(mid, ()):
                     key = (row, col, s + r)
                     out[key] = out.get(key, 0) + left * right
         return Endo(self.ring, out)
@@ -210,20 +230,37 @@ class Endo(_Sparse):
         return self.compose(other) - other.compose(self)
 
     def apply(self, element: DPElement) -> DPElement:
+        """The operator applied to a module element: an indexed operator
+        iterates the element, any other iterates its own entries."""
         self._check_ring(element)
-        by_exponent = {}
-        for (i, r), c in element.entries.items():
-            by_exponent.setdefault(i, []).append((r, c))
         out = {}
-        for (row, col, s), c in self.entries.items():
-            if col in by_exponent:
-                for r, part in by_exponent[col]:
+        if self._index is not None:
+            by_col = self._index[1]
+            for (col, r), part in element.entries.items():
+                for row, s, c in by_col.get(col, ()):
+                    key = (row, s + r)
+                    out[key] = out.get(key, 0) + c * part
+        else:
+            by_exponent = {}
+            for (i, r), c in element.entries.items():
+                by_exponent.setdefault(i, []).append((r, c))
+            for (row, col, s), c in self.entries.items():
+                for r, part in by_exponent.get(col, ()):
                     key = (row, s + r)
                     out[key] = out.get(key, 0) + c * part
         return DPElement(self.ring, out)
 
     def __repr__(self) -> str:
         return f"Endo({len(self.entries)} entries, q={self.ring.q})"
+
+
+def _group(entries: dict, key: int, other: int) -> dict:
+    """Operator entries grouped by row (key=0, other=1) or by column
+    (key=1, other=0): {key index: [(other index, t-power, coefficient)]}."""
+    out = {}
+    for k, c in entries.items():
+        out.setdefault(k[key], []).append((k[other], k[2], c))
+    return out
 
 
 class SemidirectElement:
@@ -307,11 +344,11 @@ def make_generators(ring: DividedPowers, n: int, m: int
     """
     if not (0 < m < n <= ring.q):
         raise ValueError(f"need 0 < m < n <= q = {ring.q}, got n={n}, m={m}")
-    z = SemidirectElement(DPElement.zero(ring), Endo.z_op(ring))
+    z = SemidirectElement(DPElement.zero(ring), Endo.z_op(ring).index())
     t = FpPoly.monomial(ring.field, 1, 1)
     e_n = SemidirectElement(
         DPElement.basis(ring, ring.q + m - n),
-        Endo.mult_op(ring, ring.q - n, t))
+        Endo.mult_op(ring, ring.q - n, t).index())
     return z, e_n
 
 

@@ -23,15 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import FpPoly, PrimeField, x_minus_one_coeff, x_minus_one_pow
-from .divided_powers import (
-    DividedPowers,
-    DPElement,
-    Endo,
-    SemidirectElement,
-    graded_degree,
-    make_generators,
-)
+from .arith import FpPoly, PrimeField, binom_column_mod_p, x_minus_one_coeff, x_minus_one_pow
+from .divided_powers import DividedPowers, graded_degree, make_generators
 from .sequences import (
     BetaSequence,
     RationalSeries,
@@ -44,9 +37,22 @@ from .sequences import (
 
 # Largest q = p^c that construct accepts.  Z and e_n are built with about q
 # operator entries each before any check runs, so without a bound
-# `--p 3 --c 20` would ask for about 3.5e9 of them.  A deep build keeps more:
-# the elements up to degree q hold about (p(p+1)/2)^c entries in all.
+# `--p 3 --c 20` would ask for about 3.5e9 of them.  Each bracket step costs
+# O(entries of its element), but every element is kept, and those up to
+# degree q hold about (p(p+1)/2)^c operator entries: 1.7e6 at q = 3^8 (a
+# default-depth build takes 8 s and 197 MB on a 2-core Xeon), but about
+# q^2/2 = 5e7, several GB, at a prime q near the bound.  The bound caps the
+# generators, not that sum.
 CONSTRUCT_MAX_Q = 10_000
+
+# Largest degree that construct builds.  It keeps e_n, ..., e_(depth+n),
+# about 0.9 KB each even at q = 3, so `--depth 10000000` would need about
+# 9 GB.  Depths above CONSTRUCT_MAX_DEGREE - n are refused.  The default
+# depth 3q + 2n reaches degree 3q + 3n <= 6q, so every member under
+# CONSTRUCT_MAX_Q may run at it.  The bound is on the top degree, not the
+# depth, because the two-path check builds the type-(m+1) member n - m - 1
+# deeper, to the same top degree.
+CONSTRUCT_MAX_DEGREE = 6 * CONSTRUCT_MAX_Q
 
 
 class ConstructionError(Exception):
@@ -113,7 +119,7 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     each entry beta_i is obtained as the exact scalar with
     [e_i, e_n] = beta_i e_(i+n); failure of proportionality raises
     ConstructionError with the offending degree.  Refuses q above
-    CONSTRUCT_MAX_Q.
+    CONSTRUCT_MAX_Q and depth + n above CONSTRUCT_MAX_DEGREE.
     """
     if params.q > CONSTRUCT_MAX_Q:
         raise ValueError(
@@ -123,9 +129,11 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     q, n, m = params.q, params.n, params.m
     if depth < n + 1:
         raise ValueError(f"depth {depth} too shallow, need at least {n + 1}")
+    if depth + n > CONSTRUCT_MAX_DEGREE:
+        raise ValueError(f"refusing construct: depth {depth} builds to degree {depth + n}, "
+                         f"above CONSTRUCT_MAX_DEGREE = {CONSTRUCT_MAX_DEGREE}")
     ring = DividedPowers(params.field, params.c)
     z, e_n = make_generators(ring, n, m)
-    t = FpPoly.monomial(params.field, 1, 1)
     elements = {n: e_n}
     current = e_n
     for j in range(n + 1, depth + n + 1):
@@ -134,16 +142,18 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
             raise ConstructionError(f"bracketing with z died at degree {j}")
         if graded_degree(current, m) != j:
             raise ConstructionError(f"element at degree {j} is not homogeneous of degree {j}")
+        # the closed form: up to degree q + m, x^(q+m-j) with t times
+        # multiplication by x^(q-j), whose entries are the Lucas support of
+        # C(., q - j), and no operator part past degree q; above q + m,
+        # t^r x^(q-1-jp) with j - m - 1 = r q + jp
         if j <= q + m:
-            expected = SemidirectElement(
-                DPElement.basis(ring, q + m - j),
-                Endo.mult_op(ring, q - j, t) if j <= q else Endo.zero(ring))
+            vec = {(q + m - j, 0): 1}
+            op = {(a, a - q + j, 1): v for a, v in
+                  binom_column_mod_p(q - j, q, params.p).items()} if j <= q else {}
         else:
             r, jp = divmod(j - m - 1, q)
-            jp += 1
-            expected = SemidirectElement(
-                DPElement.basis(ring, q - jp, t_power=r), Endo.zero(ring))
-        if current != expected:
+            vec, op = {(q - jp - 1, r): 1}, {}
+        if current.vec.entries != vec or current.op.entries != op:
             raise ConstructionError(f"element at degree {j} deviates from its closed form")
         elements[j] = current
     betas = []

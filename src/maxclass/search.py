@@ -26,6 +26,12 @@ from typing import Sequence, Union
 from .arith import PrimeField
 from .sequences import BetaSequence, level_failure, pascal_row
 
+# Largest depth that search_sequences accepts.  Two lists of `depth` entries
+# are allocated before the first node, so `--depth 100000000` would take
+# about 1.6 GB untried; the bound is far above the deepest searches run
+# (depth 2100, and 5000 as a target).
+SEARCH_MAX_DEPTH = 100_000
+
 
 @dataclass
 class SearchReport:
@@ -80,12 +86,15 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     of assignments tried; on exhaustion the report carries exhausted=True
     and whatever was found so far.  Solutions appear in lexicographic
     order; at most max_solutions are stored, all are counted.  Negative
-    limits are refused.
+    limits and depths above SEARCH_MAX_DEPTH are refused.
     """
     if n < 1:
         raise ValueError(f"type must be a positive integer, got {n}")
     if depth < n + 1:
         raise ValueError(f"depth {depth} leaves no entries to assign")
+    if depth > SEARCH_MAX_DEPTH:
+        raise ValueError(f"refusing search: depth {depth} exceeds "
+                         f"SEARCH_MAX_DEPTH = {SEARCH_MAX_DEPTH}")
     if budget < 0 or max_solutions < 0:
         raise ValueError(f"budget and max_solutions must be nonnegative, "
                          f"got {budget} and {max_solutions}")

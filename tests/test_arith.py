@@ -11,6 +11,7 @@ from maxclass.arith import (
     FieldMismatch,
     FpPoly,
     PrimeField,
+    binom_column_mod_p,
     binom_mod_p,
     is_power_of,
     lucas_symmetry_check,
@@ -79,6 +80,23 @@ class TestBinom:
         assert math.comb(26, 5) % 5 == 0
         assert binom_mod_p(4, 2, 5) == 1  # 6 mod 5
         assert binom_mod_p(3, 5, 7) == 0  # lower index exceeds upper
+
+    @pytest.mark.parametrize("p, c", [(2, 5), (3, 4), (5, 3), (7, 2)])
+    def test_column_is_the_nonzero_part(self, p, c):
+        q = p ** c
+        for b in range(q):
+            want = {a: v for a in range(q) if (v := binom_mod_p(a, b, p))}
+            column = binom_column_mod_p(b, q, p)
+            assert column == want
+            assert list(column) == sorted(column)
+
+    def test_column_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            binom_column_mod_p(0, 12, 3)
+        with pytest.raises(ValueError):
+            binom_column_mod_p(9, 9, 3)
+        with pytest.raises(ValueError):
+            binom_column_mod_p(-1, 9, 3)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from maxclass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from maxclass.exceptional import CONSTRUCT_MAX_Q
+from maxclass.exceptional import CONSTRUCT_MAX_DEGREE, CONSTRUCT_MAX_Q
+from maxclass.search import SEARCH_MAX_DEPTH
 from maxclass.sequences import BetaSequence
 from maxclass.arith import PrimeField
 
@@ -103,6 +104,16 @@ class TestConstruct:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "CONSTRUCT_MAX_Q" in err
+
+    def test_depth_above_bound_is_refused(self, capsys):
+        # every member under CONSTRUCT_MAX_Q may run at its default depth
+        # 3q + 2n, which builds to degree 3q + 3n <= 6q
+        assert CONSTRUCT_MAX_DEGREE >= 6 * CONSTRUCT_MAX_Q
+        code, out, err = run(capsys, "construct", "--p", "3", "--c", "1",
+                             "--n", "2", "--m", "1", "--depth", "10000000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "CONSTRUCT_MAX_DEGREE" in err
 
     def test_construct_without_report_allows_any_shape(self, capsys):
         code, out, _ = run(capsys, "construct", "--p", "5", "--c", "1",
@@ -251,6 +262,15 @@ class TestSearch:
         assert code == EXIT_CHECK_FAILED
         payload = json.loads(out)
         assert payload["exhausted"] is True
+
+    def test_depth_above_bound_is_usage_error(self, capsys):
+        # refused before the per-depth lists are allocated: 1.6 GB at 10^8
+        assert SEARCH_MAX_DEPTH >= 5000
+        code, out, err = run(capsys, "search", "--p", "3", "--n", "2",
+                             "--depth", "100000000", "--budget", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "SEARCH_MAX_DEPTH" in err
 
     @pytest.mark.parametrize("limit", ["--budget", "--max-solutions"])
     def test_negative_limit_is_usage_error(self, capsys, limit):

@@ -5,7 +5,8 @@ dicts of residues keyed by (row, col, t-power) and (exponent, t-power).
 The functions here are the earlier representation, one polynomial in t per
 (row, col) or per exponent, with its compose, apply, scale, proportionality
 and degree reading.  Random operators with polynomial entries, converted
-between the two forms, must give the same results on both sides.
+between the two forms, must give the same results on both sides, with and
+without the row and column index of `Endo.index`.
 """
 
 import random
@@ -151,6 +152,43 @@ def test_compose_and_apply_match_reference(field, c):
         vec = rng.choice(vecs)
         got = from_polys(Endo, ring, a).apply(from_polys(DPElement, ring, vec))
         assert to_polys(got) == reference_apply(field, a, vec)
+
+
+def unindexed(op):
+    return Endo(op.ring, op.entries)
+
+
+@pytest.mark.parametrize("field,c", CONFIGS)
+def test_indexed_compose_and_apply_match_reference(field, c):
+    # every product is taken with neither, either and both operands indexed
+    ring = DividedPowers(field, c)
+    rng = random.Random(field.p * 3000 + c)
+    ops = structured_ops(ring)
+    ops += [from_polys(Endo, ring, random_pair(rng, ring, rng.randrange(12))[0])
+            for _ in range(40)]
+    vecs = [from_polys(DPElement, ring, random_pair(rng, ring, rng.randrange(12))[1])
+            for _ in range(20)]
+    vecs.append(DPElement.zero(ring))
+    for _ in range(150):
+        a, b = rng.choice(ops), rng.choice(ops)
+        want = reference_compose(field, to_polys(a), to_polys(b))
+        for left in (unindexed(a), unindexed(a).index()):
+            for right in (unindexed(b), unindexed(b).index()):
+                assert to_polys(left.compose(right)) == want
+        vec = rng.choice(vecs)
+        want = reference_apply(field, to_polys(a), to_polys(vec))
+        assert to_polys(unindexed(a).apply(vec)) == want
+        assert to_polys(unindexed(a).index().apply(vec)) == want
+
+
+@pytest.mark.parametrize("field,c", CONFIGS)
+def test_only_generators_are_indexed(field, c):
+    ring = DividedPowers(field, c)
+    z, e = make_generators(ring, 2, 1)
+    assert z.op._index is not None and e.op._index is not None
+    for value in (z.op + e.op, z.op.compose(e.op), e.op.bracket(z.op), z.op.scale(2),
+                  e.bracket(z).op, Endo.mult_op(ring, 1)):
+        assert value._index is None
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)

@@ -4,8 +4,9 @@ import pytest
 
 from maxclass import cli, exceptional
 from maxclass.arith import FpPoly, PrimeField, x_minus_one_pow
-from maxclass.divided_powers import DPElement, SemidirectElement, make_generators
+from maxclass.divided_powers import DPElement, Endo, SemidirectElement, make_generators
 from maxclass.exceptional import (
+    CONSTRUCT_MAX_DEGREE,
     AbelianIdealReport,
     ConstructedAlgebra,
     ConstructionError,
@@ -136,6 +137,43 @@ class TestConstruct:
         assert code == cli.EXIT_CHECK_FAILED
         assert out == ""
         assert err.startswith("construction failed:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p, c, n, m", [(3, 2, 2, 1), (3, 7, 2, 1), (7, 3, 3, 2)])
+    def test_tampered_generator_operator_raises(self, monkeypatch, p, c, n, m):
+        # one entry of e_n's operator moved by 1 keeps e_n homogeneous of
+        # degree n, and [e_n, z] keeps its module term -Z x^(q+m-n), so only
+        # the comparison of operator entries can catch it
+        def tampered(ring, n, m):
+            z, e_n = make_generators(ring, n, m)
+            entries = dict(e_n.op.entries)
+            key = min(entries)
+            entries[key] += 1
+            return z, SemidirectElement(e_n.vec, Endo(ring, entries).index())
+
+        monkeypatch.setattr(exceptional, "make_generators", tampered)
+        with pytest.raises(ConstructionError,
+                           match=f"degree {n + 1} deviates from its closed form"):
+            construct(ExceptionalParams(PrimeField(p), c, n, m))
+
+    def test_only_the_generator_keeps_an_index(self):
+        # an index on every stored element would double the memory the
+        # build keeps; only e_n, the generator, is indexed
+        algebra = construct(ExceptionalParams(F7, 3, 3, 2), 700)
+        assert len(algebra.elements) == 701
+        indexed = [j for j, e in algebra.elements.items() if e.op._index is not None]
+        assert indexed == [3]
+
+    def test_depth_above_bound_is_refused(self, monkeypatch):
+        params = ExceptionalParams(F3, 1, 2, 1)
+        with pytest.raises(ValueError, match="CONSTRUCT_MAX_DEGREE"):
+            construct(params, CONSTRUCT_MAX_DEGREE - 1)
+        # the two-path check builds the n = m + 1 member n - m - 1 deeper,
+        # to the same top degree, so a report at the largest depth runs
+        monkeypatch.setattr(exceptional, "CONSTRUCT_MAX_DEGREE", 100)
+        params = ExceptionalParams(F3, 2, 4, 1)
+        assert two_path_check(params, depth=96)
+        with pytest.raises(ValueError, match="CONSTRUCT_MAX_DEGREE"):
+            construct(params, 97)
 
     def test_constituent_structure_q27(self):
         params = ExceptionalParams(F3, 3, 2, 1)

@@ -1,10 +1,15 @@
-"""Streamed bracket-coefficient paths against the per-entry sums they replaced.
+"""Fast paths of `exceptional` against the loops they replaced.
 
 `abelian_ideal_check` reads its coefficients from one Pascal pass,
 `eih_residual` and `project_type1` from `bracket_coeff`, and
 `signed_binom_row` from `x_minus_one_coeff`.  The references below are
 the earlier loops, each coefficient a signed-binomial window over the
 prefix; both sides must agree exactly, witnesses included.
+
+`construct` brackets with indexed generators and compares each degree with
+the closed form's nonzero entries, read off the Lucas support; its
+reference builds unindexed generators and one multiplication operator per
+degree from `binom_mod_p`, and compares whole elements.
 """
 
 import random
@@ -13,11 +18,20 @@ from collections import Counter
 import pytest
 
 from maxclass.arith import FpPoly, PrimeField, binom_mod_p, signed_binom_row, x_minus_one_pow
+from maxclass.divided_powers import (
+    DividedPowers,
+    DPElement,
+    Endo,
+    SemidirectElement,
+    graded_degree,
+)
 from maxclass.exceptional import (
     AbelianIdealReport,
     ConstructedAlgebra,
     ExceptionalParams,
     abelian_ideal_check,
+    construct,
+    theorem_parameter_grid,
 )
 from maxclass.sequences import (
     AlphaSequence,
@@ -69,6 +83,62 @@ def reference_abelian_ideal_check(params, algebra):
             report.failure = {"kind": "top_action", "index": i, "value": int(val)}
             return report
     return report
+
+
+def reference_mult_op(ring, shift, scale):
+    p = ring.field.p
+    return Endo(ring, {(j + shift, j, 0): binom_mod_p(j + shift, shift, p)
+                       for j in range(ring.q - shift)}).scale(scale)
+
+
+def reference_construct(params, depth):
+    """The construction loop with generators that carry no index and one
+    multiplication operator per degree j <= q for the closed form."""
+    q, n, m = params.q, params.n, params.m
+    ring = DividedPowers(params.field, params.c)
+    t = FpPoly.monomial(params.field, 1, 1)
+    z = SemidirectElement(DPElement.zero(ring),
+                          -Endo.derivation(ring) - reference_mult_op(ring, q - 1, t))
+    e_n = SemidirectElement(DPElement.basis(ring, q + m - n),
+                            reference_mult_op(ring, q - n, t))
+    elements = {n: e_n}
+    current = e_n
+    for j in range(n + 1, depth + n + 1):
+        current = current.bracket(z)
+        assert graded_degree(current, m) == j
+        if j <= q + m:
+            expected = SemidirectElement(
+                DPElement.basis(ring, q + m - j),
+                reference_mult_op(ring, q - j, t) if j <= q else Endo.zero(ring))
+        else:
+            r, jp = divmod(j - m - 1, q)
+            expected = SemidirectElement(DPElement.basis(ring, q - jp - 1, t_power=r),
+                                         Endo.zero(ring))
+        assert current == expected, j
+        elements[j] = current
+    betas = [int(elements[i].bracket(e_n).proportional_to(elements[i + n]))
+             for i in range(n + 1, depth + 1)]
+    return BetaSequence(params.field, n, betas), elements
+
+
+# every theorem-mode member for the shapes above, and two construction-mode ones
+CONSTRUCT_GRID = [params for p, c in SHAPES
+                  for params in theorem_parameter_grid(PrimeField(p), c)]
+CONSTRUCT_GRID += [ExceptionalParams(PrimeField(3), 2, 5, 2),
+                   ExceptionalParams(PrimeField(5), 1, 4, 1)]
+
+
+@pytest.mark.parametrize("params", CONSTRUCT_GRID,
+                         ids=lambda x: "p{p}-c{c}-n{n}-m{m}".format(**x.to_dict()))
+def test_construct_matches_reference_loop(params):
+    for depth in (params.default_depth, params.n + 1):
+        algebra = construct(params, depth)
+        sequence, elements = reference_construct(params, depth)
+        assert algebra.sequence == sequence
+        assert sorted(algebra.elements) == sorted(elements)
+        for j, e in elements.items():
+            got = algebra.elements[j]
+            assert (got.vec.entries, got.op.entries) == (e.vec.entries, e.op.entries), j
 
 
 def reference_eih_residual(seq, i, h):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from maxclass.arith import PrimeField
 from maxclass.exceptional import ExceptionalParams, closed_form_betas
-from maxclass.search import SearchReport, search_sequences
+from maxclass.search import SEARCH_MAX_DEPTH, SearchReport, search_sequences
 from maxclass.sequences import (
     AlphaSequence,
     BetaSequence,
@@ -95,6 +95,12 @@ class TestValidation:
     def test_rejects_shallow_depth(self):
         with pytest.raises(ValueError):
             search_sequences(F3, 2, 2)
+
+    def test_rejects_depth_above_bound(self):
+        with pytest.raises(ValueError, match="SEARCH_MAX_DEPTH"):
+            search_sequences(F3, 2, SEARCH_MAX_DEPTH + 1, budget=1)
+        report = search_sequences(F3, 2, SEARCH_MAX_DEPTH, budget=1)
+        assert report.exhausted and report.nodes == 2
 
     def test_rejects_seed_wrong_type(self):
         seed = BetaSequence(F3, 3, (0, 0, 0))

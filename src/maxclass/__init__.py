@@ -4,132 +4,52 @@ The package constructs the exceptional family from divided powers, extracts
 and validates constituent structure of structure-constant sequences, checks
 the polynomial coefficient-vanishing classification by row reduction, and
 enforces the Jacobi-derived constraints on candidate sequences.
-"""
 
-from .arith import (
-    Fp,
-    FieldMismatch,
-    FpPoly,
-    PrimeField,
-    binom_mod_p,
-    is_power_of,
-    lucas_symmetry_check,
-)
-from .divided_powers import (
-    DividedPowers,
-    DPElement,
-    Endo,
-    SemidirectElement,
-    graded_degree,
-    make_generators,
-)
-from .exceptional import (
-    AbelianIdealReport,
-    ConstructedAlgebra,
-    ConstructionError,
-    ExceptionalParams,
-    ExceptionalReport,
-    abelian_ideal_check,
-    closed_form_betas,
-    construct,
-    exceptional_report,
-    expected_first_length,
-    expected_lengths,
-    first_length_coverage,
-    genfunc_closed_form,
-    subalgebra_tower,
-    theorem_parameter_grid,
-    two_path_check,
-)
-from .polycheck import (
-    ClassifyReport,
-    RangeCondition,
-    classify_admissible_k,
-    classify_fixture_text,
-    in_large_k_menu,
-    in_small_k_menu,
-    lemma_pairs_check,
-)
-from .search import SearchReport, search_sequences
-from .sequences import (
-    AlphaSequence,
-    BetaSequence,
-    BridgeReport,
-    Constituent,
-    ConstituentReport,
-    JacobiReport,
-    LcsReport,
-    RationalSeries,
-    bracket_coeff,
-    bridge_check,
-    constituents,
-    constituents_via_lcs,
-    eih_residual,
-    first_constituent_poly,
-    genfunc,
-    jacobi_verify,
-    project_type1,
-    subalgebra_sequence,
-)
+`import maxclass` loads no submodule: each public name below is imported
+from its home module on first access (PEP 562), so a command-line request
+pays only for the layers it runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianIdealReport",
-    "AlphaSequence",
-    "BetaSequence",
-    "BridgeReport",
-    "ClassifyReport",
-    "ConstructedAlgebra",
-    "ConstructionError",
-    "Constituent",
-    "ConstituentReport",
-    "DPElement",
-    "DividedPowers",
-    "Endo",
-    "ExceptionalParams",
-    "ExceptionalReport",
-    "FieldMismatch",
-    "Fp",
-    "FpPoly",
-    "JacobiReport",
-    "LcsReport",
-    "PrimeField",
-    "RangeCondition",
-    "RationalSeries",
-    "SearchReport",
-    "SemidirectElement",
-    "abelian_ideal_check",
-    "binom_mod_p",
-    "bracket_coeff",
-    "bridge_check",
-    "classify_admissible_k",
-    "classify_fixture_text",
-    "closed_form_betas",
-    "constituents",
-    "constituents_via_lcs",
-    "construct",
-    "eih_residual",
-    "exceptional_report",
-    "expected_first_length",
-    "expected_lengths",
-    "first_constituent_poly",
-    "first_length_coverage",
-    "genfunc",
-    "genfunc_closed_form",
-    "graded_degree",
-    "in_large_k_menu",
-    "in_small_k_menu",
-    "is_power_of",
-    "jacobi_verify",
-    "lemma_pairs_check",
-    "lucas_symmetry_check",
-    "make_generators",
-    "project_type1",
-    "search_sequences",
-    "subalgebra_sequence",
-    "subalgebra_tower",
-    "theorem_parameter_grid",
-    "two_path_check",
-    "__version__",
-]
+_EXPORTS = {
+    "arith": ("Fp", "FieldMismatch", "FpPoly", "PrimeField", "binom_mod_p",
+              "is_power_of", "lucas_symmetry_check"),
+    "divided_powers": ("DividedPowers", "DPElement", "Endo",
+                       "SemidirectElement", "graded_degree",
+                       "make_generators"),
+    "exceptional": ("AbelianIdealReport", "ConstructedAlgebra",
+                    "ConstructionError", "ExceptionalParams",
+                    "ExceptionalReport", "abelian_ideal_check",
+                    "closed_form_betas", "construct", "exceptional_report",
+                    "expected_first_length", "expected_lengths",
+                    "first_length_coverage", "genfunc_closed_form",
+                    "subalgebra_tower", "theorem_parameter_grid",
+                    "two_path_check"),
+    "polycheck": ("ClassifyReport", "RangeCondition", "classify_admissible_k",
+                  "classify_fixture_text", "in_large_k_menu",
+                  "in_small_k_menu", "lemma_pairs_check"),
+    "search": ("SearchReport", "search_sequences"),
+    "sequences": ("AlphaSequence", "BetaSequence", "BridgeReport",
+                  "Constituent", "ConstituentReport", "JacobiReport",
+                  "LcsReport", "RationalSeries", "bracket_coeff",
+                  "bridge_check", "constituents", "constituents_via_lcs",
+                  "eih_residual", "first_constituent_poly", "genfunc",
+                  "jacobi_verify", "project_type1", "subalgebra_sequence"),
+}
+
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        # also how `from maxclass import cli` learns to import a submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    module = __import__(f"{__name__}.{_HOME[name]}", fromlist=[name])
+    value = getattr(module, name)
+    globals()[name] = value
+    return value

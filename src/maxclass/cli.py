@@ -17,19 +17,30 @@ import os
 import sys
 
 from .arith import PrimeField
-from .exceptional import (
-    ConstructionError,
-    ExceptionalParams,
-    construct,
-    exceptional_report,
-)
-from .polycheck import classify_admissible_k
-from .search import search_sequences
-from .sequences import BetaSequence, constituents, jacobi_verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# The handlers call layer functions as attributes of this module (`_cli.X`),
+# never as bare globals, so a name bound here first (a test double, a tracing
+# wrapper) replaces the layer function for every call.  An unbound name comes
+# from the package's lazy namespace, so a request imports only the modules
+# its subcommand runs.
+_cli = sys.modules[__name__]
+_package = sys.modules[__package__]
+
+
+def __getattr__(name: str):
+    if name not in _package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_package, name)
+
+
+def _construction_error() -> tuple:
+    """ConstructionError if its module is loaded; if not, none was raised."""
+    exceptional = sys.modules.get(f"{__package__}.exceptional")
+    return (exceptional.ConstructionError,) if exceptional else ()
 
 
 def _render_json(payload: dict) -> str:
@@ -44,37 +55,38 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def _cmd_construct(args) -> tuple[dict, bool]:
-    params = ExceptionalParams(PrimeField(args.p), args.c, args.n, args.m)
-    algebra = construct(params, depth=args.depth)
+    params = _cli.ExceptionalParams(PrimeField(args.p), args.c, args.n,
+                                    args.m)
+    algebra = _cli.construct(params, depth=args.depth)
     seq = algebra.sequence
     payload = {
         "params": params.to_dict(),
         "depth": seq.depth,
         "betas": list(seq.betas),
-        "constituents": constituents(seq).to_dict(),
+        "constituents": _cli.constituents(seq).to_dict(),
     }
     if args.report:
-        report = exceptional_report(params, algebra=algebra,
-                                    jacobi_cap=args.jacobi_depth or 0)
+        report = _cli.exceptional_report(params, algebra=algebra,
+                                         jacobi_cap=args.jacobi_depth or 0)
         payload["report"] = report.to_dict()
         return payload, report.ok
     return payload, True
 
 
-def _load_sequence(args) -> BetaSequence:
+def _load_sequence(args) -> "BetaSequence":
     if args.file is not None:
-        return BetaSequence.from_file(args.file)
+        return _cli.BetaSequence.from_file(args.file)
     if args.p is None or args.n is None:
         raise ValueError("--betas needs --p and --n alongside it")
-    return BetaSequence(PrimeField(args.p), args.n, args.betas)
+    return _cli.BetaSequence(PrimeField(args.p), args.n, args.betas)
 
 
 def _cmd_verify(args) -> tuple[dict, bool]:
     seq = _load_sequence(args)
     if args.depth is not None:
         seq = seq.truncate(args.depth)
-    jac = jacobi_verify(seq)
-    summary = constituents(seq)
+    jac = _cli.jacobi_verify(seq)
+    summary = _cli.constituents(seq)
     ok = jac.ok and not summary.violations
     payload = {
         "p": seq.field.p,
@@ -88,15 +100,16 @@ def _cmd_verify(args) -> tuple[dict, bool]:
 
 
 def _cmd_classify(args) -> tuple[dict, bool]:
-    report = classify_admissible_k(PrimeField(args.p), args.n, args.k_max)
+    report = _cli.classify_admissible_k(PrimeField(args.p), args.n, args.k_max)
     return report.to_dict(), report.ok
 
 
 def _cmd_search(args) -> tuple[dict, bool]:
-    report = search_sequences(PrimeField(args.p), args.n, args.depth,
-                              seed=args.seed, normalize=not args.no_normalize,
-                              budget=args.budget,
-                              max_solutions=args.max_solutions)
+    report = _cli.search_sequences(PrimeField(args.p), args.n, args.depth,
+                                   seed=args.seed,
+                                   normalize=not args.no_normalize,
+                                   budget=args.budget,
+                                   max_solutions=args.max_solutions)
     return report.to_dict(), report.complete
 
 
@@ -248,7 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, ok = _HANDLERS[args.command](args)
-    except ConstructionError as exc:
+    except _construction_error() as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ValueError, KeyError, OSError) as exc:

@@ -117,7 +117,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     rows: list[list[int]] = [[]] * (depth + n + 1)
     rows[2 * n] = [0]
     col = [0]
-    full_range = tuple(range(p))
+    full_range = range(p)
     norm_range = (0, 1)
 
     def extend(idx: int, has_nonzero: bool) -> None:

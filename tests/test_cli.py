@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -271,6 +272,23 @@ class TestSearch:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "SEARCH_MAX_DEPTH" in err
+
+    def test_large_prime_allocates_no_candidate_list(self):
+        # a list of all p candidates would need tens of GB at this prime;
+        # under a 1 GB address-space limit it fails at once
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxclass", "search", "--p", "999999937",
+             "--n", "2", "--depth", "8", "--no-normalize", "--budget", "10",
+             "--format", "text"],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=limit_memory)
+        assert proc.returncode == EXIT_CHECK_FAILED
+        assert proc.stdout.splitlines()[0] == \
+            "solutions: 1 nodes: 11 (budget exhausted)"
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("limit", ["--budget", "--max-solutions"])
     def test_negative_limit_is_usage_error(self, capsys, limit):

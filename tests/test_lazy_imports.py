@@ -1,0 +1,156 @@
+"""Lazy loading: the package namespace, and the modules each subcommand loads.
+
+A request is one fresh process, so every module it imports is paid for on
+every call.  These tests pin which layers a subcommand loads and that the
+names the command line resolves on first use can still be replaced on
+`maxclass.cli`, which is how a tracer wraps each layer call.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import maxclass
+from maxclass import cli
+
+# Prints the maxclass modules loaded after one cli.main call in a fresh process.
+FOOTPRINT = """
+import json, sys
+from maxclass import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "maxclass")
+print(json.dumps({"exit": code, "loaded": loaded}), file=sys.stderr)
+"""
+
+REQUESTS = {
+    "classify": ["classify", "--p", "7", "--n", "4", "--k-max", "40"],
+    "verify": ["verify", "--betas", "1,1,1,1,1,1", "--p", "3", "--n", "2"],
+    "search": ["search", "--p", "3", "--n", "2", "--depth", "10"],
+    "construct": ["construct", "--p", "3", "--c", "2", "--n", "2", "--m", "1"],
+}
+
+
+def footprint(argv):
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                          capture_output=True, text=True, timeout=60)
+    result = json.loads(proc.stderr.splitlines()[-1])
+    assert result["exit"] == cli.EXIT_OK
+    return set(result["loaded"])
+
+
+class TestFootprint:
+    def test_classify_loads_only_polycheck(self):
+        assert footprint(REQUESTS["classify"]) == {
+            "maxclass", "maxclass.arith", "maxclass.cli", "maxclass.polycheck"}
+
+    def test_verify_skips_construction_and_search(self):
+        loaded = footprint(REQUESTS["verify"])
+        assert "maxclass.sequences" in loaded
+        assert not loaded & {"maxclass.exceptional", "maxclass.divided_powers",
+                             "maxclass.search"}
+
+    def test_search_skips_construction(self):
+        loaded = footprint(REQUESTS["search"])
+        assert "maxclass.search" in loaded
+        assert not loaded & {"maxclass.exceptional", "maxclass.divided_powers"}
+
+    def test_construct_loads_the_operator_layers(self):
+        assert {"maxclass.exceptional", "maxclass.divided_powers",
+                "maxclass.sequences"} <= footprint(REQUESTS["construct"])
+
+    def test_bare_package_import_loads_no_submodule(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, maxclass; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'maxclass'))"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "['maxclass']"
+
+
+class TestPatchedNames:
+    @pytest.mark.parametrize("name, command", [
+        ("construct", "construct"), ("constituents", "construct"),
+        ("constituents", "verify"), ("jacobi_verify", "verify"),
+        ("classify_admissible_k", "classify"),
+        ("search_sequences", "search"),
+    ])
+    def test_cli_calls_the_bound_name(self, monkeypatch, capsys, name, command):
+        real = getattr(cli, name)
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, fake)
+        assert cli.main(REQUESTS[command]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert calls
+
+    def test_unknown_cli_name_is_attribute_error(self):
+        with pytest.raises(AttributeError):
+            cli.no_such_name
+
+    def test_value_error_is_usage_error(self, monkeypatch, capsys):
+        def fake(*args):
+            raise ValueError("bad")
+
+        monkeypatch.setattr(cli, "classify_admissible_k", fake)
+        assert cli.main(REQUESTS["classify"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: bad\n"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def fake(*args, **kwargs):
+            raise RecursionError("deep")
+
+        monkeypatch.setattr(cli, "search_sequences", fake)
+        with pytest.raises(RecursionError, match="deep"):
+            cli.main(REQUESTS["search"])
+
+    def test_construction_error_from_a_fresh_process(self):
+        # exceptional is first imported inside the handler, after main has
+        # entered its try block
+        script = (
+            "import sys\n"
+            "from maxclass import cli\n"
+            "def fail(params, depth=None):\n"
+            "    from maxclass.exceptional import ConstructionError\n"
+            "    raise ConstructionError('tampered')\n"
+            "cli.construct = fail\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", script,
+                               *REQUESTS["construct"]],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == cli.EXIT_CHECK_FAILED
+        assert proc.stdout == ""
+        assert proc.stderr == "construction failed: tampered\n"
+
+
+class TestNamespace:
+    @pytest.mark.parametrize("name", [n for n in maxclass.__all__
+                                      if n != "__version__"])
+    def test_name_is_its_home_modules_object(self, name):
+        home = importlib.import_module(f"maxclass.{maxclass._HOME[name]}")
+        obj = getattr(maxclass, name)
+        assert obj is getattr(home, name)
+        assert obj.__module__ == home.__name__
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from maxclass import *", namespace)
+        assert set(maxclass.__all__) <= set(namespace)
+        assert namespace["construct"] is maxclass.construct
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            maxclass.no_such_name
+
+    def test_submodules_import_by_name(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from maxclass import cli, exceptional\n"
+             "print(cli.__name__, exceptional.__name__)"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.stdout.split() == ["maxclass.cli", "maxclass.exceptional"]

@@ -115,6 +115,14 @@ def x_minus_one_coeff(k: int, m: int, p: int) -> int:
     return (-c) % p if (k - m) % 2 else c
 
 
+def product_coeff_int(g_coeffs: Iterable[int], k: int, j: int, p: int) -> int:
+    """[X^j] of (X - 1)^k g(X), with g given by its coefficients, constant first.
+
+    Only deg(g) + 1 terms contribute, so no full product is ever formed.
+    """
+    return sum(gi * x_minus_one_coeff(k, j - i, p) for i, gi in enumerate(g_coeffs) if gi) % p
+
+
 @lru_cache(maxsize=None)
 def signed_binom_row(h: int, p: int) -> tuple[int, ...]:
     """Row ((-1)^i C(h, i) mod p for 0 <= i <= h), cached: the coefficients

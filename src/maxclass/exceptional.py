@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import FpPoly, PrimeField, binom_column_mod_p, x_minus_one_coeff, x_minus_one_pow
-from .divided_powers import DividedPowers, graded_degree, make_generators
+from .divided_powers import DividedPowers, make_generators
 from .sequences import (
     BetaSequence,
     RationalSeries,
+    _sweep_count,
     bracket_levels,
     constituents,
     jacobi_verify,
@@ -113,13 +114,20 @@ class ConstructedAlgebra:
 
 def construct(params: ExceptionalParams, depth: Optional[int] = None) -> ConstructedAlgebra:
     """Build the algebra by iterated bracketing with z and read off the
-    sequence.
+    sequence, in one pass over the degrees.
 
-    Every graded component is checked to be the expected monomial pair, and
-    each entry beta_i is obtained as the exact scalar with
-    [e_i, e_n] = beta_i e_(i+n); failure of proportionality raises
-    ConstructionError with the offending degree.  Refuses q above
-    CONSTRUCT_MAX_Q and depth + n above CONSTRUCT_MAX_DEGREE.
+    Each degree j is compared with its closed form: up to degree q + m,
+    x^(q+m-j) with t times multiplication by x^(q-j), whose entries are the
+    Lucas support of C(., q - j), and no operator part past degree q; above
+    q + m, t^r x^(q-1-jp) with j - m - 1 = r q + jp.  The closed form always
+    has its module term, and every entry has degree j: a module term
+    t^r x^(i) has degree r q + q + m - i and an operator entry (row, col, s)
+    degree col - row + s q, which give j on each of the three forms.  So
+    the comparison also fails whenever bracketing dies or leaves degree j.
+    Then beta_i, i = j - n, is the exact scalar with [e_i, e_n] = beta_i e_j;
+    failure of proportionality raises ConstructionError with the offending
+    degree.  Refuses q above CONSTRUCT_MAX_Q and depth + n above
+    CONSTRUCT_MAX_DEGREE.
     """
     if params.q > CONSTRUCT_MAX_Q:
         raise ValueError(
@@ -135,17 +143,10 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     ring = DividedPowers(params.field, params.c)
     z, e_n = make_generators(ring, n, m)
     elements = {n: e_n}
+    betas = []
     current = e_n
     for j in range(n + 1, depth + n + 1):
         current = current.bracket(z)
-        if not current:
-            raise ConstructionError(f"bracketing with z died at degree {j}")
-        if graded_degree(current, m) != j:
-            raise ConstructionError(f"element at degree {j} is not homogeneous of degree {j}")
-        # the closed form: up to degree q + m, x^(q+m-j) with t times
-        # multiplication by x^(q-j), whose entries are the Lucas support of
-        # C(., q - j), and no operator part past degree q; above q + m,
-        # t^r x^(q-1-jp) with j - m - 1 = r q + jp
         if j <= q + m:
             vec = {(q + m - j, 0): 1}
             op = {(a, a - q + j, 1): v for a, v in
@@ -156,13 +157,13 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
         if current.vec.entries != vec or current.op.entries != op:
             raise ConstructionError(f"element at degree {j} deviates from its closed form")
         elements[j] = current
-    betas = []
-    for i in range(n + 1, depth + 1):
-        lam = elements[i].bracket(e_n).proportional_to(elements[i + n])
-        if lam is None:
-            raise ConstructionError(
-                f"[e_{i}, e_{n}] is not a scalar multiple of e_{i + n}")
-        betas.append(int(lam))
+        i = j - n
+        if i > n:
+            lam = elements[i].bracket(e_n).proportional_to(current)
+            if lam is None:
+                raise ConstructionError(
+                    f"[e_{i}, e_{n}] is not a scalar multiple of e_{j}")
+            betas.append(int(lam))
     return ConstructedAlgebra(params=params,
                               sequence=BetaSequence(params.field, n, betas),
                               elements=elements)
@@ -287,6 +288,22 @@ def abelian_ideal_check(params: ExceptionalParams, depth: Optional[int] = None,
          X^m (X-1)^(q-m) + X^m, whose coefficients vanish past degree q;
       3. [e_i, e_q] = -e_(i+q) for i > q, so the complement degree q still
          acts transitively down the ideal.
+
+    One Pascal pass up to level D + n, the last the prefix determines,
+    reads two entries of each level s, gamma(q + 1, s - q - 1) and
+    gamma(s - q - 1, q + 1), and keeps no row.  That suffices, by the
+    recurrence gamma(a, b) = gamma(a, b + 1) + gamma(a + 1, b) that builds
+    the rows:
+      - pairs: if the pairs of level s - 1 vanish, then gamma(a, s - a) =
+        -gamma(a + 1, s - a - 1) for q < a <= (s - 1)/2, so every pair of
+        level s is +-gamma(q + 1, s - q - 1).  The first level with a
+        nonzero pair fails at (q + 1, s - q - 1), which is the first failing
+        pair in order of i, then j; pairs_checked counts the pairs
+        q < i <= j, i + j <= D + n in that order, up to the witness;
+      - top action: once the adjoint series holds, gamma(i, q + 1) = 0 for
+        q < i <= D + n - q - 1, so gamma(i, q) = gamma(i + 1, q), and every
+        [e_i, e_q] with q < i <= D - q has the coefficient gamma(q + 1, q).
+    Failures are reported in the order pairs, adjoint series, top action.
     """
     if params.n != params.m + 1:
         raise ValueError("the abelian ideal lives in the n = m + 1 member")
@@ -298,41 +315,30 @@ def abelian_ideal_check(params: ExceptionalParams, depth: Optional[int] = None,
     report = AbelianIdealReport(depth=D, pairs_checked=0, pairs_ok=True,
                                 adjoint_series_ok=True,
                                 adjoint_window=(n, D - q - 1 + n), top_action_ok=True)
-    # One Pascal pass up to level D + n, the last the prefix determines,
-    # keeping from the row of level s only what the checks read:
-    # gamma(a, s - a) for q < a <= s/2, gamma(s - q - 1, q + 1), gamma(s - q, q).
-    pair, adjoint, top = {}, {}, {}
+    if D + n >= 2 * q + 2:
+        report.pairs_checked = _sweep_count(q + 1, D + n, (D + n) // 2 + 1)
+    adjoint = top = None
     for s, row in bracket_levels(seq, D + n):
-        if s >= 2 * q + 2:
-            pair[s] = row[q + 1 - n:s // 2 - n + 1]
-        if s >= q + 1 + n:
-            adjoint[s] = row[s - q - 1 - n]
-        if s >= 2 * q + 1:
-            top[s] = row[s - q - n]
-    for i in range(q + 1, D):
-        for j in range(i, D):
-            if i + j - n > D:
-                break
-            report.pairs_checked += 1
-            val = pair[i + j][i - q - 1]
-            if val != 0:
-                report.pairs_ok = False
-                report.failure = {"kind": "pair", "indices": [i, j], "value": val}
-                return report
-    rhs = x_minus_one_pow(params.field, q - m).shift(m) + FpPoly.monomial(params.field, 1, m)
-    for i in range(n, D - q - 1 + n + 1):
-        val = adjoint[i + q + 1]
-        if val != rhs[i]:
-            report.adjoint_series_ok = False
-            report.failure = {"kind": "adjoint_series", "index": i,
-                              "value": val, "expected": rhs[i]}
+        i = s - q - 1
+        if i < n:
+            continue
+        if s >= 2 * q + 2 and row[q + 1 - n]:
+            report.pairs_checked = s - 2 * q - 1
+            report.pairs_ok = False
+            report.failure = {"kind": "pair", "indices": [q + 1, i], "value": row[q + 1 - n]}
             return report
-    for i in range(q + 1, D - q + 1):
-        val = top[i + q]
-        if val != (p - 1):
-            report.top_action_ok = False
-            report.failure = {"kind": "top_action", "index": i, "value": val}
-            return report
+        if adjoint is None:
+            # i >= n > m, so the series' X^m term lies below the window
+            want = x_minus_one_coeff(q - m, i - m, p)
+            if row[i - n] != want:
+                adjoint = {"kind": "adjoint_series", "index": i,
+                           "value": row[i - n], "expected": want}
+        if s == 2 * q + 1 and s <= D and row[q + 1 - n] != p - 1:
+            top = {"kind": "top_action", "index": q + 1, "value": row[q + 1 - n]}
+    if adjoint is not None:
+        report.adjoint_series_ok, report.failure = False, adjoint
+    elif top is not None:
+        report.top_action_ok, report.failure = False, top
     return report
 
 

@@ -13,19 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .arith import Fp, FpPoly, PrimeField, x_minus_one_coeff, x_minus_one_pow
+from .arith import Fp, FpPoly, PrimeField, product_coeff_int, x_minus_one_coeff, x_minus_one_pow
 
 # Bound on p^(n-1) * k_max per call.  Solving costs little, but at k = q every
 # one of the p^(n-1) monic g survives, so this caps the size of the report.
 CLASSIFY_BUDGET = 5_000_000
-
-
-def product_coeff_int(g_coeffs: tuple[int, ...], k: int, j: int, p: int) -> int:
-    """[X^j] of (X - 1)^k g(X), with g given by its coefficient tuple.
-
-    Only deg(g) + 1 terms contribute, so no full product is ever formed.
-    """
-    return sum(gi * x_minus_one_coeff(k, j - i, p) for i, gi in enumerate(g_coeffs) if gi) % p
 
 
 def product_coeff(g: FpPoly, k: int, j: int) -> Fp:

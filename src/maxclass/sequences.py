@@ -20,7 +20,8 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence, Union
 
-from .arith import Fp, FpPoly, PrimeField, signed_binom_row, x_minus_one_coeff
+from .arith import (Fp, FpPoly, PrimeField, product_coeff_int, signed_binom_row,
+                    x_minus_one_coeff)
 
 
 class DepthError(Exception):
@@ -321,7 +322,7 @@ class Constituent:
     leading: int               # index of the leading term, n-th position from the end
     trailing: int              # index of the last nonzero entry
     entries: list[int]
-    ordinary: Optional[bool]   # binomial form relative to the last entry; None when undecided
+    ordinary: bool             # binomial form relative to the last entry
 
     def to_dict(self) -> dict:
         return {"start": self.start, "length": self.length, "leading": self.leading,
@@ -362,54 +363,41 @@ def _is_ordinary(entries: list[int], n: int, p: int) -> bool:
 def constituents(seq: BetaSequence) -> ConstituentReport:
     """Partition the prefix into constituents.
 
-    The first constituent is (beta_(n+1), ..., beta_ell) where the first
-    nonzero entry sits at index ell - n + 1.  After a constituent ending at
-    index j, the next nonzero entry at index j + m - n + 1 opens a
-    constituent (beta_(j+1), ..., beta_(j+m)) of length m.  A trailing
-    fragment cut off by the depth horizon is reported as incomplete, never
-    dropped.  Violations of the general bounds (even ell, zero runs of at
-    most ell - n, lengths between ell/2 and ell) are flagged.
+    After a constituent ending at index j (starting from j = n), the next
+    nonzero entry, at index lead, opens a constituent (beta_(j+1), ...,
+    beta_(lead+n-1)) of length lead + n - 1 - j; the first one's length
+    lead + n - 1 = ell also counts e_1, ..., e_n.  A trailing fragment cut
+    off by the depth horizon is reported as incomplete, never dropped.
+    Violations of the general bounds (even ell, zero runs of at most
+    ell - n, lengths between ell/2 and ell) are flagged; the last two
+    cannot fire on the first constituent.
     """
     report = ConstituentReport(p=seq.field.p, n=seq.n, depth=seq.depth, ell=None)
-    n, D = seq.n, seq.depth
-    c = seq.first_nonzero()
-    if c is None:
-        report.metabelian_within_depth = True
-        return report
-    ell = c + n - 1
-    report.ell = ell
-    if ell % 2:
-        report.violations.append("ell_odd")
-    if ell > D:
-        report.incomplete_tail = {"start": n + 1, "leading": c}
-        return report
-    entries = [seq._beta_int(i) for i in range(n + 1, ell + 1)]
-    trailing = max(i for i in range(n + 1, ell + 1) if seq._beta_int(i))
-    report.constituents.append(Constituent(
-        start=n + 1, length=ell, leading=c, trailing=trailing, entries=entries,
-        ordinary=_is_ordinary(entries, n, seq.field.p) if entries else None))
-    j = ell
+    n, D, betas = seq.n, seq.depth, seq.betas
+    j, ell = n, None
     while True:
-        lead = None
-        for i in range(j + 1, D + 1):
-            if seq._beta_int(i):
-                lead = i
-                break
+        lead = next((i for i in range(j + 1, D + 1) if betas[i - n - 1]), None)
         if lead is None:
-            if j < D:
+            if ell is None:
+                report.metabelian_within_depth = True
+            elif j < D:
                 report.incomplete_tail = {"start": j + 1, "leading": None}
                 if D - j > ell - n:
                     report.violations.append(f"zero_run_exceeds:{j + 1}-{D}")
-            break
-        m = lead - j + n - 1
-        end = j + m
+            return report
+        end = lead + n - 1
+        if ell is None:
+            ell = report.ell = end
+            if ell % 2:
+                report.violations.append("ell_odd")
         if lead - 1 - j > ell - n:
             report.violations.append(f"zero_run_exceeds:{j + 1}-{lead - 1}")
         if end > D:
             report.incomplete_tail = {"start": j + 1, "leading": lead}
-            break
-        entries = [seq._beta_int(i) for i in range(j + 1, end + 1)]
-        trailing = max(i for i in range(j + 1, end + 1) if seq._beta_int(i))
+            return report
+        entries = list(betas[j - n:end - n])
+        trailing = end - next(k for k, v in enumerate(reversed(entries)) if v)
+        m = end if j == n else end - j
         report.constituents.append(Constituent(
             start=j + 1, length=m, leading=lead, trailing=trailing, entries=entries,
             ordinary=_is_ordinary(entries, n, seq.field.p)))
@@ -418,7 +406,6 @@ def constituents(seq: BetaSequence) -> ConstituentReport:
         if 2 * m < ell:
             report.violations.append(f"length_below_half:{len(report.constituents)}")
         j = end
-    return report
 
 
 class AlphaSequence:
@@ -675,19 +662,18 @@ def bridge_check(seq: BetaSequence) -> Optional[BridgeReport]:
 
     Needs two complete constituents; returns None otherwise.
     """
-    from .polycheck import product_coeff_int
     rep = constituents(seq)
     if len(rep.constituents) < 2:
         return None
-    ell = rep.constituents[0].length
-    ell2 = rep.constituents[1].length
-    g = first_constituent_poly(seq)
-    k = ell - seq.n + 1
+    first, second = rep.constituents[:2]
+    ell, ell2, n = first.length, second.length, seq.n
+    g = first.entries[:-n - 1:-1]
+    k = ell - n + 1
     p = seq.field.p
     failures = []
-    for j in range(ell - ell2 + 1, ell - seq.n + 1):
-        v = product_coeff_int(g.coeffs, k, j, p)
+    for j in range(ell - ell2 + 1, ell - n + 1):
+        v = product_coeff_int(g, k, j, p)
         if v:
             failures.append((j, v))
-    return BridgeReport(ell=ell, ell2=ell2, k=k, window=(ell - ell2, ell - seq.n),
+    return BridgeReport(ell=ell, ell2=ell2, k=k, window=(ell - ell2, ell - n),
                         ok=not failures, failures=failures)

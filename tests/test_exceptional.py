@@ -1,10 +1,17 @@
 import json
+import tracemalloc
 
 import pytest
 
 from maxclass import cli, exceptional
 from maxclass.arith import FpPoly, PrimeField, x_minus_one_pow
-from maxclass.divided_powers import DPElement, Endo, SemidirectElement, make_generators
+from maxclass.divided_powers import (
+    DPElement,
+    Endo,
+    SemidirectElement,
+    graded_degree,
+    make_generators,
+)
 from maxclass.exceptional import (
     CONSTRUCT_MAX_DEGREE,
     AbelianIdealReport,
@@ -155,6 +162,43 @@ class TestConstruct:
                            match=f"degree {n + 1} deviates from its closed form"):
             construct(ExceptionalParams(PrimeField(p), c, n, m))
 
+    def test_vanishing_step_raises(self, monkeypatch):
+        # with z = 0 every bracket step is the zero element; the closed form
+        # always has its module term, so the comparison catches it
+        def tampered(ring, n, m):
+            _, e_n = make_generators(ring, n, m)
+            return SemidirectElement.zero(ring), e_n
+
+        monkeypatch.setattr(exceptional, "make_generators", tampered)
+        with pytest.raises(ConstructionError, match="degree 3 deviates from its closed form"):
+            construct(ExceptionalParams(F5, 1, 2, 1))
+
+    def test_inhomogeneous_step_raises(self, monkeypatch):
+        # e_n plus a module term of degree n + 1 makes [e_n, z] span degrees
+        # n + 1 and n + 2; every closed-form entry has degree n + 1
+        def tampered(ring, n, m):
+            z, e_n = make_generators(ring, n, m)
+            extra = DPElement.basis(ring, ring.q + m - n - 1)
+            bad = SemidirectElement(e_n.vec + extra, e_n.op)
+            with pytest.raises(ValueError):
+                graded_degree(bad.bracket(z), m)
+            return z, bad
+
+        monkeypatch.setattr(exceptional, "make_generators", tampered)
+        with pytest.raises(ConstructionError, match="degree 3 deviates from its closed form"):
+            construct(ExceptionalParams(F5, 1, 2, 1))
+
+    def test_non_proportional_bracket_raises(self, monkeypatch, capsys):
+        monkeypatch.setattr(SemidirectElement, "proportional_to", lambda self, other: None)
+        with pytest.raises(ConstructionError,
+                           match=r"^\[e_3, e_2\] is not a scalar multiple of e_5$"):
+            construct(ExceptionalParams(F5, 1, 2, 1))
+        code = cli.main(["construct", "--p", "5", "--c", "1", "--n", "2", "--m", "1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CHECK_FAILED
+        assert out == ""
+        assert err == "construction failed: [e_3, e_2] is not a scalar multiple of e_5\n"
+
     def test_only_the_generator_keeps_an_index(self):
         # an index on every stored element would double the memory the
         # build keeps; only e_n, the generator, is indexed
@@ -230,6 +274,23 @@ class TestAbelianIdeal:
     def test_report_serializes(self):
         report = abelian_ideal_check(ExceptionalParams(F3, 1, 2, 1))
         json.dumps(report.to_dict())
+
+    def test_memory_is_a_level_not_a_table(self):
+        # the pair block up to level D + n = 2193 holds 135,056
+        # coefficients; the check keeps one level at a time
+        params = ExceptionalParams(F3, 6, 2, 1)
+        D = params.default_depth
+        algebra = ConstructedAlgebra(
+            params, BetaSequence(F3, 2, closed_form_betas(params, D)), {})
+        tracemalloc.start()
+        try:
+            report = abelian_ideal_check(params, algebra=algebra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert report.pairs_checked == 135_056
+        assert peak < 256 * 1024
 
 
 class TestTwoPaths:

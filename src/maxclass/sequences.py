@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Sequence, Union
 
 from .arith import (Fp, FpPoly, PrimeField, product_coeff_int, signed_binom_row,
@@ -239,12 +238,15 @@ def _sweep_count(n: int, top: int, a: int) -> int:
     return max(0, (a - n) * (top + 2 - a - n))
 
 
-@dataclass
 class JacobiReport:
-    depth: int
-    pairs_checked: int = 0
-    triples_checked: int = 0
-    failure: Optional[dict] = None
+    __slots__ = ("depth", "pairs_checked", "triples_checked", "failure")
+
+    def __init__(self, depth: int, pairs_checked: int = 0, triples_checked: int = 0,
+                 failure: Optional[dict] = None):
+        self.depth = depth
+        self.pairs_checked = pairs_checked
+        self.triples_checked = triples_checked
+        self.failure = failure
 
     @property
     def ok(self) -> bool:
@@ -315,30 +317,40 @@ def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiRepor
     return report
 
 
-@dataclass
 class Constituent:
-    start: int                 # index of the first entry
-    length: int                # number of covered indices (first constituent counts from n+1 and adds n)
-    leading: int               # index of the leading term, n-th position from the end
-    trailing: int              # index of the last nonzero entry
-    entries: list[int]
-    ordinary: bool             # binomial form relative to the last entry
+    __slots__ = ("start", "length", "leading", "trailing", "entries", "ordinary")
+
+    def __init__(self, start: int, length: int, leading: int, trailing: int,
+                 entries: list[int], ordinary: bool):
+        self.start = start          # index of the first entry
+        self.length = length        # number of covered indices (first constituent counts from n+1 and adds n)
+        self.leading = leading      # index of the leading term, n-th position from the end
+        self.trailing = trailing    # index of the last nonzero entry
+        self.entries = entries
+        self.ordinary = ordinary    # binomial form relative to the last entry
 
     def to_dict(self) -> dict:
         return {"start": self.start, "length": self.length, "leading": self.leading,
                 "trailing": self.trailing, "entries": self.entries, "ordinary": self.ordinary}
 
 
-@dataclass
 class ConstituentReport:
-    p: int
-    n: int
-    depth: int
-    ell: Optional[int]                      # first constituent length; None if no nonzero seen
-    constituents: list[Constituent] = dc_field(default_factory=list)
-    incomplete_tail: Optional[dict] = None  # {"start": .., "leading": .. or None}
-    metabelian_within_depth: bool = False
-    violations: list[str] = dc_field(default_factory=list)
+    __slots__ = ("p", "n", "depth", "ell", "constituents", "incomplete_tail",
+                 "metabelian_within_depth", "violations")
+
+    def __init__(self, p: int, n: int, depth: int, ell: Optional[int],
+                 constituents: Optional[list[Constituent]] = None,
+                 incomplete_tail: Optional[dict] = None,
+                 metabelian_within_depth: bool = False,
+                 violations: Optional[list[str]] = None):
+        self.p = p
+        self.n = n
+        self.depth = depth
+        self.ell = ell                          # first constituent length; None if no nonzero seen
+        self.constituents = [] if constituents is None else constituents
+        self.incomplete_tail = incomplete_tail  # {"start": .., "leading": .. or None}
+        self.metabelian_within_depth = metabelian_within_depth
+        self.violations = [] if violations is None else violations
 
     def lengths(self) -> list[int]:
         return [c.length for c in self.constituents]
@@ -516,7 +528,7 @@ def subalgebra_sequence(seq: BetaSequence) -> BetaSequence:
     D_out = seq.depth - 1
     if D_out < n + 1:
         raise ValueError("prefix too shallow to transform")
-    resid = (seq._beta_int(n + 1) - seq._beta_int(n + 2)) % p if D_out > n + 1 else 0
+    resid = (seq._beta_int(n + 1) - seq._beta_int(n + 2)) % p
     if resid:
         raise ValueError(
             f"beta_{n + 1} - beta_{n + 2} = {resid} != 0: not an algebra sequence")
@@ -524,18 +536,27 @@ def subalgebra_sequence(seq: BetaSequence) -> BetaSequence:
     return BetaSequence(seq.field, n + 1, betas)
 
 
-@dataclass(frozen=True)
 class RationalSeries:
-    """num/den over F_p in X, with den(0) invertible; expandable to any depth."""
+    """num/den over F_p in X, with den(0) invertible; expandable to any depth.
+    Immutable by convention; equal when num and den are."""
 
-    num: FpPoly
-    den: FpPoly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.num.field != self.den.field:
+    def __init__(self, num: FpPoly, den: FpPoly):
+        if num.field != den.field:
             raise ValueError("numerator and denominator over different fields")
-        if self.den[0] == 0:
+        if den[0] == 0:
             raise ValueError("denominator must have invertible constant term")
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalSeries):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     def expand(self, depth: int) -> list[int]:
         """Coefficients 0..depth of the power-series expansion."""
@@ -574,17 +595,25 @@ def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[Fp]:
             - seq.beta(i) * bracket_coeff(seq, i + n, n + h))
 
 
-@dataclass
 class LcsReport:
     """Constituent lengths recovered from the lower central series of the
     derived subalgebra: the r-th length is dim of the r-th quotient, the
     first with n added."""
 
-    depth: int
-    lengths: list[int]
-    incomplete_count: Optional[int]   # entries of the last, depth-cut quotient
-    no_second_power: bool
-    contiguous: bool
+    __slots__ = ("depth", "lengths", "incomplete_count", "no_second_power", "contiguous")
+
+    def __init__(self, depth: int, lengths: list[int], incomplete_count: Optional[int],
+                 no_second_power: bool, contiguous: bool):
+        self.depth = depth
+        self.lengths = lengths
+        self.incomplete_count = incomplete_count  # entries of the last, depth-cut quotient
+        self.no_second_power = no_second_power
+        self.contiguous = contiguous
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LcsReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         return {"depth": self.depth, "lengths": self.lengths,
@@ -638,14 +667,17 @@ def first_constituent_poly(seq: BetaSequence) -> FpPoly:
     return FpPoly(seq.field, [seq._beta_int(ell - k) for k in range(n)])
 
 
-@dataclass
 class BridgeReport:
-    ell: int
-    ell2: int
-    k: int                      # exponent ell - n + 1
-    window: tuple[int, int]     # j range, half-open (lo, hi]
-    ok: bool
-    failures: list[tuple[int, int]]
+    __slots__ = ("ell", "ell2", "k", "window", "ok", "failures")
+
+    def __init__(self, ell: int, ell2: int, k: int, window: tuple[int, int], ok: bool,
+                 failures: list[tuple[int, int]]):
+        self.ell = ell
+        self.ell2 = ell2
+        self.k = k                  # exponent ell - n + 1
+        self.window = window        # j range, half-open (lo, hi]
+        self.ok = ok
+        self.failures = failures
 
     def to_dict(self) -> dict:
         return {"ell": self.ell, "ell2": self.ell2, "k": self.k,

@@ -7,6 +7,12 @@ The functions here are the earlier representation, one polynomial in t per
 and degree reading.  Random operators with polynomial entries, converted
 between the two forms, must give the same results on both sides, with and
 without the row and column index of `Endo.index`.
+
+The brackets add both products into one dict and reduce it once.  The
+`unfused_*` functions keep the earlier route as a second reference: the
+bracket as two products and a subtraction, subtraction as adding a negated
+copy, and scaling by a number through the per-key rebuild of the
+polynomial case.
 """
 
 import random
@@ -128,6 +134,30 @@ def structured_ops(ring):
     return ops
 
 
+def unfused_sub(a, b):
+    return a + (-b)
+
+
+def unfused_scale(x, value):
+    factor = value.coeffs if isinstance(value, FpPoly) else (int(value),)
+    out = {}
+    for key, c in x.entries.items():
+        for k, f in enumerate(factor):
+            if f:
+                shifted = key[:-1] + (key[-1] + k,)
+                out[shifted] = out.get(shifted, 0) + c * f
+    return type(x)(x.ring, out)
+
+
+def unfused_endo_bracket(a, b):
+    return unfused_sub(a.compose(b), b.compose(a))
+
+
+def unfused_bracket(x, y):
+    return SemidirectElement(unfused_sub(x.op.apply(y.vec), y.op.apply(x.vec)),
+                             unfused_endo_bracket(x.op, y.op))
+
+
 @pytest.mark.parametrize("field,c", CONFIGS)
 def test_conversion_round_trips(field, c):
     ring = DividedPowers(field, c)
@@ -179,6 +209,64 @@ def test_indexed_compose_and_apply_match_reference(field, c):
         want = reference_apply(field, to_polys(a), to_polys(vec))
         assert to_polys(unindexed(a).apply(vec)) == want
         assert to_polys(unindexed(a).index().apply(vec)) == want
+
+
+@pytest.mark.parametrize("field,c", CONFIGS)
+def test_fused_brackets_match_unfused(field, c):
+    # every bracket is taken with neither, either and both operands indexed
+    ring = DividedPowers(field, c)
+    rng = random.Random(field.p * 5000 + c)
+    ops = structured_ops(ring)
+    ops += [from_polys(Endo, ring, random_pair(rng, ring, rng.randrange(12))[0])
+            for _ in range(40)]
+    vecs = [from_polys(DPElement, ring, random_pair(rng, ring, rng.randrange(12))[1])
+            for _ in range(20)]
+    vecs.append(DPElement.zero(ring))
+    for _ in range(150):
+        a, b = rng.choice(ops), rng.choice(ops)
+        f, g = rng.choice(vecs), rng.choice(vecs)
+        want = unfused_endo_bracket(a, b).entries
+        want_pair = unfused_bracket(SemidirectElement(f, a), SemidirectElement(g, b))
+        for left in (unindexed(a), unindexed(a).index()):
+            for right in (unindexed(b), unindexed(b).index()):
+                assert left.bracket(right).entries == want
+                got = SemidirectElement(f, left).bracket(SemidirectElement(g, right))
+                assert got == want_pair
+                assert got.op._index is None
+
+
+@pytest.mark.parametrize("field,c,n,m", [(PrimeField(3), 2, 2, 1), (PrimeField(5), 2, 3, 2),
+                                         (PrimeField(3), 3, 4, 1), (PrimeField(7), 1, 4, 2)])
+def test_fused_bracket_walks_the_family_like_unfused(field, c, n, m):
+    # the elements of the construction, up past the re-entry at degree q + m,
+    # and their brackets with e_n
+    ring = DividedPowers(field, c)
+    z, e_n = make_generators(ring, n, m)
+    fused = unfused = e_n
+    for _ in range(2 * ring.q + n):
+        fused, unfused = fused.bracket(z), unfused_bracket(unfused, z)
+        assert fused == unfused
+        assert fused.bracket(e_n) == unfused_bracket(unfused, e_n)
+
+
+@pytest.mark.parametrize("field,c", CONFIGS)
+def test_sub_and_scale_match_unfused(field, c):
+    ring = DividedPowers(field, c)
+    rng = random.Random(field.p * 6000 + c)
+    ops = structured_ops(ring)
+    ops += [from_polys(Endo, ring, random_pair(rng, ring, rng.randrange(12))[0])
+            for _ in range(40)]
+    vecs = [from_polys(DPElement, ring, random_pair(rng, ring, rng.randrange(12))[1])
+            for _ in range(20)]
+    vecs.append(DPElement.zero(ring))
+    t = FpPoly.monomial(field, 1, 1)
+    for _ in range(200):
+        for values in (ops, vecs):
+            a, b = rng.choice(values), rng.choice(values)
+            assert (a - b).entries == unfused_sub(a, b).entries
+            k = rng.randrange(-2 * field.p, 2 * field.p)
+            for factor in (k, Fp(k, field), t.scale(k)):
+                assert a.scale(factor).entries == unfused_scale(a, factor).entries
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)

@@ -16,13 +16,15 @@ import pytest
 import maxclass
 from maxclass import cli
 
-# Prints the maxclass modules loaded after one cli.main call in a fresh process.
+# Prints the maxclass modules loaded after one cli.main call in a fresh
+# process, and whether `dataclasses` (which pulls in `inspect`) was loaded.
 FOOTPRINT = """
 import json, sys
 from maxclass import cli
 code = cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "maxclass")
-print(json.dumps({"exit": code, "loaded": loaded}), file=sys.stderr)
+print(json.dumps({"exit": code, "loaded": loaded,
+                  "dataclasses": "dataclasses" in sys.modules}), file=sys.stderr)
 """
 
 REQUESTS = {
@@ -33,12 +35,16 @@ REQUESTS = {
 }
 
 
-def footprint(argv):
+def run_footprint(argv):
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
                           capture_output=True, text=True, timeout=60)
     result = json.loads(proc.stderr.splitlines()[-1])
     assert result["exit"] == cli.EXIT_OK
-    return set(result["loaded"])
+    return result
+
+
+def footprint(argv):
+    return set(run_footprint(argv)["loaded"])
 
 
 class TestFootprint:
@@ -60,6 +66,10 @@ class TestFootprint:
     def test_construct_loads_the_operator_layers(self):
         assert {"maxclass.exceptional", "maxclass.divided_powers",
                 "maxclass.sequences"} <= footprint(REQUESTS["construct"])
+
+    @pytest.mark.parametrize("command", sorted(REQUESTS))
+    def test_no_subcommand_loads_dataclasses(self, command):
+        assert run_footprint(REQUESTS[command])["dataclasses"] is False
 
     def test_bare_package_import_loads_no_submodule(self):
         proc = subprocess.run(

@@ -403,9 +403,11 @@ class TestSubalgebra:
         assert sub == BetaSequence.all_zero(F3, 3, 19)
 
     def test_invalid_input_rejected(self):
-        # beta_3 != beta_4 cannot happen in an algebra (diagonal bracket)
-        with pytest.raises(ValueError, match="beta_3 - beta_4"):
-            subalgebra_sequence(BetaSequence(F5, 2, [1, 2, 0, 0]))
+        # beta_3 != beta_4 cannot happen in an algebra (diagonal bracket),
+        # also when beta_4 is the last recorded entry
+        for betas in ([1, 2, 0, 0], [1, 0]):
+            with pytest.raises(ValueError, match="beta_3 - beta_4"):
+                subalgebra_sequence(BetaSequence(F5, 2, betas))
 
 
 class TestLcs:

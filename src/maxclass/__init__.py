@@ -26,16 +26,15 @@ _EXPORTS = {
                     "first_length_coverage", "genfunc_closed_form",
                     "subalgebra_tower", "theorem_parameter_grid",
                     "two_path_check"),
-    "polycheck": ("ClassifyReport", "RangeCondition", "classify_admissible_k",
-                  "classify_fixture_text", "in_large_k_menu",
-                  "in_small_k_menu", "lemma_pairs_check"),
+    "polycheck": ("ClassifyReport", "classify_admissible_k",
+                  "in_large_k_menu", "in_small_k_menu", "lemma_pairs_check"),
     "search": ("SearchReport", "search_sequences"),
     "sequences": ("AlphaSequence", "BetaSequence", "BridgeReport",
                   "Constituent", "ConstituentReport", "JacobiReport",
                   "LcsReport", "RationalSeries", "bracket_coeff",
                   "bridge_check", "constituents", "constituents_via_lcs",
-                  "eih_residual", "first_constituent_poly", "genfunc",
-                  "jacobi_verify", "project_type1", "subalgebra_sequence"),
+                  "first_constituent_poly", "jacobi_verify",
+                  "project_type1", "subalgebra_sequence"),
 }
 
 # public name -> the submodule that defines it

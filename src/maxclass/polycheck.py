@@ -13,64 +13,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional
 
-from .arith import Fp, FpPoly, PrimeField, product_coeff_int, x_minus_one_coeff, x_minus_one_pow
+from .arith import FpPoly, PrimeField, x_minus_one_coeff, x_minus_one_pow
 
 # Bound on p^(n-1) * k_max per call.  Solving costs little, but at k = q every
 # one of the p^(n-1) monic g survives, so this caps the size of the report.
 CLASSIFY_BUDGET = 5_000_000
-
-
-def product_coeff(g: FpPoly, k: int, j: int) -> Fp:
-    return Fp(product_coeff_int(g.coeffs, k, j, g.field.p), g.field)
-
-
-class RangeCondition:
-    """The window ceil((k + n)/2) <= j < k for a fixed exponent k and degree
-    cutoff n.  Immutable by convention; equal when all three fields are."""
-
-    __slots__ = ("field", "n", "k")
-
-    def __init__(self, field: PrimeField, n: int, k: int):
-        p = field.p
-        if not (1 < n < p):
-            raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
-        if k <= n + 1:
-            raise ValueError(f"need k > n + 1, got k={k}")
-        self.field = field
-        self.n = n
-        self.k = k
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RangeCondition):
-            return NotImplemented
-        return (self.field, self.n, self.k) == (other.field, other.n, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.n, self.k))
-
-    @property
-    def j_lo(self) -> int:
-        return (self.k + self.n + 1) // 2  # ceil((k + n)/2)
-
-    @property
-    def j_hi(self) -> int:
-        return self.k  # exclusive
-
-
-def range_condition_holds(g: FpPoly, cond: RangeCondition) -> bool:
-    """Whether every window coefficient of (X - 1)^k g(X) vanishes.
-
-    g must be monic of degree n - 1 over the condition's field.
-    """
-    if g.field != cond.field:
-        raise ValueError("polynomial and condition live over different fields")
-    if g.degree != cond.n - 1 or g.coeffs[-1] != 1:
-        raise ValueError(f"g must be monic of degree {cond.n - 1}, got {g!r}")
-    p = cond.field.p
-    for j in range(cond.j_lo, cond.j_hi):
-        if product_coeff_int(g.coeffs, cond.k, j, p) != 0:
-            return False
-    return True
 
 
 def window_solutions(p: int, k: int, n: int, j_lo: int, j_hi: int) -> list[tuple[int, ...]]:
@@ -246,16 +193,6 @@ def classify_admissible_k(field: PrimeField, n: int, k_max: int) -> ClassifyRepo
                 report.menu_violations.append(k)
     _check_structure(report)
     return report
-
-
-def classify_fixture_text(report: ClassifyReport) -> str:
-    """Plain-text regression form: one line per admissible k,
-    '(p, n, k): g1; g2; ...' with g as comma-separated coefficients, low degree first."""
-    lines = [f"# classify p={report.field.p} n={report.n} k_max={report.k_max}"]
-    for k in sorted(report.survivors):
-        gs = "; ".join(",".join(str(c) for c in g) for g in report.survivors[k])
-        lines.append(f"({report.field.p}, {report.n}, {k}): {gs}")
-    return "\n".join(lines) + "\n"
 
 
 def lemma_pairs_check(field: PrimeField, k_max: int, strengthened: bool = False) -> list[tuple[int, int]]:

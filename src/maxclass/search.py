@@ -8,7 +8,19 @@ and sequences.level_failure checks it, the same per-level check that
 jacobi_verify runs.  That check reads one antisymmetry pair per level and
 the Jacobi triples (e_n, e_b, e_c) with n + b + c = s; both suffice because
 every lower level on the branch already passed.  The branch is cut on the
-first violation.  Each level costs O(depth) on top of its triples.
+first violation.
+
+An index is solved for its entry, not tried once per candidate.  Every
+residual of the level is linear in its row, and pascal_row(prev, beta) =
+pascal_row(prev, 0) + beta u with u[k] = (-1)^(s - k), so each residual is
+v0 + beta v1 and the admissible entries are none, one, or all of F_p
+(level_solutions).  Whatever p is, an index costs at most one row and one
+residual pass, for beta = 0 at odd levels and for the forced entry at even
+ones, and nothing while the prefix is zero.  Once the walk gets past
+beta = 0, an odd level adds one pass on u and a row for each admissible
+nonzero entry.  Rejected candidates still count as nodes, in their usual
+order, so `nodes`, `deepest` and the budget cut do not depend on the solve.
+Seeded entries are checked, as before, on their own row.
 
 Prefixes surviving to full depth are emitted; they pass jacobi_verify by
 construction (the search checks a superset of its constraints).  Odd
@@ -20,7 +32,7 @@ rejects it.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .arith import PrimeField
 from .sequences import BetaSequence, level_failure, pascal_row
@@ -74,6 +86,60 @@ class SearchReport:
             "truncated_solutions": self.truncated_solutions,
             "exhausted": self.exhausted, "deepest": self.deepest,
         }
+
+
+def level_solutions(prev: list[int], low: list[int], col: list[int], n: int,
+                    p: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (beta, pascal_row(prev, beta, p)) for every beta, in increasing
+    order, whose row passes level_failure(row, low, col, n, p).
+
+    With L = len(prev) + 1, pascal_row(prev, beta) = row0 + beta u, where
+    row0 = pascal_row(prev, 0) and u[k] = (-1)^(L - 1 - k).  Each residual
+    is v0 + beta v1, with v0 its value on row0 and v1 its value on u.
+    - Even level (L odd): u[0] = u[-1] = 1, so the antisymmetry residual is
+      row0[0] + 2 beta, and row0[0] is the alternating sum of prev.  That
+      forces beta before any row is built.
+    - Odd level (L even): u[0] + u[-1] = 0, so antisymmetry does not
+      involve beta.  beta = 0 is checked on row0.  The nonzero entries are
+      solved only when the caller asks for more, by one level_failure pass
+      on u, which finds the first nonzero slope v1.  If row0 passes, they
+      all pass when no slope is nonzero, and none does otherwise.  If row0
+      first fails a Jacobi triple with value v0, the triples before it have
+      v0 = 0, so only beta = -v0 / v1 can pass, and only when u's first
+      nonzero slope is at that triple; its row is then checked in full.
+    A zero prev means a zero prefix.  Then row0 is zero and passes every
+    check, as each residual has a factor from the row, and even levels
+    force beta = 0; neither takes a row or a pass.
+    """
+    L = len(prev) + 1
+    if not any(prev):
+        failure = None
+        yield 0, [0] * L
+        if L % 2:
+            return
+    elif L % 2:
+        beta = (sum(prev[1::2]) - sum(prev[::2])) * ((p + 1) // 2) % p
+        row = pascal_row(prev, beta, p)
+        if level_failure(row, low, col, n, p) is None:
+            yield beta, row
+        return
+    else:
+        row = pascal_row(prev, 0, p)
+        failure = level_failure(row, low, col, n, p)
+        if failure is None:
+            yield 0, row
+        elif failure["kind"] == "antisymmetry":
+            return
+    slope = level_failure([p - 1, 1] * (L // 2), low, col, n, p)
+    if failure is None:
+        if slope is None:
+            for beta in range(1, p):
+                yield beta, pascal_row(prev, beta, p)
+    elif slope is not None and slope["indices"] == failure["indices"]:
+        beta = -failure["value"] * pow(slope["value"], p - 2, p) % p
+        row = pascal_row(prev, beta, p)
+        if level_failure(row, low, col, n, p) is None:
+            yield beta, row
 
 
 def search_sequences(field: PrimeField, n: int, depth: int,
@@ -133,12 +199,18 @@ def search_sequences(field: PrimeField, n: int, depth: int,
             else:
                 report.truncated_solutions = True
             return
+        s = idx + n
+        prev, low = rows[s - 1], rows[s - n]
         if idx <= report.seed_depth:
-            candidates = (seed_vals[idx - n - 1],)
-        elif normalize and not has_nonzero:
-            candidates = norm_range
+            value = seed_vals[idx - n - 1]
+            row = pascal_row(prev, value, p)
+            candidates = (value,)
+            solved = iter([(value, row)] if level_failure(row, low, col, n, p) is None else [])
         else:
-            candidates = full_range
+            candidates = norm_range if normalize and not has_nonzero else full_range
+            solved = level_solutions(prev, low, col, n, p)
+        # the next admissible entry not below the candidate; p when none is left
+        beta, row = -1, None
         for value in candidates:
             if report.exhausted:
                 return
@@ -146,11 +218,11 @@ def search_sequences(field: PrimeField, n: int, depth: int,
             if report.nodes > budget:
                 report.exhausted = True
                 return
-            betas[idx - n - 1] = value
-            s = idx + n
-            row = pascal_row(rows[s - 1], value, p)
-            if level_failure(row, rows[s - n], col, n, p) is not None:
+            while beta < value:
+                beta, row = next(solved, (p, None))
+            if beta != value:
                 continue
+            betas[idx - n - 1] = value
             if idx > report.deepest:
                 report.deepest = idx
             rows[s] = row

@@ -220,6 +220,10 @@ def level_failure(row: list[int], low: list[int], col: list[int],
     s is odd.  So the pair (n, s - n) fails whenever any pair of the level
     does.  Jacobi is checked on the triples (e_n, e_b, e_c) of the level, in
     order of b (see jacobi_verify).
+
+    This is the one copy of the residual formulas.  Each residual is linear
+    in row, as low and col come from lower levels, so search.level_solutions
+    also runs it on the slope vector of a level to solve for its new entry.
     """
     s = len(row) + 2 * n - 1
     r = (row[0] + row[-1]) % p
@@ -509,12 +513,6 @@ def project_type1(alpha: AlphaSequence, n: int) -> BetaSequence:
     return out
 
 
-def genfunc(seq: BetaSequence) -> FpPoly:
-    """Generating series prefix sum_i beta_i X^i, i over (n, depth]."""
-    coeffs = [0] * (seq.n + 1) + list(seq.betas)
-    return FpPoly(seq.field, coeffs)
-
-
 def subalgebra_sequence(seq: BetaSequence) -> BetaSequence:
     """Sequence of the type-(n+1) subalgebra generated by z and e_(n+1):
     tilde beta_i = beta_i - beta_(i+1), one depth shallower.
@@ -575,24 +573,6 @@ class RationalSeries:
 
     def to_dict(self) -> dict:
         return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
-
-
-def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[Fp]:
-    """The two-row constraint usable whenever beta_(n+h) = 0 (caller-checked):
-
-        beta_(i+h+n) sum_g (-1)^g C(h, g) beta_(i+g)
-          - beta_i sum_g (-1)^g C(h, g) beta_(i+n+g)  = 0,
-
-    that is beta_(i+h+n) gamma(i, n+h) - beta_i gamma(i+n, n+h) = 0.
-    Returns None when the depth is below i + h + n.
-    """
-    n = seq.n
-    if i <= n or h <= 0:
-        raise ValueError(f"need i > n and h > 0, got i={i}, h={h}")
-    if i + h + n > seq.depth:
-        return None
-    return (seq.beta(i + h + n) * bracket_coeff(seq, i, n + h)
-            - seq.beta(i) * bracket_coeff(seq, i + n, n + h))
 
 
 class LcsReport:

@@ -38,9 +38,9 @@ from maxclass.sequences import (
     BetaSequence,
     bracket_coeff,
     constituents,
-    eih_residual,
     project_type1,
 )
+from sequence_helpers import eih_residual
 
 # (p, c): q = 9, 25, 27, 49; every n = m + 1 member with 1 < n < p
 SHAPES = [(3, 2), (3, 3), (5, 2), (7, 2)]

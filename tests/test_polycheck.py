@@ -5,24 +5,67 @@ from pathlib import Path
 
 import pytest
 
-from maxclass.arith import FpPoly, PrimeField, x_minus_one_pow
+from maxclass.arith import Fp, FpPoly, PrimeField, product_coeff_int, x_minus_one_pow
 from maxclass.polycheck import (
-    RangeCondition,
+    ClassifyReport,
     classify_admissible_k,
-    classify_fixture_text,
     expected_pairs,
     in_large_k_menu,
     in_small_k_menu,
     lemma_pairs_check,
-    product_coeff,
-    product_coeff_int,
-    range_condition_holds,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+
+
+# The window evaluated one coefficient at a time, as a cross-check of the
+# row reduction in classify_admissible_k, and the fixture text format.
+
+def product_coeff(g: FpPoly, k: int, j: int) -> Fp:
+    return Fp(product_coeff_int(g.coeffs, k, j, g.field.p), g.field)
+
+
+class RangeCondition:
+    """The window ceil((k + n)/2) <= j < k for a fixed exponent k and degree
+    cutoff n."""
+
+    def __init__(self, field: PrimeField, n: int, k: int):
+        p = field.p
+        if not (1 < n < p):
+            raise ValueError(f"need 1 < n < p, got n={n}, p={p}")
+        if k <= n + 1:
+            raise ValueError(f"need k > n + 1, got k={k}")
+        self.field = field
+        self.n = n
+        self.k = k
+        self.j_lo = (k + n + 1) // 2  # ceil((k + n)/2)
+        self.j_hi = k  # exclusive
+
+
+def range_condition_holds(g: FpPoly, cond: RangeCondition) -> bool:
+    """Whether every window coefficient of (X - 1)^k g(X) vanishes.
+
+    g must be monic of degree n - 1 over the condition's field.
+    """
+    if g.field != cond.field:
+        raise ValueError("polynomial and condition live over different fields")
+    if g.degree != cond.n - 1 or g.coeffs[-1] != 1:
+        raise ValueError(f"g must be monic of degree {cond.n - 1}, got {g!r}")
+    return all(product_coeff_int(g.coeffs, cond.k, j, cond.field.p) == 0
+               for j in range(cond.j_lo, cond.j_hi))
+
+
+def classify_fixture_text(report: ClassifyReport) -> str:
+    """One line per admissible k, '(p, n, k): g1; g2; ...' with g as
+    comma-separated coefficients, low degree first."""
+    lines = [f"# classify p={report.field.p} n={report.n} k_max={report.k_max}"]
+    for k in sorted(report.survivors):
+        gs = "; ".join(",".join(str(c) for c in g) for g in report.survivors[k])
+        lines.append(f"({report.field.p}, {report.n}, {k}): {gs}")
+    return "\n".join(lines) + "\n"
 
 
 class TestRangeCondition:

@@ -16,18 +16,22 @@ from maxclass.sequences import (
     bridge_check,
     constituents,
     constituents_via_lcs,
-    eih_residual,
     first_constituent_poly,
-    genfunc,
     jacobi_verify,
     project_type1,
     subalgebra_sequence,
 )
 from maxclass.sequences import _is_ordinary
+from sequence_helpers import eih_residual
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+
+
+def genfunc(seq):
+    """Generating series prefix sum_i beta_i X^i, i over (n, depth]."""
+    return FpPoly(seq.field, [0] * (seq.n + 1) + list(seq.betas))
 
 
 def periodic_fixture(depth=41):

@@ -13,11 +13,10 @@ pays only for the layers it runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "arith": ("Fp", "FieldMismatch", "FpPoly", "PrimeField", "binom_mod_p",
+    "arith": ("FieldMismatch", "FpPoly", "PrimeField", "binom_mod_p",
               "is_power_of", "lucas_symmetry_check"),
     "divided_powers": ("DividedPowers", "DPElement", "Endo",
-                       "SemidirectElement", "graded_degree",
-                       "make_generators"),
+                       "SemidirectElement", "make_generators"),
     "exceptional": ("AbelianIdealReport", "ConstructedAlgebra",
                     "ConstructionError", "ExceptionalParams",
                     "ExceptionalReport", "abelian_ideal_check",

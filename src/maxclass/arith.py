@@ -1,15 +1,16 @@
 """Exact arithmetic over prime fields.
 
-Scalars and univariate polynomials with coefficients mod p, plus binomial
-coefficients computed digit-wise in base p.  Every value carries a reference
-to a shared PrimeField context; mixing contexts is rejected eagerly.
+Scalars are plain ints, residues in [0, p).  Univariate polynomials with
+coefficients mod p carry a reference to a shared PrimeField context, and
+mixing contexts is rejected eagerly.  Binomial coefficients are computed
+digit-wise in base p.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable
 
 # Largest modulus accepted: primality is decided by trial division to sqrt(p).
 MAX_PRIME = 10**9
@@ -157,108 +158,8 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def element(self, value: Union[int, "Fp"]) -> "Fp":
-        if isinstance(value, Fp):
-            if value.field != self:
-                raise FieldMismatch(f"element of {value.field} used in {self}")
-            return value
-        return Fp(int(value) % self.p, self)
-
-    @property
-    def zero(self) -> "Fp":
-        return Fp(0, self)
-
-    @property
-    def one(self) -> "Fp":
-        return Fp(1, self)
-
-    def poly(self, coeffs: Iterable[Union[int, "Fp"]]) -> "FpPoly":
+    def poly(self, coeffs: Iterable[int]) -> "FpPoly":
         return FpPoly(self, coeffs)
-
-
-class Fp:
-    """An element of F_p.  Immutable; arithmetic closes over the context."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = value % field.p
-        self.field = field
-
-    def _coerce(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.field != self.field:
-                raise FieldMismatch("cannot mix elements of different prime fields")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value - other.value, self.field)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(other.value - self.value, self.field)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fp(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fp(-self.value, self.field)
-
-    def inverse(self) -> "Fp":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return Fp(pow(self.value, self.field.p - 2, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return Fp(pow(self.value, e, self.field.p), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Fp):
-            return other.field == self.field and other.value == self.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Fp({self.value}, p={self.field.p})"
 
 
 class FpPoly:
@@ -271,16 +172,9 @@ class FpPoly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: PrimeField, coeffs: Iterable[Union[int, Fp]] = ()):
+    def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()):
         p = field.p
-        cs = []
-        for c in coeffs:
-            if isinstance(c, Fp):
-                if c.field != field:
-                    raise FieldMismatch("polynomial coefficient from a different field")
-                cs.append(c.value)
-            else:
-                cs.append(int(c) % p)
+        cs = [int(c) % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -295,8 +189,8 @@ class FpPoly:
         return cls(field, (1,))
 
     @classmethod
-    def monomial(cls, field: PrimeField, coefficient: Union[int, Fp], exponent: int) -> "FpPoly":
-        c = int(coefficient) % field.p if not isinstance(coefficient, Fp) else coefficient.value
+    def monomial(cls, field: PrimeField, coefficient: int, exponent: int) -> "FpPoly":
+        c = int(coefficient) % field.p
         if c == 0:
             return cls.zero(field)
         return cls(field, (0,) * exponent + (c,))
@@ -314,9 +208,6 @@ class FpPoly:
         if j < 0 or j >= len(self.coeffs):
             return 0
         return self.coeffs[j]
-
-    def coeff(self, j: int) -> Fp:
-        return Fp(self[j], self.field)
 
     def _check(self, other: "FpPoly") -> None:
         if other.field != self.field:
@@ -344,7 +235,7 @@ class FpPoly:
         return FpPoly(self.field, tuple((-c) % p for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fp)):
+        if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, FpPoly):
             return NotImplemented
@@ -363,8 +254,8 @@ class FpPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, s: Union[int, Fp]) -> "FpPoly":
-        sv = s.value if isinstance(s, Fp) else int(s) % self.field.p
+    def scale(self, s: int) -> "FpPoly":
+        sv = int(s) % self.field.p
         if sv == 0:
             return FpPoly.zero(self.field)
         if sv == 1:

@@ -33,9 +33,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Union
 
-from .arith import Fp, FpPoly, PrimeField, binom_column_mod_p, binom_mod_p
-
-Scalar = Union[int, Fp]
+from .arith import FpPoly, PrimeField, binom_column_mod_p, binom_mod_p
 
 
 class DividedPowers:
@@ -132,11 +130,10 @@ class _Sparse:
             out[key] = out.get(key, 0) - c
         return type(self)(self.ring, out)
 
-    def scale(self, value: Union[Scalar, FpPoly]):
-        """Multiply by an int, an Fp, or a polynomial in t."""
+    def scale(self, value: Union[int, FpPoly]):
+        """Multiply by an int or a polynomial in t."""
         if not isinstance(value, FpPoly):
-            f = int(value)
-            return type(self)(self.ring, {key: c * f for key, c in self.entries.items()})
+            return type(self)(self.ring, {key: c * value for key, c in self.entries.items()})
         out = {}
         for key, c in self.entries.items():
             for k, f in enumerate(value.coeffs):
@@ -153,11 +150,11 @@ class DPElement(_Sparse):
 
     @classmethod
     def basis(cls, ring: DividedPowers, exponent: int, t_power: int = 0,
-              coeff: Scalar = 1) -> "DPElement":
+              coeff: int = 1) -> "DPElement":
         """coeff * t^t_power * x^(exponent)."""
         if not (0 <= exponent < ring.q):
             raise ValueError(f"exponent {exponent} outside [0, {ring.q})")
-        return cls(ring, {(exponent, t_power): int(coeff)})
+        return cls(ring, {(exponent, t_power): coeff})
 
     def monomials(self) -> Iterator[tuple[int, int, int]]:
         """Yield (exponent, t_power, coefficient) over all nonzero monomials."""
@@ -191,7 +188,7 @@ class Endo(_Sparse):
 
     @classmethod
     def mult_op(cls, ring: DividedPowers, shift: int,
-                scale: Union[Scalar, FpPoly] = 1) -> "Endo":
+                scale: Union[int, FpPoly] = 1) -> "Endo":
         """Multiplication by scale * x^(shift): x^(j) -> scale C(j+shift, shift) x^(j+shift)."""
         if not (0 <= shift < ring.q):
             raise ValueError(f"shift must lie in [0, {ring.q})")
@@ -333,7 +330,7 @@ class SemidirectElement:
     def __sub__(self, other: "SemidirectElement") -> "SemidirectElement":
         return self + (-other)
 
-    def scale(self, value: Union[Scalar, FpPoly]) -> "SemidirectElement":
+    def scale(self, value: Union[int, FpPoly]) -> "SemidirectElement":
         return SemidirectElement(self.vec.scale(value), self.op.scale(value))
 
     def bracket(self, other: "SemidirectElement") -> "SemidirectElement":
@@ -344,23 +341,22 @@ class SemidirectElement:
         other.op._apply_into(self.vec, vec, -1)
         return SemidirectElement(DPElement(self.ring, vec), op)
 
-    def proportional_to(self, other: "SemidirectElement") -> Optional[Fp]:
-        """Scalar lam with self == lam * other, or None if there is none.
+    def proportional_to(self, other: "SemidirectElement") -> Optional[int]:
+        """The residue lam with self == lam * other, or None if there is none.
 
         The zero element is 0 * anything; a nonzero self against zero other
         has no scalar.
         """
-        field = self.ring.field
         if not self:
-            return field.zero
+            return 0
         if not other:
             return None
         # lam is fixed by any one entry of other; then check all of them
         mine, theirs = (self.vec, other.vec) if other.vec else (self.op, other.op)
         key, ref = next(iter(theirs.entries.items()))
-        p = field.p
+        p = self.ring.field.p
         lam = mine.entries.get(key, 0) * pow(ref, p - 2, p) % p
-        return Fp(lam, field) if other.scale(lam) == self else None
+        return lam if other.scale(lam) == self else None
 
     def __repr__(self) -> str:
         return f"SemidirectElement(vec={self.vec!r}, op={self.op!r})"
@@ -382,17 +378,3 @@ def make_generators(ring: DividedPowers, n: int, m: int
         Endo.mult_op(ring, ring.q - n, t).index())
     return z, e_n
 
-
-def graded_degree(element: SemidirectElement, m: int) -> int:
-    """Degree of a homogeneous element: a monomial t^r x^(i) in the module
-    sits in degree r q + (q + m) - i, and an operator entry t^s at
-    (row, col) in degree col - row + s q.  Raises on zero or mixed input.
-    """
-    q = element.ring.q
-    degrees = {r * q + q + m - i for i, r in element.vec.entries}
-    degrees.update(col - row + s * q for row, col, s in element.op.entries)
-    if not degrees:
-        raise ValueError("the zero element has no degree")
-    if len(degrees) > 1:
-        raise ValueError(f"inhomogeneous element, degrees {sorted(degrees)}")
-    return degrees.pop()

@@ -68,9 +68,9 @@ class ExceptionalParams:
     def __init__(self, field: PrimeField, c: int, n: int, m: int):
         if c < 1:
             raise ValueError(f"exponent c must be positive, got {c}")
-        q = field.p ** c
-        if not (0 < m < n <= q):
-            raise ValueError(f"need 0 < m < n <= q = {q}, got n={n}, m={m}")
+        # p^k > n once k reaches n.bit_length(), so a large c forms no p^c
+        if not (0 < m < n <= field.p ** min(c, n.bit_length())):
+            raise ValueError(f"need 0 < m < n <= q = {field.p}^{c}, got n={n}, m={m}")
         self.field = field
         self.c = c
         self.n = n
@@ -140,9 +140,11 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     degree.  Refuses q above CONSTRUCT_MAX_Q and depth + n above
     CONSTRUCT_MAX_DEGREE.
     """
-    if params.q > CONSTRUCT_MAX_Q:
+    # decided from c, since p^c has millions of digits at c = 10^7
+    p, c = params.p, params.c
+    if p ** min(c, CONSTRUCT_MAX_Q.bit_length()) > CONSTRUCT_MAX_Q:
         raise ValueError(
-            f"refusing construct: q = {params.q} exceeds CONSTRUCT_MAX_Q = {CONSTRUCT_MAX_Q}")
+            f"refusing construct: q = {p}^{c} exceeds CONSTRUCT_MAX_Q = {CONSTRUCT_MAX_Q}")
     if depth is None:
         depth = params.default_depth
     q, n, m = params.q, params.n, params.m
@@ -151,7 +153,7 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     if depth + n > CONSTRUCT_MAX_DEGREE:
         raise ValueError(f"refusing construct: depth {depth} builds to degree {depth + n}, "
                          f"above CONSTRUCT_MAX_DEGREE = {CONSTRUCT_MAX_DEGREE}")
-    ring = DividedPowers(params.field, params.c)
+    ring = DividedPowers(params.field, c)
     z, e_n = make_generators(ring, n, m)
     elements = {n: e_n}
     betas = []
@@ -161,7 +163,7 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
         if j <= q + m:
             vec = {(q + m - j, 0): 1}
             op = {(a, a - q + j, 1): v for a, v in
-                  binom_column_mod_p(q - j, q, params.p).items()} if j <= q else {}
+                  binom_column_mod_p(q - j, q, p).items()} if j <= q else {}
         else:
             r, jp = divmod(j - m - 1, q)
             vec, op = {(q - jp - 1, r): 1}, {}
@@ -174,7 +176,7 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
             if lam is None:
                 raise ConstructionError(
                     f"[e_{i}, e_{n}] is not a scalar multiple of e_{j}")
-            betas.append(int(lam))
+            betas.append(lam)
     return ConstructedAlgebra(params=params,
                               sequence=BetaSequence(params.field, n, betas),
                               elements=elements)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
-from .arith import (Fp, FpPoly, PrimeField, product_coeff_int, signed_binom_row,
-                    x_minus_one_coeff)
+from .arith import FpPoly, PrimeField, product_coeff_int, signed_binom_row, x_minus_one_coeff
 
 
 class DepthError(Exception):
@@ -36,6 +35,16 @@ def _check_document(data, fields: tuple[str, ...], entries: str) -> None:
         raise ValueError(f"{', '.join(fields)} and every entry of {entries} must be integers")
 
 
+def _read_document(path):
+    """The JSON document in the file at path.  A nesting too deep for the
+    parser is a ValueError, like any other malformed document."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting too deep to parse") from None
+
+
 class BetaSequence:
     """A finite prefix (beta_i) for n < i <= depth of a type-n sequence.
 
@@ -45,21 +54,13 @@ class BetaSequence:
 
     __slots__ = ("field", "n", "betas")
 
-    def __init__(self, field: PrimeField, n: int, betas: Sequence[Union[int, Fp]]):
+    def __init__(self, field: PrimeField, n: int, betas: Sequence[int]):
         if n < 1:
             raise ValueError(f"type must be a positive integer, got {n}")
         p = field.p
-        vals = []
-        for b in betas:
-            if isinstance(b, Fp):
-                if b.field != field:
-                    raise ValueError("sequence entry from a different field")
-                vals.append(b.value)
-            else:
-                vals.append(int(b) % p)
         self.field = field
         self.n = n
-        self.betas = tuple(vals)
+        self.betas = tuple(int(b) % p for b in betas)
 
     @property
     def depth(self) -> int:
@@ -73,10 +74,10 @@ class BetaSequence:
     def all_ones(cls, field: PrimeField, n: int, depth: int) -> "BetaSequence":
         return cls(field, n, [1] * (depth - n))
 
-    def beta(self, i: int) -> Fp:
+    def beta(self, i: int) -> int:
         if not (self.n < i <= self.depth):
             raise DepthError(f"beta_{i} outside recorded window ({self.n}, {self.depth}]")
-        return Fp(self.betas[i - self.n - 1], self.field)
+        return self.betas[i - self.n - 1]
 
     def _beta_int(self, i: int) -> int:
         # bracket expansions read beta_n, which is 0 by [e_n, e_n] = 0
@@ -106,8 +107,8 @@ class BetaSequence:
         i = self.first_nonzero()
         if i is None:
             return self
-        inv = Fp(self.betas[i - self.n - 1], self.field).inverse().value
         p = self.field.p
+        inv = pow(self.betas[i - self.n - 1], -1, p)
         return BetaSequence(self.field, self.n, [v * inv % p for v in self.betas])
 
     def truncate(self, depth: int) -> "BetaSequence":
@@ -141,11 +142,10 @@ class BetaSequence:
 
     @classmethod
     def from_file(cls, path) -> "BetaSequence":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_document(path))
 
 
-def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[Fp]:
+def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
     """Coefficient of e_(a+b) in [e_a, e_b], for a, b >= n.
 
     The per-entry form of the bracket table: whole tables come from
@@ -168,7 +168,7 @@ def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[Fp]:
         if idx > seq.depth:
             return None
         total += c * seq._beta_int(idx)
-    return Fp(total, seq.field)
+    return total % p
 
 
 def pascal_row(prev: list[int], beta: int, p: int) -> list[int]:
@@ -433,9 +433,9 @@ class AlphaSequence:
 
     __slots__ = ("field", "alphas")
 
-    def __init__(self, field: PrimeField, alphas: Sequence[Union[int, Fp]]):
+    def __init__(self, field: PrimeField, alphas: Sequence[int]):
         p = field.p
-        vals = [int(a) % p if not isinstance(a, Fp) else a.value for a in alphas]
+        vals = [int(a) % p for a in alphas]
         for k in range(len(vals) - 1):
             if vals[k] and vals[k + 1]:
                 raise ValueError(
@@ -447,10 +447,10 @@ class AlphaSequence:
     def depth(self) -> int:
         return 1 + len(self.alphas)
 
-    def alpha(self, i: int) -> Fp:
+    def alpha(self, i: int) -> int:
         if not (1 < i <= self.depth):
             raise DepthError(f"alpha_{i} outside recorded window (1, {self.depth}]")
-        return Fp(self.alphas[i - 2], self.field)
+        return self.alphas[i - 2]
 
     def nonzero_indices(self) -> list[int]:
         return [k + 2 for k, v in enumerate(self.alphas) if v]
@@ -472,8 +472,7 @@ class AlphaSequence:
 
     @classmethod
     def from_file(cls, path) -> "AlphaSequence":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(_read_document(path))
 
     def to_file(self, path) -> None:
         with open(path, "w") as fh:

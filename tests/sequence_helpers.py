@@ -2,11 +2,10 @@
 
 from typing import Optional
 
-from maxclass.arith import Fp
 from maxclass.sequences import BetaSequence, bracket_coeff
 
 
-def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[Fp]:
+def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[int]:
     """The two-row constraint usable whenever beta_(n+h) = 0 (caller-checked):
 
         beta_(i+h+n) sum_g (-1)^g C(h, g) beta_(i+g)
@@ -21,4 +20,4 @@ def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[Fp]:
     if i + h + n > seq.depth:
         return None
     return (seq.beta(i + h + n) * bracket_coeff(seq, i, n + h)
-            - seq.beta(i) * bracket_coeff(seq, i + n, n + h))
+            - seq.beta(i) * bracket_coeff(seq, i + n, n + h)) % seq.field.p

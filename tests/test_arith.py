@@ -1,4 +1,4 @@
-"""Prime-field scalars, digit-wise binomials, and polynomial arithmetic."""
+"""Prime-field residues, digit-wise binomials, and polynomial arithmetic."""
 
 import math
 import random
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxclass.arith import (
-    Fp,
     FieldMismatch,
     FpPoly,
     PrimeField,
@@ -18,6 +17,8 @@ from maxclass.arith import (
     signed_binom_row,
     x_minus_one_pow,
 )
+from maxclass.divided_powers import DividedPowers, SemidirectElement, make_generators
+from maxclass.sequences import AlphaSequence, BetaSequence, bracket_coeff
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -40,37 +41,40 @@ class TestPrimeField:
 
     def test_cross_context_rejected_eagerly(self):
         with pytest.raises(FieldMismatch):
-            F5.element(F7.one)
-        with pytest.raises(FieldMismatch):
-            _ = Fp(1, F5) + Fp(1, F7)
-        with pytest.raises(FieldMismatch):
             _ = F5.poly([1, 2]) * F7.poly([1])
 
 
-class TestFp:
-    def test_basic_ops(self):
-        a, b = F5.element(3), F5.element(4)
-        assert a + b == 2
-        assert a - b == 4
-        assert a * b == 2
-        assert -a == 2
-        assert a / b == 3 * 4  # 3 * 4^-1 = 3 * 4 = 12 = 2 mod 5
-        assert (a / b) * b == a
+class TestResidues:
+    """Scalars leave the package as plain ints in [0, p)."""
 
-    def test_int_comparison_is_mod_p(self):
-        assert F5.element(2) == 7
-        assert F5.element(2) == -3
+    @pytest.mark.parametrize("p", [3, 5, 101])
+    def test_edges_return_residues(self, p):
+        def residue(x):
+            assert type(x) is int and 0 <= x < p, x
+            return x
 
-    def test_pow_and_inverse(self):
-        for v in range(1, 7):
-            x = F7.element(v)
-            assert x * x.inverse() == 1
-            assert x ** (7 - 1) == 1
-        with pytest.raises(ZeroDivisionError):
-            F7.zero.inverse()
-
-    def test_immutable_and_hashable(self):
-        assert len({F5.element(1), F5.element(6), F5.element(2)}) == 2
+        field = PrimeField(p)
+        rng = random.Random(p)
+        seq = BetaSequence(field, 2, [rng.randrange(-3 * p, 3 * p) for _ in range(12)])
+        for a in range(3, seq.depth + 1):
+            residue(seq.beta(a))
+            for b in range(2, seq.depth - a + 3):   # window end a + b - 2 <= depth
+                residue(bracket_coeff(seq, a, b))
+            assert bracket_coeff(seq, a, seq.depth - a + 3) is None
+        al = AlphaSequence(field, [rng.randrange(-3 * p, 3 * p) if k % 2 else 0
+                                   for k in range(10)])
+        for i in range(2, al.depth + 1):
+            residue(al.alpha(i))
+        f = FpPoly(field, [rng.randrange(-3 * p, 3 * p) for _ in range(6)] + [1])
+        for j in range(-1, f.degree + 3):
+            residue(f[j])
+        ring = DividedPowers(field, 1)
+        z, e_n = make_generators(ring, 2, 1)
+        u = e_n.bracket(z)
+        for k in (-p - 3, -1, 0, 1, 2, p + 2):
+            assert residue(u.scale(k).proportional_to(u)) == k % p
+        assert residue(SemidirectElement.zero(ring).proportional_to(u)) == 0
+        assert u.proportional_to(z) is None
 
 
 class TestBinom:
@@ -194,7 +198,7 @@ class TestFpPoly:
     def test_coeff_outside_support_is_zero(self):
         f = F5.poly([1, 2])
         assert f[5] == 0 and f[-1] == 0
-        assert f.coeff(1) == 2
+        assert f[1] == 2
 
     @settings(max_examples=200, derandomize=True)
     @given(coeff_lists, coeff_lists, coeff_lists)

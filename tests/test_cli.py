@@ -99,12 +99,14 @@ class TestConstruct:
     def test_q_above_size_guard_is_refused(self, capsys):
         # q = 3^20 would need about 3.5e9 operator entries; refused unbuilt.
         # The benchmark builds q = 3^7, which must stay under the bound.
+        # At c = 10^7, q has millions of digits: refused without forming it.
         assert 3 ** 7 <= CONSTRUCT_MAX_Q < 3 ** 20
-        code, out, err = run(capsys, "construct", "--p", "3", "--c", "20",
-                             "--n", "2", "--m", "1")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err.count("\n") == 1 and "CONSTRUCT_MAX_Q" in err
+        for c in ("20", "10000000"):
+            code, out, err = run(capsys, "construct", "--p", "3", "--c", c,
+                                 "--n", "2", "--m", "1")
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.count("\n") == 1 and "CONSTRUCT_MAX_Q" in err
 
     def test_depth_above_bound_is_refused(self, capsys):
         # every member under CONSTRUCT_MAX_Q may run at its default depth
@@ -178,10 +180,12 @@ class TestVerify:
         {"p": None, "n": 2, "depth": 3, "betas": [1]},
         {"p": 3, "n": 2, "depth": 3, "betas": [None]},
         {"p": 3, "n": 2, "depth": 3, "betas": [1.5]},
+        # raw text, deeper than the JSON parser can recurse
+        pytest.param("[" * 100_000, id="nested_100000"),
     ])
     def test_malformed_file_is_usage_error(self, capsys, tmp_path, document):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
         code, out, err = run(capsys, "verify", "--file", str(path))
         assert code == EXIT_USAGE
         assert out == ""

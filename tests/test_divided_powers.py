@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from maxclass.arith import Fp, FpPoly, PrimeField
+from maxclass.arith import FpPoly, PrimeField
 from maxclass.divided_powers import (
     DividedPowers,
     DPElement,
     Endo,
     SemidirectElement,
-    graded_degree,
     make_generators,
 )
 from maxclass.sequences import BetaSequence, RationalSeries, constituents, jacobi_verify
+from element_helpers import graded_degree
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -232,7 +232,7 @@ class TestSemidirect:
         ring = DividedPowers(F5, 1)
         rng = random.Random(9)
         u = random_element(ring, rng)
-        assert u.scale(3).proportional_to(u) == Fp(3, F5)
+        assert u.scale(3).proportional_to(u) == 3
         assert SemidirectElement.zero(ring).proportional_to(u) == 0
         assert u.proportional_to(SemidirectElement.zero(ring)) is None
         v = u + SemidirectElement(DPElement.basis(ring, 2, t_power=4), Endo.zero(ring))

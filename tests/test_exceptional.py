@@ -9,7 +9,6 @@ from maxclass.divided_powers import (
     DPElement,
     Endo,
     SemidirectElement,
-    graded_degree,
     make_generators,
 )
 from maxclass.exceptional import (
@@ -31,6 +30,7 @@ from maxclass.exceptional import (
     two_path_check,
 )
 from maxclass.sequences import BetaSequence, constituents, jacobi_verify
+from element_helpers import graded_degree
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

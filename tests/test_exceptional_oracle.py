@@ -23,7 +23,6 @@ from maxclass.divided_powers import (
     DPElement,
     Endo,
     SemidirectElement,
-    graded_degree,
 )
 from maxclass.exceptional import (
     AbelianIdealReport,
@@ -40,6 +39,7 @@ from maxclass.sequences import (
     constituents,
     project_type1,
 )
+from element_helpers import graded_degree
 from sequence_helpers import eih_residual
 
 # (p, c): q = 9, 25, 27, 49; every n = m + 1 member with 1 < n < p

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from maxclass.arith import Fp, FpPoly, PrimeField, product_coeff_int, x_minus_one_pow
+from maxclass.arith import FpPoly, PrimeField, product_coeff_int, x_minus_one_pow
 from maxclass.polycheck import (
     ClassifyReport,
     classify_admissible_k,
@@ -24,8 +24,8 @@ F7 = PrimeField(7)
 # The window evaluated one coefficient at a time, as a cross-check of the
 # row reduction in classify_admissible_k, and the fixture text format.
 
-def product_coeff(g: FpPoly, k: int, j: int) -> Fp:
-    return Fp(product_coeff_int(g.coeffs, k, j, g.field.p), g.field)
+def product_coeff(g: FpPoly, k: int, j: int) -> int:
+    return product_coeff_int(g.coeffs, k, j, g.field.p)
 
 
 class RangeCondition:

@@ -55,7 +55,7 @@ def brute_force_solutions(field, n, depth):
                 if g is None or h is None:
                     good = False
                     break
-                if (g + h).value != 0:
+                if (g + h) % p != 0:
                     good = False
                     break
             if not good:
@@ -75,7 +75,7 @@ def brute_force_solutions(field, n, depth):
                         - gab * bracket_coeff(seq, a + b, c)
                         + gac * bracket_coeff(seq, a + c, b)
                     )
-                    if v.value != 0:
+                    if v % p != 0:
                         good = False
                         break
                 if not good:

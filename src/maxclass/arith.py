@@ -3,7 +3,7 @@
 Scalars are plain ints, residues in [0, p).  Univariate polynomials with
 coefficients mod p carry a reference to a shared PrimeField context, and
 mixing contexts is rejected eagerly.  Binomial coefficients are computed
-digit-wise in base p.
+digit-wise in base p.  Record is the base of the package's result classes.
 """
 
 from __future__ import annotations
@@ -129,6 +129,51 @@ def signed_binom_row(h: int, p: int) -> tuple[int, ...]:
     """Row ((-1)^i C(h, i) mod p for 0 <= i <= h), cached: the coefficients
     of (X - 1)^h from the top down."""
     return tuple(x_minus_one_coeff(h, h - i, p) for i in range(h + 1))
+
+
+def _to_json(value):
+    """value as JSON data: lists and tuples become lists, item by item, and
+    objects with a to_dict their dicts.  Dicts are taken as they are."""
+    if isinstance(value, (list, tuple)):
+        return [v if type(v) is int else _to_json(v) for v in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+class Record:
+    """Base of the result classes: named fields in __slots__, no __dict__.
+
+    Arguments bind to the subclass's __slots__ in order, by position or by
+    keyword.  Fields named in _defaults may be left out; a list default is
+    copied for each instance.  A missing, unknown or repeated field is a
+    TypeError.  to_dict maps every field, then each name in _derived, to
+    JSON data.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+    _derived: tuple = ()
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} has {len(fields)} fields, got {len(args)} arguments")
+        values = dict(zip(fields, args))
+        if twice := values.keys() & kwargs:
+            raise TypeError(f"{name} got field {min(twice)!r} twice")
+        values.update(kwargs)
+        for field in fields:
+            if field in values:
+                setattr(self, field, values.pop(field))
+            elif field in self._defaults:
+                default = self._defaults[field]
+                setattr(self, field, list(default) if isinstance(default, list) else default)
+            else:
+                raise TypeError(f"{name} is missing field {field!r}")
+        if values:
+            raise TypeError(f"{name} has no field {min(values)!r}")
+
+    def to_dict(self) -> dict:
+        return {f: _to_json(getattr(self, f)) for f in (*self.__slots__, *self._derived)}
 
 
 class PrimeField:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .arith import FpPoly, PrimeField, binom_column_mod_p, x_minus_one_coeff, x_minus_one_pow
+from .arith import (FpPoly, PrimeField, Record, binom_column_mod_p, x_minus_one_coeff,
+                    x_minus_one_pow)
 from .divided_powers import DividedPowers, make_generators
 from .sequences import (
     BetaSequence,
@@ -110,13 +111,8 @@ class ExceptionalParams:
                 "m": self.m, "mode": self.mode}
 
 
-class ConstructedAlgebra:
+class ConstructedAlgebra(Record):
     __slots__ = ("params", "sequence", "elements")
-
-    def __init__(self, params: ExceptionalParams, sequence: BetaSequence, elements: dict):
-        self.params = params
-        self.sequence = sequence
-        self.elements = elements
 
     @property
     def depth(self) -> int:
@@ -182,6 +178,17 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
                               elements=elements)
 
 
+def _algebra_for(params: ExceptionalParams, depth: Optional[int],
+                 algebra: Optional[ConstructedAlgebra]) -> ConstructedAlgebra:
+    """The given algebra, or construct(params, depth) when there is none.
+    A depth beside an algebra would be ignored, so it is refused."""
+    if algebra is None:
+        return construct(params, depth)
+    if depth is not None:
+        raise ValueError("pass a depth or an algebra, not both")
+    return algebra
+
+
 def expected_first_length(params: ExceptionalParams) -> int:
     """q + m for odd m, q + m + 1 for even m."""
     return params.q + params.m + (0 if params.m % 2 else 1)
@@ -203,6 +210,14 @@ def _require_two_constituent_room(params: ExceptionalParams) -> None:
         raise ValueError(
             f"closed forms require 2n <= q + m, got n={params.n}, "
             f"q={params.q}, m={params.m}")
+
+
+def _require_two_constituent_depth(params: ExceptionalParams, depth: int) -> None:
+    _require_two_constituent_room(params)
+    need = sum(expected_lengths(params, 2))
+    if depth < need:
+        raise ValueError(f"report needs depth at least {need} to hold two complete "
+                         f"constituents, got {depth}")
 
 
 def closed_form_betas(params: ExceptionalParams, depth: int) -> list[int]:
@@ -267,32 +282,15 @@ def first_length_coverage(field: PrimeField, c: int, n: int) -> dict:
             "ok": values == expected}
 
 
-class AbelianIdealReport:
+class AbelianIdealReport(Record):
     __slots__ = ("depth", "pairs_checked", "pairs_ok", "adjoint_series_ok",
                  "adjoint_window", "top_action_ok", "failure")
-
-    def __init__(self, depth: int, pairs_checked: int, pairs_ok: bool,
-                 adjoint_series_ok: bool, adjoint_window: tuple[int, int],
-                 top_action_ok: bool, failure: Optional[dict] = None):
-        self.depth = depth
-        self.pairs_checked = pairs_checked
-        self.pairs_ok = pairs_ok
-        self.adjoint_series_ok = adjoint_series_ok
-        self.adjoint_window = adjoint_window
-        self.top_action_ok = top_action_ok
-        self.failure = failure
+    _defaults = {"failure": None}
+    _derived = ("ok",)
 
     @property
     def ok(self) -> bool:
         return self.pairs_ok and self.adjoint_series_ok and self.top_action_ok
-
-    def to_dict(self) -> dict:
-        return {"depth": self.depth, "pairs_checked": self.pairs_checked,
-                "pairs_ok": self.pairs_ok,
-                "adjoint_series_ok": self.adjoint_series_ok,
-                "adjoint_window": list(self.adjoint_window),
-                "top_action_ok": self.top_action_ok,
-                "ok": self.ok, "failure": self.failure}
 
 
 def abelian_ideal_check(params: ExceptionalParams, depth: Optional[int] = None,
@@ -325,8 +323,7 @@ def abelian_ideal_check(params: ExceptionalParams, depth: Optional[int] = None,
     """
     if params.n != params.m + 1:
         raise ValueError("the abelian ideal lives in the n = m + 1 member")
-    if algebra is None:
-        algebra = construct(params, depth)
+    algebra = _algebra_for(params, depth, algebra)
     seq = algebra.sequence
     q, n, m, p = params.q, params.n, params.m, params.p
     D = seq.depth
@@ -374,8 +371,7 @@ def two_path_check(params: ExceptionalParams, depth: Optional[int] = None,
     """The same sequence arises by direct construction with (n, m) and by
     transforming the type-(m + 1) family member n - m - 1 times.  For
     n = m + 1 the member is its own parent and is not built again."""
-    if algebra is None:
-        algebra = construct(params, depth)
+    algebra = _algebra_for(params, depth, algebra)
     steps = params.n - params.m - 1
     parent = algebra if steps == 0 else construct(
         ExceptionalParams(params.field, params.c, params.m + 1, params.m),
@@ -383,31 +379,12 @@ def two_path_check(params: ExceptionalParams, depth: Optional[int] = None,
     return subalgebra_tower(parent.sequence, steps) == algebra.sequence
 
 
-class ExceptionalReport:
+class ExceptionalReport(Record):
+    # ideal_ok: present on the n = m + 1 member, else None
     __slots__ = ("params", "depth", "ell", "ell_expected", "lengths", "lengths_expected",
                  "ordinary_ok", "trailing_ok", "closed_form_ok", "genfunc_ok",
                  "two_path_ok", "jacobi_ok", "jacobi_depth", "ideal_ok", "violations")
-
-    def __init__(self, params: ExceptionalParams, depth: int, ell: Optional[int],
-                 ell_expected: int, lengths: list[int], lengths_expected: list[int],
-                 ordinary_ok: bool, trailing_ok: bool, closed_form_ok: bool,
-                 genfunc_ok: bool, two_path_ok: bool, jacobi_ok: bool, jacobi_depth: int,
-                 ideal_ok: Optional[bool], violations: list[str]):
-        self.params = params
-        self.depth = depth
-        self.ell = ell
-        self.ell_expected = ell_expected
-        self.lengths = lengths
-        self.lengths_expected = lengths_expected
-        self.ordinary_ok = ordinary_ok
-        self.trailing_ok = trailing_ok
-        self.closed_form_ok = closed_form_ok
-        self.genfunc_ok = genfunc_ok
-        self.two_path_ok = two_path_ok
-        self.jacobi_ok = jacobi_ok
-        self.jacobi_depth = jacobi_depth
-        self.ideal_ok = ideal_ok    # present on the n = m + 1 member, else None
-        self.violations = violations
+    _derived = ("ok",)
 
     @property
     def ok(self) -> bool:
@@ -419,17 +396,6 @@ class ExceptionalReport:
                 and self.ideal_ok is not False
                 and not self.violations)
 
-    def to_dict(self) -> dict:
-        return {"params": self.params.to_dict(), "depth": self.depth,
-                "ell": self.ell, "ell_expected": self.ell_expected,
-                "lengths": self.lengths, "lengths_expected": self.lengths_expected,
-                "ordinary_ok": self.ordinary_ok, "trailing_ok": self.trailing_ok,
-                "closed_form_ok": self.closed_form_ok, "genfunc_ok": self.genfunc_ok,
-                "two_path_ok": self.two_path_ok,
-                "jacobi_ok": self.jacobi_ok, "jacobi_depth": self.jacobi_depth,
-                "ideal_ok": self.ideal_ok, "violations": self.violations,
-                "ok": self.ok}
-
 
 def exceptional_report(params: ExceptionalParams, depth: Optional[int] = None,
                        algebra: Optional[ConstructedAlgebra] = None,
@@ -439,13 +405,15 @@ def exceptional_report(params: ExceptionalParams, depth: Optional[int] = None,
     the piecewise closed form and the rational series, the two
     construction paths against each other, and the bracket axioms through
     jacobi_verify (capped at 3q by default; pass jacobi_cap to change).
+    Refuses a depth too shallow to hold two complete constituents, which
+    could not be decided.
     """
     if jacobi_cap < 0:
         raise ValueError(f"jacobi depth must be nonnegative, got {jacobi_cap}")
-    if algebra is None:
-        algebra = construct(params, depth)
+    algebra = _algebra_for(params, depth, algebra)
     seq = algebra.sequence
     D = seq.depth
+    _require_two_constituent_depth(params, D)
     rep = constituents(seq)
     count = len(rep.constituents)
     ordinary_ok = all(c.ordinary for c in rep.constituents[1:]) and count > 1

@@ -11,9 +11,8 @@ against a short menu of values tied to powers of p.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional
 
-from .arith import FpPoly, PrimeField, x_minus_one_coeff, x_minus_one_pow
+from .arith import FpPoly, PrimeField, Record, x_minus_one_coeff, x_minus_one_pow
 
 # Bound on p^(n-1) * k_max per call.  Solving costs little, but at k = q every
 # one of the p^(n-1) monic g survives, so this caps the size of the report.
@@ -88,22 +87,12 @@ def in_small_k_menu(p: int, n: int, k: int) -> bool:
     return False
 
 
-class ClassifyReport:
+class ClassifyReport(Record):
+    # survivors: only the k with survivors
     __slots__ = ("field", "n", "k_max", "survivors", "menu_ok", "menu_violations",
                  "structure_ok", "structure_violations")
-
-    def __init__(self, field: PrimeField, n: int, k_max: int,
-                 survivors: dict[int, list[tuple[int, ...]]], menu_ok: bool = True,
-                 menu_violations: Optional[list[int]] = None, structure_ok: bool = True,
-                 structure_violations: Optional[list[tuple[int, tuple[int, ...], str]]] = None):
-        self.field = field
-        self.n = n
-        self.k_max = k_max
-        self.survivors = survivors  # only nonempty k
-        self.menu_ok = menu_ok
-        self.menu_violations = [] if menu_violations is None else menu_violations
-        self.structure_ok = structure_ok
-        self.structure_violations = [] if structure_violations is None else structure_violations
+    _defaults = {"menu_ok": True, "menu_violations": [], "structure_ok": True,
+                 "structure_violations": []}
 
     @property
     def ok(self) -> bool:

@@ -32,9 +32,9 @@ rejects it.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .arith import PrimeField
+from .arith import PrimeField, Record
 from .sequences import BetaSequence, level_failure, pascal_row
 
 # Largest depth that search_sequences accepts.  Two lists of `depth` entries
@@ -44,26 +44,11 @@ from .sequences import BetaSequence, level_failure, pascal_row
 SEARCH_MAX_DEPTH = 100_000
 
 
-class SearchReport:
+class SearchReport(Record):
     __slots__ = ("p", "n", "depth", "seed_depth", "normalized", "budget", "nodes",
                  "solution_count", "solutions", "truncated_solutions", "exhausted", "deepest")
-
-    def __init__(self, p: int, n: int, depth: int, seed_depth: int, normalized: bool,
-                 budget: int, nodes: int = 0, solution_count: int = 0,
-                 solutions: Optional[list[tuple[int, ...]]] = None,
-                 truncated_solutions: bool = False, exhausted: bool = False, deepest: int = 0):
-        self.p = p
-        self.n = n
-        self.depth = depth
-        self.seed_depth = seed_depth
-        self.normalized = normalized
-        self.budget = budget
-        self.nodes = nodes
-        self.solution_count = solution_count
-        self.solutions = [] if solutions is None else solutions
-        self.truncated_solutions = truncated_solutions
-        self.exhausted = exhausted
-        self.deepest = deepest
+    _defaults = {"nodes": 0, "solution_count": 0, "solutions": [],
+                 "truncated_solutions": False, "exhausted": False, "deepest": 0}
 
     @property
     def complete(self) -> bool:
@@ -75,17 +60,6 @@ class SearchReport:
             raise ValueError(
                 f"report was computed over F_{self.p}, not F_{field.p}")
         return [BetaSequence(field, self.n, sol) for sol in self.solutions]
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "n": self.n, "depth": self.depth,
-            "seed_depth": self.seed_depth, "normalized": self.normalized,
-            "budget": self.budget, "nodes": self.nodes,
-            "solution_count": self.solution_count,
-            "solutions": [list(s) for s in self.solutions],
-            "truncated_solutions": self.truncated_solutions,
-            "exhausted": self.exhausted, "deepest": self.deepest,
-        }
 
 
 def level_solutions(prev: list[int], low: list[int], col: list[int], n: int,

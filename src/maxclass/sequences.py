@@ -19,7 +19,8 @@ import json
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
-from .arith import FpPoly, PrimeField, product_coeff_int, signed_binom_row, x_minus_one_coeff
+from .arith import (FpPoly, PrimeField, Record, product_coeff_int, signed_binom_row,
+                    x_minus_one_coeff)
 
 
 class DepthError(Exception):
@@ -242,28 +243,14 @@ def _sweep_count(n: int, top: int, a: int) -> int:
     return max(0, (a - n) * (top + 2 - a - n))
 
 
-class JacobiReport:
+class JacobiReport(Record):
     __slots__ = ("depth", "pairs_checked", "triples_checked", "failure")
-
-    def __init__(self, depth: int, pairs_checked: int = 0, triples_checked: int = 0,
-                 failure: Optional[dict] = None):
-        self.depth = depth
-        self.pairs_checked = pairs_checked
-        self.triples_checked = triples_checked
-        self.failure = failure
+    _defaults = {"pairs_checked": 0, "triples_checked": 0, "failure": None}
+    _derived = ("ok",)
 
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "pairs_checked": self.pairs_checked,
-            "triples_checked": self.triples_checked,
-            "ok": self.ok,
-            "failure": self.failure,
-        }
 
 
 def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiReport:
@@ -321,52 +308,24 @@ def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiRepor
     return report
 
 
-class Constituent:
+class Constituent(Record):
+    # start: index of the first entry; length: covered indices (the first
+    # constituent counts from n + 1 and adds n); leading: index of the
+    # leading term, n-th from the end; trailing: last nonzero index;
+    # ordinary: binomial form relative to the last entry
     __slots__ = ("start", "length", "leading", "trailing", "entries", "ordinary")
 
-    def __init__(self, start: int, length: int, leading: int, trailing: int,
-                 entries: list[int], ordinary: bool):
-        self.start = start          # index of the first entry
-        self.length = length        # number of covered indices (first constituent counts from n+1 and adds n)
-        self.leading = leading      # index of the leading term, n-th position from the end
-        self.trailing = trailing    # index of the last nonzero entry
-        self.entries = entries
-        self.ordinary = ordinary    # binomial form relative to the last entry
 
-    def to_dict(self) -> dict:
-        return {"start": self.start, "length": self.length, "leading": self.leading,
-                "trailing": self.trailing, "entries": self.entries, "ordinary": self.ordinary}
-
-
-class ConstituentReport:
+class ConstituentReport(Record):
+    # ell: first constituent length, None if no nonzero entry was seen;
+    # incomplete_tail: {"start": .., "leading": .. or None}
     __slots__ = ("p", "n", "depth", "ell", "constituents", "incomplete_tail",
                  "metabelian_within_depth", "violations")
-
-    def __init__(self, p: int, n: int, depth: int, ell: Optional[int],
-                 constituents: Optional[list[Constituent]] = None,
-                 incomplete_tail: Optional[dict] = None,
-                 metabelian_within_depth: bool = False,
-                 violations: Optional[list[str]] = None):
-        self.p = p
-        self.n = n
-        self.depth = depth
-        self.ell = ell                          # first constituent length; None if no nonzero seen
-        self.constituents = [] if constituents is None else constituents
-        self.incomplete_tail = incomplete_tail  # {"start": .., "leading": .. or None}
-        self.metabelian_within_depth = metabelian_within_depth
-        self.violations = [] if violations is None else violations
+    _defaults = {"constituents": [], "incomplete_tail": None,
+                 "metabelian_within_depth": False, "violations": []}
 
     def lengths(self) -> list[int]:
         return [c.length for c in self.constituents]
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "n": self.n, "depth": self.depth, "ell": self.ell,
-            "constituents": [c.to_dict() for c in self.constituents],
-            "incomplete_tail": self.incomplete_tail,
-            "metabelian_within_depth": self.metabelian_within_depth,
-            "violations": self.violations,
-        }
 
 
 def _is_ordinary(entries: list[int], n: int, p: int) -> bool:
@@ -574,30 +533,18 @@ class RationalSeries:
         return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
 
 
-class LcsReport:
+class LcsReport(Record):
     """Constituent lengths recovered from the lower central series of the
     derived subalgebra: the r-th length is dim of the r-th quotient, the
-    first with n added."""
+    first with n added.  incomplete_count holds the entries of the last,
+    depth-cut quotient."""
 
     __slots__ = ("depth", "lengths", "incomplete_count", "no_second_power", "contiguous")
-
-    def __init__(self, depth: int, lengths: list[int], incomplete_count: Optional[int],
-                 no_second_power: bool, contiguous: bool):
-        self.depth = depth
-        self.lengths = lengths
-        self.incomplete_count = incomplete_count  # entries of the last, depth-cut quotient
-        self.no_second_power = no_second_power
-        self.contiguous = contiguous
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LcsReport):
             return NotImplemented
         return self.to_dict() == other.to_dict()
-
-    def to_dict(self) -> dict:
-        return {"depth": self.depth, "lengths": self.lengths,
-                "incomplete_count": self.incomplete_count,
-                "no_second_power": self.no_second_power, "contiguous": self.contiguous}
 
 
 def constituents_via_lcs(seq: BetaSequence, depth: Optional[int] = None) -> LcsReport:
@@ -646,22 +593,9 @@ def first_constituent_poly(seq: BetaSequence) -> FpPoly:
     return FpPoly(seq.field, [seq._beta_int(ell - k) for k in range(n)])
 
 
-class BridgeReport:
+class BridgeReport(Record):
+    # k: exponent ell - n + 1; window: j range, half-open (lo, hi]
     __slots__ = ("ell", "ell2", "k", "window", "ok", "failures")
-
-    def __init__(self, ell: int, ell2: int, k: int, window: tuple[int, int], ok: bool,
-                 failures: list[tuple[int, int]]):
-        self.ell = ell
-        self.ell2 = ell2
-        self.k = k                  # exponent ell - n + 1
-        self.window = window        # j range, half-open (lo, hi]
-        self.ok = ok
-        self.failures = failures
-
-    def to_dict(self) -> dict:
-        return {"ell": self.ell, "ell2": self.ell2, "k": self.k,
-                "window": list(self.window), "ok": self.ok,
-                "failures": [list(f) for f in self.failures]}
 
 
 def bridge_check(seq: BetaSequence) -> Optional[BridgeReport]:

@@ -46,6 +46,17 @@ class TestConstruct:
         assert payload["report"]["ideal_ok"] is True
         assert payload["report"]["jacobi_depth"] == 20
 
+    def test_report_too_shallow_to_decide_is_refused(self, capsys):
+        # two complete constituents of (3, 1, 2, 1) end at index 4 + 3 = 7
+        argv = ["construct", "--p", "3", "--c", "1", "--n", "2", "--m", "1", "--report"]
+        code, out, err = run(capsys, *argv, "--depth", "6")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "at least 7" in err
+        code, out, _ = run(capsys, *argv, "--depth", "7")
+        assert code == EXIT_OK
+        assert json.loads(out)["report"]["ok"] is True
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "construct", "--p", "5", "--c", "2",
                            "--n", "2", "--m", "1", "--format", "text")

@@ -271,6 +271,14 @@ class TestAbelianIdeal:
         assert not report.ok
         assert report.failure is not None
 
+    @pytest.mark.parametrize("check", [abelian_ideal_check, two_path_check,
+                                       exceptional_report])
+    def test_depth_and_algebra_together_refused(self, check):
+        # the algebra fixes the depth, so a depth beside it would be ignored
+        params = ExceptionalParams(F3, 2, 2, 1)
+        with pytest.raises(ValueError, match="not both"):
+            check(params, depth=10, algebra=construct(params))
+
     def test_report_serializes(self):
         report = abelian_ideal_check(ExceptionalParams(F3, 1, 2, 1))
         json.dumps(report.to_dict())

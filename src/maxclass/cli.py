@@ -57,8 +57,7 @@ def _csv_ints(text: str) -> list[int]:
 def _cmd_construct(args) -> tuple[dict, bool]:
     params = _cli.ExceptionalParams(PrimeField(args.p), args.c, args.n,
                                     args.m)
-    algebra = _cli.construct(params, depth=args.depth)
-    seq = algebra.sequence
+    seq = _cli.construct(params, depth=args.depth).sequence
     payload = {
         "params": params.to_dict(),
         "depth": seq.depth,
@@ -66,8 +65,7 @@ def _cmd_construct(args) -> tuple[dict, bool]:
         "constituents": _cli.constituents(seq).to_dict(),
     }
     if args.report:
-        report = _cli.exceptional_report(params, algebra=algebra,
-                                         jacobi_cap=args.jacobi_depth or 0)
+        report = _cli.exceptional_report(params, seq, jacobi_cap=args.jacobi_depth or 0)
         payload["report"] = report.to_dict()
         return payload, report.ok
     return payload, True

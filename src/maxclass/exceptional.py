@@ -178,15 +178,10 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
                               elements=elements)
 
 
-def _algebra_for(params: ExceptionalParams, depth: Optional[int],
-                 algebra: Optional[ConstructedAlgebra]) -> ConstructedAlgebra:
-    """The given algebra, or construct(params, depth) when there is none.
-    A depth beside an algebra would be ignored, so it is refused."""
-    if algebra is None:
-        return construct(params, depth)
-    if depth is not None:
-        raise ValueError("pass a depth or an algebra, not both")
-    return algebra
+def _require_member(params: ExceptionalParams, seq: BetaSequence) -> None:
+    if seq.field != params.field or seq.n != params.n:
+        raise ValueError(f"sequence of p={seq.field.p}, n={seq.n} is not one of member "
+                         f"p={params.p}, n={params.n}")
 
 
 def expected_first_length(params: ExceptionalParams) -> int:
@@ -293,10 +288,9 @@ class AbelianIdealReport(Record):
         return self.pairs_ok and self.adjoint_series_ok and self.top_action_ok
 
 
-def abelian_ideal_check(params: ExceptionalParams, depth: Optional[int] = None,
-                        algebra: Optional[ConstructedAlgebra] = None) -> AbelianIdealReport:
-    """For the n = m + 1 member: the span of e_i for i > q is an abelian
-    ideal (an ideal automatically, by grading).
+def abelian_ideal_check(params: ExceptionalParams, seq: BetaSequence) -> AbelianIdealReport:
+    """For the n = m + 1 member with sequence seq: the span of e_i for i > q
+    is an abelian ideal (an ideal automatically, by grading).
 
     Three independent confirmations:
       1. every bracket coefficient gamma(i, j) with i, j > q vanishes;
@@ -320,11 +314,11 @@ def abelian_ideal_check(params: ExceptionalParams, depth: Optional[int] = None,
         q < i <= D + n - q - 1, so gamma(i, q) = gamma(i + 1, q), and every
         [e_i, e_q] with q < i <= D - q has the coefficient gamma(q + 1, q).
     Failures are reported in the order pairs, adjoint series, top action.
+    Refuses a sequence over another field or of another type.
     """
     if params.n != params.m + 1:
         raise ValueError("the abelian ideal lives in the n = m + 1 member")
-    algebra = _algebra_for(params, depth, algebra)
-    seq = algebra.sequence
+    _require_member(params, seq)
     q, n, m, p = params.q, params.n, params.m, params.p
     D = seq.depth
     report = AbelianIdealReport(depth=D, pairs_checked=0, pairs_ok=True,
@@ -366,17 +360,18 @@ def subalgebra_tower(sequence: BetaSequence, steps: int) -> BetaSequence:
     return out
 
 
-def two_path_check(params: ExceptionalParams, depth: Optional[int] = None,
-                   algebra: Optional[ConstructedAlgebra] = None) -> bool:
-    """The same sequence arises by direct construction with (n, m) and by
+def two_path_check(params: ExceptionalParams, seq: BetaSequence) -> bool:
+    """The member's sequence seq, built directly with (n, m), also arises by
     transforming the type-(m + 1) family member n - m - 1 times.  For
-    n = m + 1 the member is its own parent and is not built again."""
-    algebra = _algebra_for(params, depth, algebra)
+    n = m + 1 the member is its own parent and nothing is built.  Refuses a
+    sequence over another field or of another type."""
+    _require_member(params, seq)
     steps = params.n - params.m - 1
-    parent = algebra if steps == 0 else construct(
-        ExceptionalParams(params.field, params.c, params.m + 1, params.m),
-        algebra.depth + steps)
-    return subalgebra_tower(parent.sequence, steps) == algebra.sequence
+    if steps == 0:
+        return True
+    parent = construct(ExceptionalParams(params.field, params.c, params.m + 1, params.m),
+                       seq.depth + steps)
+    return subalgebra_tower(parent.sequence, steps) == seq
 
 
 class ExceptionalReport(Record):
@@ -397,21 +392,20 @@ class ExceptionalReport(Record):
                 and not self.violations)
 
 
-def exceptional_report(params: ExceptionalParams, depth: Optional[int] = None,
-                       algebra: Optional[ConstructedAlgebra] = None,
+def exceptional_report(params: ExceptionalParams, seq: BetaSequence,
                        jacobi_cap: int = 0) -> ExceptionalReport:
-    """Full validation of one family member, all at tolerance zero:
-    constituent statistics against their predicted values, entries against
-    the piecewise closed form and the rational series, the two
-    construction paths against each other, and the bracket axioms through
-    jacobi_verify (capped at 3q by default; pass jacobi_cap to change).
-    Refuses a depth too shallow to hold two complete constituents, which
-    could not be decided.
+    """Full validation of one family member's sequence seq, all at
+    tolerance zero: constituent statistics against their predicted values,
+    entries against the piecewise closed form and the rational series, the
+    two construction paths against each other, and the bracket axioms
+    through jacobi_verify (capped at 3q by default; pass jacobi_cap to
+    change).  Refuses a sequence over another field or of another type, and
+    a depth too shallow to hold two complete constituents, which could not
+    be decided.
     """
     if jacobi_cap < 0:
         raise ValueError(f"jacobi depth must be nonnegative, got {jacobi_cap}")
-    algebra = _algebra_for(params, depth, algebra)
-    seq = algebra.sequence
+    _require_member(params, seq)
     D = seq.depth
     _require_two_constituent_depth(params, D)
     rep = constituents(seq)
@@ -422,10 +416,10 @@ def exceptional_report(params: ExceptionalParams, depth: Optional[int] = None,
     genfunc_ok = list(seq.betas) == genfunc_closed_form(params).expand(D)[params.n + 1:]
     jacobi_depth = min(D, jacobi_cap) if jacobi_cap else min(D, 3 * params.q)
     jacobi_ok = jacobi_verify(seq, depth=jacobi_depth).ok
-    two_path_ok = two_path_check(params, algebra=algebra)
+    two_path_ok = two_path_check(params, seq)
     ideal_ok = None
     if params.n == params.m + 1:
-        ideal_ok = abelian_ideal_check(params, algebra=algebra).ok
+        ideal_ok = abelian_ideal_check(params, seq).ok
     return ExceptionalReport(
         params=params, depth=D, ell=rep.ell,
         ell_expected=expected_first_length(params),

@@ -77,8 +77,10 @@ def in_large_k_menu(p: int, n: int, k: int) -> bool:
 
 
 def in_small_k_menu(p: int, n: int, k: int) -> bool:
-    """Menu for k < 4p: the short interval list plus the power-of-p values
-    taken over every power q > 1 (small powers matter here, e.g. q = p itself)."""
+    """The menu classify tests every exponent against: the short interval
+    list plus the power-of-p values taken over every power q > 1 (small
+    powers matter, e.g. q = p itself).  For 1 < n < p the intervals and the
+    q = p values lie below 4p, so from k = 4p on this is in_large_k_menu."""
     if n + 1 < k < p or 2 * p - n < k < 2 * p or 3 * p - n < k < 3 * p or k == 4 * p - n + 1:
         return True
     for q in powers_of(p, 2 * k + n):
@@ -89,10 +91,17 @@ def in_small_k_menu(p: int, n: int, k: int) -> bool:
 
 class ClassifyReport(Record):
     # survivors: only the k with survivors
-    __slots__ = ("field", "n", "k_max", "survivors", "menu_ok", "menu_violations",
-                 "structure_ok", "structure_violations")
-    _defaults = {"menu_ok": True, "menu_violations": [], "structure_ok": True,
-                 "structure_violations": []}
+    __slots__ = ("field", "n", "k_max", "survivors", "menu_violations",
+                 "structure_violations")
+    _defaults = {"menu_violations": [], "structure_violations": []}
+
+    @property
+    def menu_ok(self) -> bool:
+        return not self.menu_violations
+
+    @property
+    def structure_ok(self) -> bool:
+        return not self.structure_violations
 
     @property
     def ok(self) -> bool:
@@ -117,9 +126,9 @@ class ClassifyReport(Record):
 def _check_structure(report: ClassifyReport) -> None:
     """Per-survivor shape assertions at the power-of-p exponents:
 
-    - k = 2q - n + 1 (q > p)        -> g = (X - 1)^(n-1), and it is the only survivor
-    - k = q - p + k0, p - n < k0 < p -> (X - 1)^(p - k0) divides g
-    - k = q + k0, 0 < k0 < n        -> X^k0 divides g
+    - k = 2q - n + 1 (q > p) -> g = (X - 1)^(n-1), and it is the only survivor
+    - q - n < k < q          -> (X - 1)^(q - k) divides g
+    - k = q + k0, 0 < k0 < n -> X^k0 divides g
     """
     fld, n, p = report.field, report.n, report.field.p
     for k, gs in sorted(report.survivors.items()):
@@ -128,23 +137,18 @@ def _check_structure(report: ClassifyReport) -> None:
             if k == 2 * q - n + 1:
                 want = x_minus_one_pow(fld, n - 1)
                 if len(gs) != 1 or FpPoly(fld, gs[0]) != want:
-                    report.structure_ok = False
                     report.structure_violations.append(
                         (k, gs[0] if gs else (), f"expected unique survivor (X-1)^{n - 1}"))
             if q - n < k < q:
-                k0 = k - q + p
-                if p - n < k0 < p:
-                    divisor = x_minus_one_pow(fld, p - k0)
-                    for g in gs:
-                        if not divisor.divides(FpPoly(fld, g)):
-                            report.structure_ok = False
-                            report.structure_violations.append(
-                                (k, g, f"(X-1)^{p - k0} does not divide g"))
+                divisor = x_minus_one_pow(fld, q - k)
+                for g in gs:
+                    if not divisor.divides(FpPoly(fld, g)):
+                        report.structure_violations.append(
+                            (k, g, f"(X-1)^{q - k} does not divide g"))
             if q < k < q + n:
                 k0 = k - q
                 for g in gs:
                     if any(g[i] for i in range(k0)):
-                        report.structure_ok = False
                         report.structure_violations.append((k, g, f"X^{k0} does not divide g"))
 
 
@@ -170,16 +174,8 @@ def classify_admissible_k(field: PrimeField, n: int, k_max: int) -> ClassifyRepo
         gs = window_solutions(p, k, n, (k + n + 1) // 2, k)
         if gs:
             survivors[k] = gs
-    report = ClassifyReport(field, n, k_max, survivors)
-    for k in sorted(survivors):
-        if k >= 4 * p:
-            if not in_large_k_menu(p, n, k):
-                report.menu_ok = False
-                report.menu_violations.append(k)
-        else:
-            if not in_small_k_menu(p, n, k):
-                report.menu_ok = False
-                report.menu_violations.append(k)
+    report = ClassifyReport(field, n, k_max, survivors,
+                            [k for k in sorted(survivors) if not in_small_k_menu(p, n, k)])
     _check_structure(report)
     return report
 

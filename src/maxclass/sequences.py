@@ -243,6 +243,16 @@ def _sweep_count(n: int, top: int, a: int) -> int:
     return max(0, (a - n) * (top + 2 - a - n))
 
 
+def _horizon(seq: BetaSequence, depth: Optional[int], what: str) -> int:
+    """The depth a check of seq runs to: seq.depth, or a given one in [0, seq.depth]."""
+    D = seq.depth if depth is None else depth
+    if D < 0:
+        raise ValueError(f"{what} depth must be nonnegative, got {D}")
+    if D > seq.depth:
+        raise DepthError(f"{what} to depth {D} needs depth {D}, have {seq.depth}")
+    return D
+
+
 class JacobiReport(Record):
     __slots__ = ("depth", "pairs_checked", "triples_checked", "failure")
     _defaults = {"pairs_checked": 0, "triples_checked": 0, "failure": None}
@@ -278,9 +288,7 @@ def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiRepor
     smallest Jacobi witness (b, c) over all levels is kept, and the counts
     are the witness's positions in the sweep order.
     """
-    D = seq.depth if depth is None else depth
-    if D > seq.depth:
-        raise DepthError(f"verify to depth {D} needs depth {D}, have {seq.depth}")
+    D = _horizon(seq, depth, "verify")
     n, p = seq.n, seq.field.p
     report = JacobiReport(depth=D)
     if D < 2 * n:
@@ -556,9 +564,7 @@ def constituents_via_lcs(seq: BetaSequence, depth: Optional[int] = None) -> LcsR
     refused.  A prefix with no nonzero bracket among degrees > n reports
     no_second_power instead of lengths.
     """
-    D = seq.depth if depth is None else depth
-    if D > seq.depth:
-        raise DepthError(f"lcs to depth {D} needs depth {D}, have {seq.depth}")
+    D = _horizon(seq, depth, "lcs")
     n = seq.n
     if D > n + 1 and seq._beta_int(n + 1) != 0:
         raise ValueError(

@@ -55,7 +55,7 @@ def family(algebra_cache):
     for p, c in FAMILY_PRIMES:
         for params in theorem_parameter_grid(PrimeField(p), c):
             algebra = algebra_cache(p, c, params.n, params.m)
-            report = exceptional_report(params, algebra=algebra)
+            report = exceptional_report(params, algebra.sequence)
             out.append((params, algebra, report))
     return out
 

@@ -14,7 +14,6 @@ from maxclass.divided_powers import (
 from maxclass.exceptional import (
     CONSTRUCT_MAX_DEGREE,
     AbelianIdealReport,
-    ConstructedAlgebra,
     ConstructionError,
     ExceptionalParams,
     abelian_ideal_check,
@@ -215,7 +214,7 @@ class TestConstruct:
         # to the same top degree, so a report at the largest depth runs
         monkeypatch.setattr(exceptional, "CONSTRUCT_MAX_DEGREE", 100)
         params = ExceptionalParams(F3, 2, 4, 1)
-        assert two_path_check(params, depth=96)
+        assert two_path_check(params, construct(params, 96).sequence)
         with pytest.raises(ValueError, match="CONSTRUCT_MAX_DEGREE"):
             construct(params, 97)
 
@@ -246,8 +245,9 @@ class TestCoverage:
 
 class TestAbelianIdeal:
     def test_requires_parent_shape(self):
+        params = ExceptionalParams(F5, 2, 4, 1)
         with pytest.raises(ValueError, match="n = m \\+ 1"):
-            abelian_ideal_check(ExceptionalParams(F5, 2, 4, 1))
+            abelian_ideal_check(params, construct(params).sequence)
 
     @pytest.mark.parametrize("params", [
         ExceptionalParams(F3, 1, 2, 1),
@@ -256,7 +256,7 @@ class TestAbelianIdeal:
         ExceptionalParams(F5, 2, 3, 2),
     ])
     def test_holds_on_family(self, params):
-        report = abelian_ideal_check(params)
+        report = abelian_ideal_check(params, construct(params).sequence)
         assert report.ok
         assert report.pairs_checked > 0
         assert report.failure is None
@@ -266,21 +266,24 @@ class TestAbelianIdeal:
         algebra = construct(params)
         betas = list(algebra.sequence.betas)
         betas[9 - 3] = 2   # beta_9 = 0 sits between constituents; 2 breaks it
-        fake = ConstructedAlgebra(params, BetaSequence(F5, 2, betas), {})
-        report = abelian_ideal_check(params, algebra=fake)
+        report = abelian_ideal_check(params, BetaSequence(F5, 2, betas))
         assert not report.ok
         assert report.failure is not None
 
     @pytest.mark.parametrize("check", [abelian_ideal_check, two_path_check,
                                        exceptional_report])
-    def test_depth_and_algebra_together_refused(self, check):
-        # the algebra fixes the depth, so a depth beside it would be ignored
+    @pytest.mark.parametrize("other", [ExceptionalParams(F5, 1, 2, 1),
+                                       ExceptionalParams(F3, 2, 3, 2)])
+    def test_sequence_of_another_member_refused(self, check, other):
+        # an F_5 sequence, or one of type 3, is no sequence of the F_3
+        # type-2 member, so its closed forms say nothing about it
         params = ExceptionalParams(F3, 2, 2, 1)
-        with pytest.raises(ValueError, match="not both"):
-            check(params, depth=10, algebra=construct(params))
+        with pytest.raises(ValueError, match="is not one of member p=3, n=2"):
+            check(params, construct(other).sequence)
 
     def test_report_serializes(self):
-        report = abelian_ideal_check(ExceptionalParams(F3, 1, 2, 1))
+        params = ExceptionalParams(F3, 1, 2, 1)
+        report = abelian_ideal_check(params, construct(params).sequence)
         json.dumps(report.to_dict())
 
     def test_memory_is_a_level_not_a_table(self):
@@ -288,11 +291,10 @@ class TestAbelianIdeal:
         # coefficients; the check keeps one level at a time
         params = ExceptionalParams(F3, 6, 2, 1)
         D = params.default_depth
-        algebra = ConstructedAlgebra(
-            params, BetaSequence(F3, 2, closed_form_betas(params, D)), {})
+        seq = BetaSequence(F3, 2, closed_form_betas(params, D))
         tracemalloc.start()
         try:
-            report = abelian_ideal_check(params, algebra=algebra)
+            report = abelian_ideal_check(params, seq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -315,26 +317,25 @@ class TestTwoPaths:
         ExceptionalParams(F7, 1, 4, 2),
     ])
     def test_construction_and_tower_agree(self, params):
-        assert two_path_check(params, depth=2 * params.q + 2 * params.n)
+        assert two_path_check(params, construct(params, 2 * params.q + 2 * params.n).sequence)
 
     def test_tampered_sequence_caught(self):
         params = ExceptionalParams(F5, 2, 4, 1)
         algebra = construct(params, 60)
         betas = list(algebra.sequence.betas)
         betas[-1] = (betas[-1] + 1) % 5
-        fake = ConstructedAlgebra(params, BetaSequence(F5, 4, betas), {})
-        assert not two_path_check(params, algebra=fake)
+        assert not two_path_check(params, BetaSequence(F5, 4, betas))
 
     def test_substituted_parent_member_caught_by_closed_forms(self):
-        # n = m + 1 is its own parent: the two-path check reuses the given
-        # algebra and has nothing to compare, so the closed forms catch it
+        # n = m + 1 is its own parent: the two-path check builds nothing
+        # and has nothing to compare, so the closed forms catch it
         params = ExceptionalParams(F5, 2, 2, 1)
         algebra = construct(params, 60)
         betas = list(algebra.sequence.betas)
         betas[-1] = (betas[-1] + 1) % 5
-        fake = ConstructedAlgebra(params, BetaSequence(F5, 2, betas), {})
-        assert two_path_check(params, algebra=fake)
-        report = exceptional_report(params, algebra=fake)
+        fake = BetaSequence(F5, 2, betas)
+        assert two_path_check(params, fake)
+        report = exceptional_report(params, fake)
         assert not report.closed_form_ok
         assert not report.genfunc_ok
         assert not report.ok
@@ -350,12 +351,12 @@ class TestReport:
         ExceptionalParams(F5, 2, 3, 2),
     ])
     def test_family_members_pass(self, params):
-        report = exceptional_report(params)
+        report = exceptional_report(params, construct(params).sequence)
         assert report.ok, report.to_dict()
 
     def test_report_contents(self):
         params = ExceptionalParams(F3, 2, 3, 2)
-        report = exceptional_report(params)
+        report = exceptional_report(params, construct(params).sequence)
         assert report.ell == 12
         assert report.lengths[:3] == [12, 8, 9]
         assert report.ideal_ok is True      # n = m + 1: the ideal check runs
@@ -364,7 +365,8 @@ class TestReport:
         assert '"ok": true' in data
 
     def test_ideal_check_skipped_off_parent(self):
-        report = exceptional_report(ExceptionalParams(F3, 2, 3, 1))
+        params = ExceptionalParams(F3, 2, 3, 1)
+        report = exceptional_report(params, construct(params).sequence)
         assert report.ideal_ok is None
         assert report.ok
 
@@ -373,15 +375,14 @@ class TestReport:
         algebra = construct(params)
         betas = list(algebra.sequence.betas)
         betas[10 - 3] = (betas[10 - 3] + 3) % 5
-        fake = ConstructedAlgebra(params, BetaSequence(F5, 2, betas), {})
-        report = exceptional_report(params, algebra=fake)
+        report = exceptional_report(params, BetaSequence(F5, 2, betas))
         assert not report.ok
         assert not report.closed_form_ok
         assert not report.jacobi_ok
 
     def test_jacobi_cap_respected(self):
         params = ExceptionalParams(F3, 1, 2, 1)
-        report = exceptional_report(params, jacobi_cap=7)
+        report = exceptional_report(params, construct(params).sequence, jacobi_cap=7)
         assert report.jacobi_depth == 7
 
 

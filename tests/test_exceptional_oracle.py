@@ -194,9 +194,8 @@ def _cases(algebra_cache):
 
 
 def _both(params, seq):
-    algebra = ConstructedAlgebra(params, seq, {})
-    return (abelian_ideal_check(params, algebra=algebra).to_dict(),
-            reference_abelian_ideal_check(params, algebra).to_dict())
+    return (abelian_ideal_check(params, seq).to_dict(),
+            reference_abelian_ideal_check(params, ConstructedAlgebra(params, seq, {})).to_dict())
 
 
 def top_action_only_prefix(params, seq):

@@ -148,6 +148,13 @@ class TestClassify:
         assert in_small_k_menu(3, 2, 9)  # k = q for the small power q = 9
         assert not in_small_k_menu(5, 3, 11)
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_menus_agree_from_4p(self, p):
+        # classify tests every survivor against the small-k menu alone
+        for n in range(2, p):
+            for k in range(4 * p, 4 * p ** 3 + 1):
+                assert in_small_k_menu(p, n, k) == in_large_k_menu(p, n, k), (n, k)
+
     def test_regression_fixture_p5(self):
         rep = classify_admissible_k(F5, 3, 130)
         assert rep.ok

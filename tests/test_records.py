@@ -12,9 +12,9 @@ import pytest
 
 from maxclass.arith import PrimeField
 from maxclass.exceptional import (
-    ConstructedAlgebra,
     ExceptionalParams,
     abelian_ideal_check,
+    construct,
     exceptional_report,
 )
 from maxclass.polycheck import classify_admissible_k
@@ -73,14 +73,14 @@ CASES = {
         {"ell": 6, "ell2": 6, "k": 5, "window": [0, 4], "ok": False,
          "failures": [[1, 3]]}),
     "abelian_ideal_failing": (
-        lambda: abelian_ideal_check(P5, algebra=ConstructedAlgebra(
-            P5, BetaSequence(F5, 2, with_entry(FAMILY, 6, 2)), {})),
+        lambda: abelian_ideal_check(P5, BetaSequence(F5, 2, with_entry(FAMILY, 6, 2))),
         {"depth": 13, "pairs_checked": 1, "pairs_ok": False,
          "adjoint_series_ok": True, "adjoint_window": [2, 9],
          "top_action_ok": True, "ok": False,
          "failure": {"kind": "pair", "indices": [6, 6], "value": 2}}),
     "exceptional": (
-        lambda: exceptional_report(ExceptionalParams(F3, 1, 2, 1), depth=7),
+        lambda: exceptional_report(ExceptionalParams(F3, 1, 2, 1),
+                                   construct(ExceptionalParams(F3, 1, 2, 1), 7).sequence),
         {"params": {"p": 3, "c": 1, "q": 3, "n": 2, "m": 1, "mode": "construction"},
          "depth": 7, "ell": 4, "ell_expected": 4, "lengths": [4, 3],
          "lengths_expected": [4, 3], "ordinary_ok": True, "trailing_ok": True,

@@ -167,6 +167,15 @@ class TestJacobiVerify:
         with pytest.raises(DepthError):
             jacobi_verify(periodic_fixture(), depth=99)
 
+    @pytest.mark.parametrize("check", [jacobi_verify, constituents_via_lcs])
+    def test_negative_depth_refused(self, check):
+        # the prefix fails antisymmetry at [2, 4]; no depth below 0 may
+        # pass it, or any prefix, vacuously
+        seq = BetaSequence(F3, 2, [1, 2, 1, 1, 2, 2, 0, 1])
+        assert jacobi_verify(seq).failure["indices"] == [2, 4]
+        with pytest.raises(ValueError, match="^(verify|lcs) depth must be nonnegative, got -4$"):
+            check(seq, depth=-4)
+
     def test_deterministic(self):
         a = jacobi_verify(periodic_fixture()).to_dict()
         b = jacobi_verify(periodic_fixture()).to_dict()

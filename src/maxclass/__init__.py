@@ -23,15 +23,14 @@ _EXPORTS = {
                     "closed_form_betas", "construct", "exceptional_report",
                     "expected_first_length", "expected_lengths",
                     "first_length_coverage", "genfunc_closed_form",
-                    "subalgebra_tower", "theorem_parameter_grid",
-                    "two_path_check"),
+                    "theorem_parameter_grid", "two_path_check"),
     "polycheck": ("ClassifyReport", "classify_admissible_k",
                   "in_large_k_menu", "in_small_k_menu", "lemma_pairs_check"),
     "search": ("SearchReport", "search_sequences"),
-    "sequences": ("AlphaSequence", "BetaSequence", "BridgeReport",
-                  "Constituent", "ConstituentReport", "JacobiReport",
-                  "LcsReport", "RationalSeries", "bracket_coeff",
-                  "bridge_check", "constituents", "constituents_via_lcs",
+    "sequences": ("BetaSequence", "BridgeReport", "Constituent",
+                  "ConstituentReport", "JacobiReport", "LcsReport",
+                  "RationalSeries", "bracket_coeff", "bridge_check",
+                  "constituents", "constituents_via_lcs",
                   "first_constituent_poly", "jacobi_verify",
                   "project_type1", "subalgebra_sequence"),
 }

@@ -65,7 +65,7 @@ def _cmd_construct(args) -> tuple[dict, bool]:
         "constituents": _cli.constituents(seq).to_dict(),
     }
     if args.report:
-        report = _cli.exceptional_report(params, seq, jacobi_cap=args.jacobi_depth or 0)
+        report = _cli.exceptional_report(params, seq, jacobi_cap=args.jacobi_depth)
         payload["report"] = report.to_dict()
         return payload, report.ok
     return payload, True
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--report", action="store_true",
                      help="also run the full family validation report")
     con.add_argument("--jacobi-depth", type=int, default=None,
-                     help="cap for the report's bracket sweep (default 3q)")
+                     help="cap for the report's bracket sweep, >= n (default 3q)")
     add_format(con)
 
     ver = sub.add_parser("verify", help="check a structure constant sequence")

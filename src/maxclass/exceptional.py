@@ -351,27 +351,24 @@ def abelian_ideal_check(params: ExceptionalParams, seq: BetaSequence) -> Abelian
     return report
 
 
-def subalgebra_tower(sequence: BetaSequence, steps: int) -> BetaSequence:
-    """Apply the subalgebra transform `steps` times, raising the type by
-    one each time and losing one depth per step."""
-    out = sequence
-    for _ in range(steps):
-        out = subalgebra_sequence(out)
-    return out
-
-
 def two_path_check(params: ExceptionalParams, seq: BetaSequence) -> bool:
     """The member's sequence seq, built directly with (n, m), also arises by
-    transforming the type-(m + 1) family member n - m - 1 times.  For
-    n = m + 1 the member is its own parent and nothing is built.  Refuses a
-    sequence over another field or of another type."""
+    transforming the type-(m + 1) family member n - m - 1 times, each
+    subalgebra_sequence step raising the type by one and losing one depth.
+    For n = m + 1 the member is its own parent: nothing is built or
+    compared, and the result is True whatever seq holds, so there the
+    report's two_path_ok is a constant and the closed forms are what catch
+    a wrong sequence.  Refuses a sequence over another field or of another
+    type."""
     _require_member(params, seq)
     steps = params.n - params.m - 1
     if steps == 0:
         return True
-    parent = construct(ExceptionalParams(params.field, params.c, params.m + 1, params.m),
-                       seq.depth + steps)
-    return subalgebra_tower(parent.sequence, steps) == seq
+    tower = construct(ExceptionalParams(params.field, params.c, params.m + 1, params.m),
+                      seq.depth + steps).sequence
+    for _ in range(steps):
+        tower = subalgebra_sequence(tower)
+    return tower == seq
 
 
 class ExceptionalReport(Record):
@@ -393,18 +390,19 @@ class ExceptionalReport(Record):
 
 
 def exceptional_report(params: ExceptionalParams, seq: BetaSequence,
-                       jacobi_cap: int = 0) -> ExceptionalReport:
+                       jacobi_cap: Optional[int] = None) -> ExceptionalReport:
     """Full validation of one family member's sequence seq, all at
     tolerance zero: constituent statistics against their predicted values,
     entries against the piecewise closed form and the rational series, the
     two construction paths against each other, and the bracket axioms
-    through jacobi_verify (capped at 3q by default; pass jacobi_cap to
-    change).  Refuses a sequence over another field or of another type, and
-    a depth too shallow to hold two complete constituents, which could not
-    be decided.
+    through jacobi_verify on the prefix to min(D, jacobi_cap), where
+    jacobi_cap defaults to 3q.  Refuses a cap below n, which would check
+    nothing, a sequence over another field or of another type, and a depth
+    too shallow to hold two complete constituents, which could not be
+    decided.
     """
-    if jacobi_cap < 0:
-        raise ValueError(f"jacobi depth must be nonnegative, got {jacobi_cap}")
+    if jacobi_cap is not None and jacobi_cap < params.n:
+        raise ValueError(f"jacobi depth must be at least n = {params.n}, got {jacobi_cap}")
     _require_member(params, seq)
     D = seq.depth
     _require_two_constituent_depth(params, D)
@@ -414,8 +412,8 @@ def exceptional_report(params: ExceptionalParams, seq: BetaSequence,
     trailing_ok = all(c.entries[-1] == params.p - 1 for c in rep.constituents[1:])
     closed_ok = list(seq.betas) == closed_form_betas(params, D)
     genfunc_ok = list(seq.betas) == genfunc_closed_form(params).expand(D)[params.n + 1:]
-    jacobi_depth = min(D, jacobi_cap) if jacobi_cap else min(D, 3 * params.q)
-    jacobi_ok = jacobi_verify(seq, depth=jacobi_depth).ok
+    jacobi_depth = min(D, 3 * params.q if jacobi_cap is None else jacobi_cap)
+    jacobi_ok = jacobi_verify(seq.truncate(jacobi_depth)).ok
     two_path_ok = two_path_check(params, seq)
     ideal_ok = None
     if params.n == params.m + 1:

@@ -27,30 +27,12 @@ class DepthError(Exception):
     """A sequence entry outside the recorded window (n, depth] was requested."""
 
 
-def _check_document(data, fields: tuple[str, ...], entries: str) -> None:
-    """Reject a sequence document unless it is a JSON object whose `fields`
-    are integers and whose `entries` are a list of integers."""
-    if not isinstance(data, dict) or not isinstance(data.get(entries), list):
-        raise ValueError(f'a sequence must be a JSON object with a "{entries}" list')
-    if not all(type(v) is int for v in [*map(data.get, fields), *data[entries]]):
-        raise ValueError(f"{', '.join(fields)} and every entry of {entries} must be integers")
-
-
-def _read_document(path):
-    """The JSON document in the file at path.  A nesting too deep for the
-    parser is a ValueError, like any other malformed document."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nesting too deep to parse") from None
-
-
 class BetaSequence:
     """A finite prefix (beta_i) for n < i <= depth of a type-n sequence.
 
-    Entry i of the backing list holds beta_(n+1+i).  n = 1 is allowed so the
-    same machinery can validate type-1 data before projection.
+    Entry i of the backing list holds beta_(n+1+i).  Type-1 data, the
+    sequence (alpha_i) of a type-1 algebra, is the case n = 1:
+    project_type1 validates it and projects it to type n.
     """
 
     __slots__ = ("field", "n", "betas")
@@ -130,7 +112,10 @@ class BetaSequence:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BetaSequence":
-        _check_document(data, ("p", "n", "depth"), "betas")
+        if not isinstance(data, dict) or not isinstance(data.get("betas"), list):
+            raise ValueError('a sequence must be a JSON object with a "betas" list')
+        if not all(type(v) is int for v in [*map(data.get, ("p", "n", "depth")), *data["betas"]]):
+            raise ValueError("p, n, depth and every entry of betas must be integers")
         seq = cls(PrimeField(data["p"]), data["n"], data["betas"])
         if seq.depth != data["depth"]:
             raise ValueError(f"depth field {data['depth']} does not match {len(data['betas'])} entries")
@@ -143,7 +128,14 @@ class BetaSequence:
 
     @classmethod
     def from_file(cls, path) -> "BetaSequence":
-        return cls.from_dict(_read_document(path))
+        """A nesting too deep for the JSON parser is a ValueError, like any
+        other malformed document."""
+        with open(path) as fh:
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nesting too deep to parse") from None
+        return cls.from_dict(data)
 
 
 def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
@@ -243,16 +235,6 @@ def _sweep_count(n: int, top: int, a: int) -> int:
     return max(0, (a - n) * (top + 2 - a - n))
 
 
-def _horizon(seq: BetaSequence, depth: Optional[int], what: str) -> int:
-    """The depth a check of seq runs to: seq.depth, or a given one in [0, seq.depth]."""
-    D = seq.depth if depth is None else depth
-    if D < 0:
-        raise ValueError(f"{what} depth must be nonnegative, got {D}")
-    if D > seq.depth:
-        raise DepthError(f"{what} to depth {D} needs depth {D}, have {seq.depth}")
-    return D
-
-
 class JacobiReport(Record):
     __slots__ = ("depth", "pairs_checked", "triples_checked", "failure")
     _defaults = {"pairs_checked": 0, "triples_checked": 0, "failure": None}
@@ -263,11 +245,12 @@ class JacobiReport(Record):
         return self.failure is None
 
 
-def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiReport:
+def jacobi_verify(seq: BetaSequence) -> JacobiReport:
     """Consistency of the bracket table determined by the prefix.
 
-    Checks, over all indices that close within `depth`, and reports the
-    first violation with its indices and value:
+    Checks, over all indices that close within the prefix's depth, and
+    reports the first violation with its indices and value (pass
+    seq.truncate(d) to check a shorter prefix):
       1. antisymmetry [e_a, e_b] = -[e_b, e_a], diagonal included, for
          n <= a <= b, a + b <= depth, in order of a, then b;
       2. Jacobi on (e_n, e_b, e_c) for n <= b <= c, n + b + c <= depth, in
@@ -288,7 +271,7 @@ def jacobi_verify(seq: BetaSequence, depth: Optional[int] = None) -> JacobiRepor
     smallest Jacobi witness (b, c) over all levels is kept, and the counts
     are the witness's positions in the sweep order.
     """
-    D = _horizon(seq, depth, "verify")
+    D = seq.depth
     n, p = seq.n, seq.field.p
     report = JacobiReport(depth=D)
     if D < 2 * n:
@@ -391,65 +374,10 @@ def constituents(seq: BetaSequence) -> ConstituentReport:
         j = end
 
 
-class AlphaSequence:
-    """A finite prefix (alpha_i) for 1 < i <= depth of a type-1 sequence.
-
-    Type-1 sequences satisfy: of any two consecutive entries, at least one
-    vanishes.  That is validated on ingestion.
-    """
-
-    __slots__ = ("field", "alphas")
-
-    def __init__(self, field: PrimeField, alphas: Sequence[int]):
-        p = field.p
-        vals = [int(a) % p for a in alphas]
-        for k in range(len(vals) - 1):
-            if vals[k] and vals[k + 1]:
-                raise ValueError(
-                    f"consecutive entries alpha_{k + 2}, alpha_{k + 3} are both nonzero")
-        self.field = field
-        self.alphas = tuple(vals)
-
-    @property
-    def depth(self) -> int:
-        return 1 + len(self.alphas)
-
-    def alpha(self, i: int) -> int:
-        if not (1 < i <= self.depth):
-            raise DepthError(f"alpha_{i} outside recorded window (1, {self.depth}]")
-        return self.alphas[i - 2]
-
-    def nonzero_indices(self) -> list[int]:
-        return [k + 2 for k, v in enumerate(self.alphas) if v]
-
-    def to_beta(self) -> BetaSequence:
-        """View as a type-1 BetaSequence, e.g. to run jacobi_verify on it."""
-        return BetaSequence(self.field, 1, self.alphas)
-
-    def to_dict(self) -> dict:
-        return {"p": self.field.p, "depth": self.depth, "alphas": list(self.alphas)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AlphaSequence":
-        _check_document(data, ("p", "depth"), "alphas")
-        seq = cls(PrimeField(data["p"]), data["alphas"])
-        if seq.depth != data["depth"]:
-            raise ValueError("depth field does not match entry count")
-        return seq
-
-    @classmethod
-    def from_file(cls, path) -> "AlphaSequence":
-        return cls.from_dict(_read_document(path))
-
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
-
-def project_type1(alpha: AlphaSequence, n: int) -> BetaSequence:
+def project_type1(alpha: BetaSequence, n: int) -> BetaSequence:
     """Sequence of the type-n subalgebra generated by z and e_n inside a
-    type-1 algebra with sequence alpha:
+    type-1 algebra with sequence alpha, a BetaSequence with n = 1 whose
+    entries alpha_2, ..., alpha_depth are read as alpha.beta(i):
 
         beta_i = sum_k (-1)^k C(n-1, k) alpha_(i+k),  0 <= k <= n - 1,
 
@@ -459,16 +387,22 @@ def project_type1(alpha: AlphaSequence, n: int) -> BetaSequence:
     2n, every complete later constituent of the result is ordinary; that is
     asserted.  (A nonzero alpha_K spreads over beta_(K-n+1), ..., beta_K; for
     K < 2n that block starts below the first index n + 1 and is cut.)
+    Refuses alpha unless it has type 1 and, as in every type-1 algebra, one
+    of any two consecutive entries vanishes.
     """
+    if alpha.n != 1:
+        raise ValueError(f"projection needs a type-1 sequence, got type {alpha.n}")
+    nz = [k + 2 for k, v in enumerate(alpha.betas) if v]
+    for a, b in zip(nz, nz[1:]):
+        if b == a + 1:
+            raise ValueError(f"consecutive entries alpha_{a}, alpha_{b} are both nonzero")
     if n < 1:
         raise ValueError("type must be positive")
     D_out = alpha.depth - n + 1
     if D_out <= n:
         raise ValueError(f"alpha depth {alpha.depth} too shallow to project to type {n}")
-    type1 = alpha.to_beta()
     out = BetaSequence(alpha.field, n,
-                       [bracket_coeff(type1, i, n) for i in range(n + 1, D_out + 1)])
-    nz = alpha.nonzero_indices()
+                       [bracket_coeff(alpha, i, n) for i in range(n + 1, D_out + 1)])
     if nz and nz[0] >= 2 * n and all(b - a >= n for a, b in zip(nz, nz[1:])):
         rep = constituents(out)
         for con in rep.constituents[1:]:
@@ -555,23 +489,23 @@ class LcsReport(Record):
         return self.to_dict() == other.to_dict()
 
 
-def constituents_via_lcs(seq: BetaSequence, depth: Optional[int] = None) -> LcsReport:
+def constituents_via_lcs(seq: BetaSequence) -> LcsReport:
     """Recover constituent lengths from dimensions of lower-central-series
     quotients of the derived subalgebra, as an independent cross-check.
 
     Requires beta_(n+1) = 0; the dimension bookkeeping breaks down otherwise
     (the all-ones sequence is the standing counterexample), so such input is
     refused.  A prefix with no nonzero bracket among degrees > n reports
-    no_second_power instead of lengths.
+    no_second_power instead of lengths.  The series is read to the prefix's
+    depth; pass seq.truncate(d) for a shorter one.
     """
-    D = _horizon(seq, depth, "lcs")
-    n = seq.n
+    D, n = seq.depth, seq.n
     if D > n + 1 and seq._beta_int(n + 1) != 0:
         raise ValueError(
             "constituent lengths via the lower central series require beta_(n+1) = 0")
     # The terms are nested: e_d lies in terms 0 .. ranks[d - n - 1], and e_s
     # joins term r + 1 iff [e_d, e_(s-d)] != 0 for some e_d of term r, s - d > n.
-    ranks = [0] * max(0, min(D, 2 * n) - n)
+    ranks = [0] * (min(D, 2 * n) - n)
     for s, row in bracket_levels(seq, D):
         if s > 2 * n:
             ranks.append(1 + max((r for r, g in zip(ranks, row[1:s - 2 * n]) if g),

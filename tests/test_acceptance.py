@@ -19,7 +19,6 @@ from maxclass.arith import (
 )
 from maxclass.divided_powers import DividedPowers, SemidirectElement
 from maxclass.exceptional import (
-    ExceptionalParams,
     exceptional_report,
     genfunc_closed_form,
     theorem_parameter_grid,
@@ -33,9 +32,7 @@ from maxclass.polycheck import (
 )
 from maxclass.search import search_sequences
 from maxclass.sequences import (
-    AlphaSequence,
     BetaSequence,
-    RationalSeries,
     bridge_check,
     constituents,
     constituents_via_lcs,
@@ -144,7 +141,9 @@ def test_criterion_6_bracket_axioms_and_witnesses(family, fixture_dir):
             assert jacobi_verify(BetaSequence.all_ones(field, n, 30)).ok
     # sequences projected down from a stored type-1 algebra
     with open(fixture_dir / "alpha_p3_d26.json") as fh:
-        alpha = AlphaSequence.from_dict(json.load(fh))
+        data = json.load(fh)
+    alpha = BetaSequence(PrimeField(data["p"]), 1, data["alphas"])
+    assert alpha.depth == data["depth"]
     projected = [project_type1(alpha, n) for n in (2, 3)]
     for seq in projected:
         assert jacobi_verify(seq).ok
@@ -175,14 +174,14 @@ def test_criterion_7_lower_central_series_cross_check(family):
     for params, algebra, _ in family:
         seq = algebra.sequence
         direct = constituents(seq)
-        via_lcs = constituents_via_lcs(seq, seq.depth)
+        via_lcs = constituents_via_lcs(seq)
         complete = direct.lengths()[:len(via_lcs.lengths)]
         assert via_lcs.lengths == complete, params
         assert via_lcs.contiguous, params
     field = PrimeField(5)
     ones = BetaSequence.all_ones(field, 2, 30)
     with pytest.raises(ValueError, match="beta_\\(n\\+1\\) = 0"):
-        constituents_via_lcs(ones, 30)
+        constituents_via_lcs(ones)
 
 
 def test_criterion_8_property_suites():

@@ -18,7 +18,7 @@ from maxclass.arith import (
     x_minus_one_pow,
 )
 from maxclass.divided_powers import DividedPowers, SemidirectElement, make_generators
-from maxclass.sequences import AlphaSequence, BetaSequence, bracket_coeff
+from maxclass.sequences import BetaSequence, bracket_coeff
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -61,10 +61,10 @@ class TestResidues:
             for b in range(2, seq.depth - a + 3):   # window end a + b - 2 <= depth
                 residue(bracket_coeff(seq, a, b))
             assert bracket_coeff(seq, a, seq.depth - a + 3) is None
-        al = AlphaSequence(field, [rng.randrange(-3 * p, 3 * p) if k % 2 else 0
-                                   for k in range(10)])
+        al = BetaSequence(field, 1, [rng.randrange(-3 * p, 3 * p) if k % 2 else 0
+                                     for k in range(10)])
         for i in range(2, al.depth + 1):
-            residue(al.alpha(i))
+            residue(al.beta(i))
         f = FpPoly(field, [rng.randrange(-3 * p, 3 * p) for _ in range(6)] + [1])
         for j in range(-1, f.degree + 3):
             residue(f[j])

@@ -86,6 +86,16 @@ class TestConstruct:
         assert out == ""
         assert err.count("\n") == 1 and "jacobi depth" in err
 
+    @pytest.mark.parametrize("n, m, cap", [(2, 1, "0"), (3, 1, "2")])
+    def test_jacobi_depth_below_type_is_usage_error(self, capsys, n, m, cap):
+        # 0 is not "no cap", and a cap below n would check nothing
+        code, out, err = run(capsys, "construct", "--p", "5", "--c", "2",
+                             "--n", str(n), "--m", str(m), "--report",
+                             "--jacobi-depth", cap)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: jacobi depth must be at least n = {n}, got {cap}\n"
+
     def test_full_report_at_q343(self, capsys):
         # the default depth 3q + 2n = 1033 runs the ideal check on all of it
         code, out, _ = run(capsys, "construct", "--p", "7", "--c", "3",

@@ -13,7 +13,6 @@ from maxclass.divided_powers import (
 )
 from maxclass.exceptional import (
     CONSTRUCT_MAX_DEGREE,
-    AbelianIdealReport,
     ConstructionError,
     ExceptionalParams,
     abelian_ideal_check,
@@ -24,11 +23,10 @@ from maxclass.exceptional import (
     expected_lengths,
     first_length_coverage,
     genfunc_closed_form,
-    subalgebra_tower,
     theorem_parameter_grid,
     two_path_check,
 )
-from maxclass.sequences import BetaSequence, constituents, jacobi_verify
+from maxclass.sequences import BetaSequence, constituents, jacobi_verify, subalgebra_sequence
 from element_helpers import graded_degree
 
 F3 = PrimeField(3)
@@ -307,7 +305,7 @@ class TestTwoPaths:
     def test_tower_raises_type_stepwise(self):
         params = ExceptionalParams(F5, 2, 2, 1)
         seq = construct(params, 60).sequence
-        tower = subalgebra_tower(seq, 2)
+        tower = subalgebra_sequence(subalgebra_sequence(seq))
         assert tower.n == 4 and tower.depth == 58
 
     @pytest.mark.parametrize("params", [
@@ -384,6 +382,20 @@ class TestReport:
         params = ExceptionalParams(F3, 1, 2, 1)
         report = exceptional_report(params, construct(params).sequence, jacobi_cap=7)
         assert report.jacobi_depth == 7
+
+    def test_jacobi_cap_below_type_refused(self):
+        # no prefix is shallower than n, so a lower cap would check nothing
+        params = ExceptionalParams(F3, 1, 2, 1)
+        seq = construct(params).sequence
+        with pytest.raises(ValueError, match="^jacobi depth must be at least n = 2, got 1$"):
+            exceptional_report(params, seq, jacobi_cap=1)
+        assert exceptional_report(params, seq, jacobi_cap=2).jacobi_depth == 2
+
+    def test_jacobi_cap_past_the_prefix_checks_all_of_it(self):
+        params = ExceptionalParams(F3, 1, 2, 1)
+        seq = construct(params).sequence
+        report = exceptional_report(params, seq, jacobi_cap=10 * seq.depth)
+        assert report.jacobi_depth == seq.depth and report.jacobi_ok
 
 
 class TestConstructionMode:

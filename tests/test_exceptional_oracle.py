@@ -33,7 +33,6 @@ from maxclass.exceptional import (
     theorem_parameter_grid,
 )
 from maxclass.sequences import (
-    AlphaSequence,
     BetaSequence,
     bracket_coeff,
     constituents,
@@ -160,7 +159,7 @@ def reference_eih_residual(seq, i, h):
 def reference_project_type1(alpha, n):
     p = alpha.field.p
     row = signed_binom_row(n - 1, p)
-    return tuple(sum(c * alpha.alphas[i + k - 2] for k, c in enumerate(row) if c) % p
+    return tuple(sum(c * alpha.betas[i + k - 2] for k, c in enumerate(row) if c) % p
                  for i in range(n + 1, alpha.depth - n + 2))
 
 
@@ -281,7 +280,7 @@ def _random_alpha(rng, p, depth, density):
     for _ in range(depth - 1):
         prev = rng.randrange(1, p) if not prev and rng.random() < density else 0
         alphas.append(prev)
-    return AlphaSequence(PrimeField(p), alphas)
+    return BetaSequence(PrimeField(p), 1, alphas)
 
 
 class TestBracketSumOracles:

@@ -53,9 +53,9 @@ def binomial_gamma_table(seq, bound):
     return table
 
 
-def full_sweep(seq, depth=None):
+def full_sweep(seq):
     """Antisymmetry on all pairs, then Jacobi on all triples a <= b <= c."""
-    D = seq.depth if depth is None else depth
+    D = seq.depth
     n, p = seq.n, seq.field.p
     report = JacobiReport(depth=D)
     if D < 2 * n:
@@ -84,10 +84,10 @@ def full_sweep(seq, depth=None):
     return report
 
 
-def assert_agrees(seq, depth=None):
+def assert_agrees(seq):
     """Same verdict, witness and pair count; the same triple count too
     whenever a triple fails.  Returns the reduced check's report."""
-    new, old = jacobi_verify(seq, depth), full_sweep(seq, depth)
+    new, old = jacobi_verify(seq), full_sweep(seq)
     assert (new.failure, new.pairs_checked) == (old.failure, old.pairs_checked), seq.betas
     if new.failure is not None:
         assert new.triples_checked == old.triples_checked, seq.betas

@@ -19,10 +19,10 @@ from test_jacobi_oracle import family_prefixes, gamma_rows
 F3 = PrimeField(3)
 
 
-def set_sweep(seq, depth=None):
+def set_sweep(seq):
     """Terms of the lower central series of the derived subalgebra as sets
     of indices, each from the previous one through the full table."""
-    D = seq.depth if depth is None else depth
+    D = seq.depth
     n = seq.n
     if D > n + 1 and seq.betas[0] != 0:
         raise ValueError(

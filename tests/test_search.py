@@ -12,7 +12,6 @@ from maxclass.arith import PrimeField
 from maxclass.exceptional import ExceptionalParams, closed_form_betas
 from maxclass.search import SEARCH_MAX_DEPTH, SearchReport, search_sequences
 from maxclass.sequences import (
-    AlphaSequence,
     BetaSequence,
     bracket_coeff,
     constituents,
@@ -256,23 +255,24 @@ class TestTypeOne:
         assert report.solution_count == 13
         assert report.nodes == 313
         for sol in report.solutions:
-            alpha = AlphaSequence(F3, sol)
-            assert alpha.depth == 26
+            assert BetaSequence(F3, 1, sol).depth == 26
+            # in a type-1 algebra one of any two consecutive entries vanishes
+            assert not any(a and b for a, b in zip(sol, sol[1:]))
 
     def test_frozen_alpha_fixture_is_canonical(self, fixture_dir):
         with open(fixture_dir / "alpha_p3_d26.json") as fh:
             data = json.load(fh)
-        alpha = AlphaSequence.from_dict(data)
+        alpha = BetaSequence(PrimeField(data["p"]), 1, data["alphas"])
+        assert alpha.depth == data["depth"]
         report = search_sequences(F3, 1, 26, seed=[0])
         spiked = [
             sol
             for sol in report.solutions
-            if tuple(i for i, v in enumerate(sol, 2) if v)
-            == tuple(alpha.nonzero_indices())
+            if [v != 0 for v in sol] == [v != 0 for v in alpha.betas]
         ]
         # Three solutions share the support; the fixture is the first.
         assert len(spiked) == 3
-        assert spiked[0] == alpha.alphas
+        assert spiked[0] == alpha.betas
 
 
 class TestReportShape:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from maxclass.arith import FpPoly, PrimeField
 from maxclass.exceptional import ExceptionalParams, closed_form_betas
 from maxclass.sequences import (
-    AlphaSequence,
     BetaSequence,
     DepthError,
     RationalSeries,
@@ -163,18 +162,16 @@ class TestJacobiVerify:
         assert not jacobi_verify(BetaSequence(F5, 2, [1, 2, 0, 0])).ok
         assert jacobi_verify(BetaSequence(F5, 2, [1, 1, 1, 1])).ok
 
-    def test_depth_overshoot_raises(self):
-        with pytest.raises(DepthError):
-            jacobi_verify(periodic_fixture(), depth=99)
-
-    @pytest.mark.parametrize("check", [jacobi_verify, constituents_via_lcs])
-    def test_negative_depth_refused(self, check):
-        # the prefix fails antisymmetry at [2, 4]; no depth below 0 may
-        # pass it, or any prefix, vacuously
+    def test_truncation_sets_the_depth_checked(self):
+        # the prefix fails antisymmetry at [2, 4]: cut at depth 5 it
+        # passes, cut at 6 it fails there, and it is never cut below n
         seq = BetaSequence(F3, 2, [1, 2, 1, 1, 2, 2, 0, 1])
-        assert jacobi_verify(seq).failure["indices"] == [2, 4]
-        with pytest.raises(ValueError, match="^(verify|lcs) depth must be nonnegative, got -4$"):
-            check(seq, depth=-4)
+        report = jacobi_verify(seq.truncate(5))
+        assert report.ok and report.depth == 5 and report.pairs_checked == 2
+        report = jacobi_verify(seq.truncate(6))
+        assert report.depth == 6 and report.failure["indices"] == [2, 4]
+        with pytest.raises(ValueError, match="cannot truncate"):
+            seq.truncate(1)
 
     def test_deterministic(self):
         a = jacobi_verify(periodic_fixture()).to_dict()
@@ -262,68 +259,72 @@ class TestOrdinary:
 
 
 class TestAlphaSequence:
+    """Type-1 data, the sequence (alpha_i) of a type-1 algebra, is a
+    BetaSequence with n = 1."""
+
     def test_consecutive_nonzero_rejected(self):
-        with pytest.raises(ValueError, match="alpha_4, alpha_5"):
-            AlphaSequence(F5, [0, 0, 1, 2, 0])
+        message = "^consecutive entries alpha_4, alpha_5 are both nonzero$"
+        with pytest.raises(ValueError, match=message):
+            project_type1(BetaSequence(F5, 1, [0, 0, 1, 2, 0]), 2)
+        with pytest.raises(ValueError, match="alpha_6, alpha_7"):
+            project_type1(BetaSequence(F5, 1, [0, 1, 0, 0, 1, 3]), 2)
 
     def test_window(self):
-        al = AlphaSequence(F5, [0, 1, 0, 2])
+        al = BetaSequence(F5, 1, [0, 1, 0, 2])
         assert al.depth == 5
-        assert al.alpha(3) == 1
-        assert al.nonzero_indices() == [3, 5]
+        assert al.beta(3) == 1
         with pytest.raises(DepthError):
-            al.alpha(1)
+            al.beta(1)
 
     def test_round_trip(self, tmp_path):
-        al = AlphaSequence(F3, [1, 0, 2, 0, 0, 1])
+        al = BetaSequence(F3, 1, [1, 0, 2, 0, 0, 1])
         path = tmp_path / "alpha.json"
         al.to_file(path)
-        back = AlphaSequence.from_file(path)
-        assert back.alphas == al.alphas and back.field == al.field
+        assert BetaSequence.from_file(path) == al
 
     @pytest.mark.parametrize("document, message", [
-        ([3, 4, [0, 1, 0]], "JSON object"),
-        ({"p": 3, "depth": 4}, "JSON object"),
-        ({"p": 3, "depth": 4, "alphas": None}, "JSON object"),
-        ({"p": 3.0, "depth": 4, "alphas": [0, 1, 0]}, "integers"),
-        ({"p": 3, "depth": 4, "alphas": [0, 1.7, 0]}, "integers"),
-        ({"p": 3, "depth": "4", "alphas": [0, 1, 0]}, "integers"),
-        ({"p": 3, "depth": 4, "alphas": [0, True, 0]}, "integers"),
-        ({"p": 3, "depth": 5, "alphas": [0, 1, 0]}, "depth"),
+        ([3, 1, 4, [0, 1, 0]], "JSON object"),
+        ({"p": 3, "n": 1, "depth": 4}, "JSON object"),
+        ({"p": 3, "n": 1, "depth": 4, "betas": None}, "JSON object"),
+        ({"p": 3.0, "n": 1, "depth": 4, "betas": [0, 1, 0]}, "integers"),
+        ({"p": 3, "n": 1, "depth": 4, "betas": [0, 1.7, 0]}, "integers"),
+        ({"p": 3, "n": 1, "depth": "4", "betas": [0, 1, 0]}, "integers"),
+        ({"p": 3, "n": 1, "depth": 4, "betas": [0, True, 0]}, "integers"),
+        ({"p": 3, "n": 1, "depth": 5, "betas": [0, 1, 0]}, "depth"),
     ])
     def test_from_dict_rejects_malformed(self, document, message):
         with pytest.raises(ValueError, match=message) as info:
-            AlphaSequence.from_dict(document)
+            BetaSequence.from_dict(document)
         assert "\n" not in str(info.value)
 
-    def test_to_beta_is_type_one(self):
-        al = AlphaSequence(F5, [1, 0, 2, 0])
-        seq = al.to_beta()
-        assert seq.n == 1 and seq.betas == (1, 0, 2, 0)
+    def test_type_two_refused_by_projection(self):
+        message = "^projection needs a type-1 sequence, got type 2$"
+        with pytest.raises(ValueError, match=message):
+            project_type1(BetaSequence(F5, 2, [1, 0, 2, 0]), 2)
 
 
 class TestProjection:
     def test_single_spike(self):
         # alpha_5 = 1 alone, n = 2: beta_i = alpha_i - alpha_(i+1) puts
         # -1 at beta_4 and 1 at beta_5
-        al = AlphaSequence(F5, [0, 0, 0, 1, 0, 0, 0])
+        al = BetaSequence(F5, 1, [0, 0, 0, 1, 0, 0, 0])
         seq = project_type1(al, 2)
         assert seq.n == 2 and seq.depth == 7
         assert seq.betas == (0, 4, 1, 0, 0)
 
     def test_identity_at_type_one(self):
-        al = AlphaSequence(F5, [0, 1, 0, 2, 0])
-        assert project_type1(al, 1).betas == al.alphas
+        al = BetaSequence(F5, 1, [0, 1, 0, 2, 0])
+        assert project_type1(al, 1) == al
 
     def test_too_shallow_rejected(self):
         with pytest.raises(ValueError, match="shallow"):
-            project_type1(AlphaSequence(F5, [0, 1, 0]), 4)
+            project_type1(BetaSequence(F5, 1, [0, 1, 0]), 4)
 
     def test_early_spike_projects_without_raising(self):
         # nonzero alphas 2 apart, but alpha_3 sits below 2n = 4: its block
         # beta_2, beta_3 is cut at index n + 1, leaving a non-ordinary
         # constituent that the spacing argument does not cover
-        al = AlphaSequence(F3, [0, 1, 0, 2, 0, 1])
+        al = BetaSequence(F3, 1, [0, 1, 0, 2, 0, 1])
         seq = project_type1(al, 2)
         assert seq.betas == (1, 1, 2, 2)
         assert not all(c.ordinary for c in constituents(seq).constituents[1:])
@@ -331,7 +332,7 @@ class TestProjection:
     def test_spaced_spikes_give_ordinary_constituents(self):
         # isolated alpha entries at mutual distance >= n project to ordinary
         # blocks; project_type1 asserts this internally
-        al = AlphaSequence(F5, [0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0])
+        al = BetaSequence(F5, 1, [0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0])
         seq = project_type1(al, 3)
         report = constituents(seq)
         assert all(c.ordinary for c in report.constituents[1:])

@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "arith": ("FieldMismatch", "FpPoly", "PrimeField", "binom_mod_p",
-              "is_power_of", "lucas_symmetry_check"),
+              "is_power_of"),
     "divided_powers": ("DividedPowers", "DPElement", "Endo",
                        "SemidirectElement", "make_generators"),
     "exceptional": ("AbelianIdealReport", "ConstructedAlgebra",
@@ -23,14 +23,12 @@ _EXPORTS = {
                     "closed_form_betas", "construct", "exceptional_report",
                     "expected_first_length", "expected_lengths",
                     "first_length_coverage", "genfunc_closed_form",
-                    "theorem_parameter_grid", "two_path_check"),
-    "polycheck": ("ClassifyReport", "classify_admissible_k",
-                  "in_large_k_menu", "in_small_k_menu", "lemma_pairs_check"),
+                    "two_path_check"),
+    "polycheck": ("ClassifyReport", "classify_admissible_k", "in_small_k_menu"),
     "search": ("SearchReport", "search_sequences"),
     "sequences": ("BetaSequence", "BridgeReport", "Constituent",
-                  "ConstituentReport", "JacobiReport", "LcsReport",
-                  "RationalSeries", "bracket_coeff", "bridge_check",
-                  "constituents", "constituents_via_lcs",
+                  "ConstituentReport", "JacobiReport", "RationalSeries",
+                  "bracket_coeff", "bridge_check", "constituents",
                   "first_constituent_poly", "jacobi_verify",
                   "project_type1", "subalgebra_sequence"),
 }

@@ -91,23 +91,6 @@ def is_power_of(q: int, p: int) -> bool:
     return q == 1
 
 
-def lucas_symmetry_check(a: int, b: int, q: int, p: int) -> bool:
-    """Check C(a, q-1-b) = (-1)^(a+b) C(b, q-1-a) mod p for 0 <= a, b < q.
-
-    Here q must be a power of p.  Both sides vanish together when the
-    column index exceeds the row index.
-    """
-    if not is_power_of(q, p):
-        raise ValueError(f"{q} is not a power of {p}")
-    if not (0 <= a < q and 0 <= b < q):
-        raise ValueError(f"need 0 <= a, b < q, got a={a}, b={b}, q={q}")
-    lhs = binom_mod_p(a, q - 1 - b, p)
-    rhs = binom_mod_p(b, q - 1 - a, p)
-    if (a + b) % 2 == 1:
-        rhs = (-rhs) % p
-    return lhs == rhs
-
-
 def x_minus_one_coeff(k: int, m: int, p: int) -> int:
     """[X^m](X - 1)^k = (-1)^(k-m) C(k, m) mod p, as a residue; 0 unless 0 <= m <= k."""
     if m < 0 or m > k:
@@ -202,9 +185,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
-
-    def poly(self, coeffs: Iterable[int]) -> "FpPoly":
-        return FpPoly(self, coeffs)
 
 
 class FpPoly:
@@ -316,18 +296,6 @@ class FpPoly:
             return self
         return FpPoly(self.field, (0,) * k + self.coeffs)
 
-    def __pow__(self, e: int) -> "FpPoly":
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = FpPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
         if not isinstance(other, FpPoly):
             return NotImplemented
@@ -351,9 +319,6 @@ class FpPoly:
 
     def __mod__(self, other: "FpPoly") -> "FpPoly":
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[0]
 
     def divides(self, other: "FpPoly") -> bool:
         return (other % self).is_zero()

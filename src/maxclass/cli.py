@@ -48,8 +48,12 @@ def _render_json(payload: dict) -> str:
 
 
 def _csv_ints(text: str) -> list[int]:
+    """The integers of a comma separated list, where every field must be
+    one; a blank argument is the empty list."""
+    if not text.strip():
+        return []
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma separated integer list: {text!r}")
 

@@ -31,9 +31,9 @@ terms with sign +-1 into one dict, which is reduced mod p once, at the end.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from .arith import FpPoly, PrimeField, binom_column_mod_p, binom_mod_p
+from .arith import FpPoly, PrimeField, binom_column_mod_p
 
 
 class DividedPowers:
@@ -58,27 +58,6 @@ class DividedPowers:
 
     def __repr__(self) -> str:
         return f"DividedPowers(p={self.field.p}, c={self.c})"
-
-    def mul_coeff(self, i: int, j: int) -> int:
-        """C(i+j, i) mod p, without truncation."""
-        if i < 0 or j < 0:
-            raise ValueError("divided-power exponents must be nonnegative")
-        return binom_mod_p(i + j, i, self.field.p)
-
-    def dp_mul(self, i: int, j: int) -> Optional[tuple[int, int]]:
-        """x^(i) x^(j) as (coefficient, exponent), or None when it vanishes.
-
-        Exponents must lie in [0, q); products reaching q are truncated
-        (their binomial coefficient is 0 mod p regardless).
-        """
-        if not (0 <= i < self.q and 0 <= j < self.q):
-            raise ValueError(f"exponents must lie in [0, {self.q}), got ({i}, {j})")
-        if i + j >= self.q:
-            return None
-        coeff = self.mul_coeff(i, j)
-        if coeff == 0:
-            return None
-        return coeff, i + j
 
 
 class _Sparse:
@@ -155,11 +134,6 @@ class DPElement(_Sparse):
         if not (0 <= exponent < ring.q):
             raise ValueError(f"exponent {exponent} outside [0, {ring.q})")
         return cls(ring, {(exponent, t_power): coeff})
-
-    def monomials(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (exponent, t_power, coefficient) over all nonzero monomials."""
-        for (i, s), c in sorted(self.entries.items()):
-            yield i, s, c
 
     def __repr__(self) -> str:
         return f"DPElement({self.entries!r})"

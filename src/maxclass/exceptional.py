@@ -426,13 +426,3 @@ def exceptional_report(params: ExceptionalParams, seq: BetaSequence,
         closed_form_ok=closed_ok, genfunc_ok=genfunc_ok,
         two_path_ok=two_path_ok, jacobi_ok=jacobi_ok, jacobi_depth=jacobi_depth,
         ideal_ok=ideal_ok, violations=rep.violations)
-
-
-def theorem_parameter_grid(field: PrimeField, c: int) -> list[ExceptionalParams]:
-    """All (n, m) in theorem mode for the given prime power: 1 < n < p,
-    0 < m < n.  Empty unless q > p."""
-    if c < 2:
-        return []
-    return [ExceptionalParams(field, c, n, m)
-            for n in range(2, field.p)
-            for m in range(1, n)]

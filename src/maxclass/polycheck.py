@@ -68,19 +68,12 @@ def powers_of(p: int, limit: int, above: int = 1) -> list[int]:
     return out
 
 
-def in_large_k_menu(p: int, n: int, k: int) -> bool:
-    """k = 2q - n + 1 or q - n < k < q + n for some power q > p of p."""
-    for q in powers_of(p, 2 * k + n, above=p):
-        if k == 2 * q - n + 1 or q - n < k < q + n:
-            return True
-    return False
-
-
 def in_small_k_menu(p: int, n: int, k: int) -> bool:
     """The menu classify tests every exponent against: the short interval
     list plus the power-of-p values taken over every power q > 1 (small
     powers matter, e.g. q = p itself).  For 1 < n < p the intervals and the
-    q = p values lie below 4p, so from k = 4p on this is in_large_k_menu."""
+    q = p values lie below 4p, so from k = 4p on only the powers q > p
+    can match."""
     if n + 1 < k < p or 2 * p - n < k < 2 * p or 3 * p - n < k < 3 * p or k == 4 * p - n + 1:
         return True
     for q in powers_of(p, 2 * k + n):
@@ -106,9 +99,6 @@ class ClassifyReport(Record):
     @property
     def ok(self) -> bool:
         return self.menu_ok and self.structure_ok
-
-    def admissible_k(self) -> list[int]:
-        return sorted(self.survivors)
 
     def to_dict(self) -> dict:
         return {
@@ -178,38 +168,3 @@ def classify_admissible_k(field: PrimeField, n: int, k_max: int) -> ClassifyRepo
                             [k for k in sorted(survivors) if not in_small_k_menu(p, n, k)])
     _check_structure(report)
     return report
-
-
-def lemma_pairs_check(field: PrimeField, k_max: int, strengthened: bool = False) -> list[tuple[int, int]]:
-    """All pairs (k, a) with 1 < k <= k_max and a in F_p such that every
-    coefficient of (X - 1)^k (X - a) vanishes for k/2 + 1 <= j <= k
-    (strengthened: (k + 1)/2 <= j <= k; differs only for odd k).
-
-    Returned as (k, a) with a a residue in [0, p); sorted.  X - a is the
-    n = 2 case of window_solutions, with a = -g_0.
-    """
-    p = field.p
-    out = []
-    for k in range(2, k_max + 1):
-        if strengthened:
-            j_lo = (k + 2) // 2  # ceil((k + 1)/2)
-        else:
-            j_lo = k // 2 + 2 if k % 2 else k // 2 + 1  # ceil(k/2 + 1)
-        out.extend(sorted((k, -g[0] % p) for g in window_solutions(p, k, 2, j_lo, k + 1)))
-    return out
-
-
-def expected_pairs(field: PrimeField, k_max: int, strengthened: bool = False) -> set[tuple[int, int]]:
-    """The pair menu {(2, -2), (3, -3)} plus {(q-1, 1), (q, 0), (2q-1, 1)} over
-    powers q of p, restricted to 1 < k <= k_max.  The strengthened window
-    drops (3, -3) and (2q-1, 1)."""
-    p = field.p
-    pairs = {(2, (-2) % p)}
-    if not strengthened:
-        pairs.add((3, (-3) % p))
-    for q in powers_of(p, k_max + 1):
-        pairs.add((q - 1, 1))
-        pairs.add((q, 0))
-        if not strengthened:
-            pairs.add((2 * q - 1, 1))
-    return {(k, a) for (k, a) in pairs if 1 < k <= k_max}

@@ -20,7 +20,7 @@ ones, and nothing while the prefix is zero.  Once the walk gets past
 beta = 0, an odd level adds one pass on u and a row for each admissible
 nonzero entry.  Rejected candidates still count as nodes, in their usual
 order, so `nodes`, `deepest` and the budget cut do not depend on the solve.
-Seeded entries are checked, as before, on their own row.
+A seeded index is solved the same way, with its seed as the one candidate.
 
 Prefixes surviving to full depth are emitted; they pass jacobi_verify by
 construction (the search checks a superset of its constraints).  Odd
@@ -176,13 +176,10 @@ def search_sequences(field: PrimeField, n: int, depth: int,
         s = idx + n
         prev, low = rows[s - 1], rows[s - n]
         if idx <= report.seed_depth:
-            value = seed_vals[idx - n - 1]
-            row = pascal_row(prev, value, p)
-            candidates = (value,)
-            solved = iter([(value, row)] if level_failure(row, low, col, n, p) is None else [])
+            candidates = (seed_vals[idx - n - 1],)
         else:
             candidates = norm_range if normalize and not has_nonzero else full_range
-            solved = level_solutions(prev, low, col, n, p)
+        solved = level_solutions(prev, low, col, n, p)
         # the next admissible entry not below the candidate; p when none is left
         beta, row = -1, None
         for value in candidates:

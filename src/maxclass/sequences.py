@@ -49,14 +49,6 @@ class BetaSequence:
     def depth(self) -> int:
         return self.n + len(self.betas)
 
-    @classmethod
-    def all_zero(cls, field: PrimeField, n: int, depth: int) -> "BetaSequence":
-        return cls(field, n, [0] * (depth - n))
-
-    @classmethod
-    def all_ones(cls, field: PrimeField, n: int, depth: int) -> "BetaSequence":
-        return cls(field, n, [1] * (depth - n))
-
     def beta(self, i: int) -> int:
         if not (self.n < i <= self.depth):
             raise DepthError(f"beta_{i} outside recorded window ({self.n}, {self.depth}]")
@@ -453,9 +445,6 @@ class RationalSeries:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
     def expand(self, depth: int) -> list[int]:
         """Coefficients 0..depth of the power-series expansion."""
         p = self.num.field.p
@@ -470,57 +459,6 @@ class RationalSeries:
                 s -= d * out[k - j]
             out.append(s * d0_inv % p)
         return out
-
-    def to_dict(self) -> dict:
-        return {"num": list(self.num.coeffs), "den": list(self.den.coeffs)}
-
-
-class LcsReport(Record):
-    """Constituent lengths recovered from the lower central series of the
-    derived subalgebra: the r-th length is dim of the r-th quotient, the
-    first with n added.  incomplete_count holds the entries of the last,
-    depth-cut quotient."""
-
-    __slots__ = ("depth", "lengths", "incomplete_count", "no_second_power", "contiguous")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LcsReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-
-def constituents_via_lcs(seq: BetaSequence) -> LcsReport:
-    """Recover constituent lengths from dimensions of lower-central-series
-    quotients of the derived subalgebra, as an independent cross-check.
-
-    Requires beta_(n+1) = 0; the dimension bookkeeping breaks down otherwise
-    (the all-ones sequence is the standing counterexample), so such input is
-    refused.  A prefix with no nonzero bracket among degrees > n reports
-    no_second_power instead of lengths.  The series is read to the prefix's
-    depth; pass seq.truncate(d) for a shorter one.
-    """
-    D, n = seq.depth, seq.n
-    if D > n + 1 and seq._beta_int(n + 1) != 0:
-        raise ValueError(
-            "constituent lengths via the lower central series require beta_(n+1) = 0")
-    # The terms are nested: e_d lies in terms 0 .. ranks[d - n - 1], and e_s
-    # joins term r + 1 iff [e_d, e_(s-d)] != 0 for some e_d of term r, s - d > n.
-    ranks = [0] * (min(D, 2 * n) - n)
-    for s, row in bracket_levels(seq, D):
-        if s > 2 * n:
-            ranks.append(1 + max((r for r, g in zip(ranks, row[1:s - 2 * n]) if g),
-                                 default=-1))
-    counts = [ranks.count(r) for r in range(max(ranks, default=-1) + 1)]
-    if len(counts) == 1:
-        return LcsReport(depth=D, lengths=[], incomplete_count=None,
-                         no_second_power=True, contiguous=True)
-    if counts:
-        counts[0] += n
-    # the last term is cut off by the horizon, not a true dimension
-    return LcsReport(depth=D, lengths=counts[:-1],
-                     incomplete_count=counts[-1] if counts else None,
-                     no_second_power=False,
-                     contiguous=all(a <= b for a, b in zip(ranks, ranks[1:])))
 
 
 def first_constituent_poly(seq: BetaSequence) -> FpPoly:

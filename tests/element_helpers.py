@@ -1,6 +1,32 @@
 """Element readings the tests use but the package does not run."""
 
-from maxclass.divided_powers import SemidirectElement
+from typing import Optional
+
+from maxclass.arith import binom_mod_p
+from maxclass.divided_powers import DividedPowers, SemidirectElement
+
+
+def mul_coeff(ring: DividedPowers, i: int, j: int) -> int:
+    """C(i+j, i) mod p, without truncation."""
+    if i < 0 or j < 0:
+        raise ValueError("divided-power exponents must be nonnegative")
+    return binom_mod_p(i + j, i, ring.field.p)
+
+
+def dp_mul(ring: DividedPowers, i: int, j: int) -> Optional[tuple[int, int]]:
+    """x^(i) x^(j) as (coefficient, exponent), or None when it vanishes.
+
+    Exponents must lie in [0, q); products reaching q are truncated
+    (their binomial coefficient is 0 mod p regardless).
+    """
+    if not (0 <= i < ring.q and 0 <= j < ring.q):
+        raise ValueError(f"exponents must lie in [0, {ring.q}), got ({i}, {j})")
+    if i + j >= ring.q:
+        return None
+    coeff = mul_coeff(ring, i, j)
+    if coeff == 0:
+        return None
+    return coeff, i + j
 
 
 def graded_degree(element: SemidirectElement, m: int) -> int:

@@ -1,8 +1,9 @@
-"""Sequence constraints the tests use but the package does not run."""
+"""Sequence checks the tests use but the package does not run."""
 
 from typing import Optional
 
-from maxclass.sequences import BetaSequence, bracket_coeff
+from maxclass.arith import Record
+from maxclass.sequences import BetaSequence, bracket_coeff, bracket_levels
 
 
 def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[int]:
@@ -21,3 +22,50 @@ def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[int]:
         return None
     return (seq.beta(i + h + n) * bracket_coeff(seq, i, n + h)
             - seq.beta(i) * bracket_coeff(seq, i + n, n + h)) % seq.field.p
+
+
+class LcsReport(Record):
+    """Constituent lengths recovered from the lower central series of the
+    derived subalgebra: the r-th length is dim of the r-th quotient, the
+    first with n added.  incomplete_count holds the entries of the last,
+    depth-cut quotient."""
+
+    __slots__ = ("depth", "lengths", "incomplete_count", "no_second_power", "contiguous")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LcsReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+
+def constituents_via_lcs(seq: BetaSequence) -> LcsReport:
+    """Recover constituent lengths from dimensions of lower-central-series
+    quotients of the derived subalgebra, as an independent cross-check.
+
+    Requires beta_(n+1) = 0; the dimension bookkeeping breaks down otherwise
+    (the all-ones sequence is the standing counterexample), so such input is
+    refused.  A prefix with no nonzero bracket among degrees > n reports
+    no_second_power instead of lengths.  The series is read to the prefix's
+    depth; pass seq.truncate(d) for a shorter one.
+    """
+    D, n = seq.depth, seq.n
+    if D > n + 1 and seq.beta(n + 1) != 0:
+        raise ValueError(
+            "constituent lengths via the lower central series require beta_(n+1) = 0")
+    # The terms are nested: e_d lies in terms 0 .. ranks[d - n - 1], and e_s
+    # joins term r + 1 iff [e_d, e_(s-d)] != 0 for some e_d of term r, s - d > n.
+    ranks = [0] * (min(D, 2 * n) - n)
+    for s, row in bracket_levels(seq, D):
+        if s > 2 * n:
+            ranks.append(1 + max((r for r, g in zip(ranks, row[1:s - 2 * n]) if g),
+                                 default=-1))
+    counts = [ranks.count(r) for r in range(max(ranks, default=-1) + 1)]
+    # at depth n there are no entries, so no term at all
+    if len(counts) <= 1:
+        return LcsReport(depth=D, lengths=[], incomplete_count=None,
+                         no_second_power=True, contiguous=True)
+    counts[0] += n
+    # the last term is cut off by the horizon, not a true dimension
+    return LcsReport(depth=D, lengths=counts[:-1], incomplete_count=counts[-1],
+                     no_second_power=False,
+                     contiguous=all(a <= b for a, b in zip(ranks, ranks[1:])))

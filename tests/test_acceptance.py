@@ -10,36 +10,28 @@ import random
 
 import pytest
 
-from maxclass.arith import (
-    FpPoly,
-    PrimeField,
-    binom_mod_p,
-    lucas_symmetry_check,
-    x_minus_one_pow,
-)
+from maxclass.arith import FpPoly, PrimeField, binom_mod_p, x_minus_one_pow
 from maxclass.divided_powers import DividedPowers, SemidirectElement
-from maxclass.exceptional import (
-    exceptional_report,
-    genfunc_closed_form,
-    theorem_parameter_grid,
-)
-from maxclass.polycheck import (
-    classify_admissible_k,
-    expected_pairs,
-    in_large_k_menu,
-    lemma_pairs_check,
-    powers_of,
-)
+from maxclass.exceptional import exceptional_report, genfunc_closed_form
+from maxclass.polycheck import classify_admissible_k, powers_of
 from maxclass.search import search_sequences
 from maxclass.sequences import (
     BetaSequence,
     bridge_check,
     constituents,
-    constituents_via_lcs,
     jacobi_verify,
     project_type1,
 )
 
+from element_helpers import dp_mul
+from paper_helpers import (
+    expected_pairs,
+    in_large_k_menu,
+    lemma_pairs_check,
+    lucas_symmetry_check,
+    theorem_parameter_grid,
+)
+from sequence_helpers import constituents_via_lcs
 from test_divided_powers import random_element
 
 FAMILY_PRIMES = [(5, 2), (7, 2), (3, 3)]
@@ -137,8 +129,8 @@ def test_criterion_6_bracket_axioms_and_witnesses(family, fixture_dir):
     for p in (3, 5, 7):
         field = PrimeField(p)
         for n in (1, 2, 3):
-            assert jacobi_verify(BetaSequence.all_zero(field, n, 30)).ok
-            assert jacobi_verify(BetaSequence.all_ones(field, n, 30)).ok
+            assert jacobi_verify(BetaSequence(field, n, [0] * (30 - n))).ok
+            assert jacobi_verify(BetaSequence(field, n, [1] * (30 - n))).ok
     # sequences projected down from a stored type-1 algebra
     with open(fixture_dir / "alpha_p3_d26.json") as fh:
         data = json.load(fh)
@@ -179,7 +171,7 @@ def test_criterion_7_lower_central_series_cross_check(family):
         assert via_lcs.lengths == complete, params
         assert via_lcs.contiguous, params
     field = PrimeField(5)
-    ones = BetaSequence.all_ones(field, 2, 30)
+    ones = BetaSequence(field, 2, [1] * (30 - 2))
     with pytest.raises(ValueError, match="beta_\\(n\\+1\\) = 0"):
         constituents_via_lcs(ones)
 
@@ -205,17 +197,17 @@ def test_criterion_8_property_suites():
         q = ring.q
         for i in range(q):
             for j in range(q):
-                left = ring.dp_mul(i, j)
+                left = dp_mul(ring, i, j)
                 for k in range(q):
-                    right = ring.dp_mul(j, k)
+                    right = dp_mul(ring, j, k)
                     lhs = None
                     if left is not None:
-                        step = ring.dp_mul(left[1], k)
+                        step = dp_mul(ring, left[1], k)
                         if step is not None:
                             lhs = (left[0] * step[0] % p, step[1])
                     rhs = None
                     if right is not None:
-                        step = ring.dp_mul(i, right[1])
+                        step = dp_mul(ring, i, right[1])
                         if step is not None:
                             rhs = (right[0] * step[0] % p, step[1])
                     if lhs is not None and lhs[0] == 0:

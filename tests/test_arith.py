@@ -13,16 +13,31 @@ from maxclass.arith import (
     binom_column_mod_p,
     binom_mod_p,
     is_power_of,
-    lucas_symmetry_check,
     signed_binom_row,
     x_minus_one_pow,
 )
 from maxclass.divided_powers import DividedPowers, SemidirectElement, make_generators
 from maxclass.sequences import BetaSequence, bracket_coeff
 
+from paper_helpers import lucas_symmetry_check
+
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+
+
+def poly_pow(f: FpPoly, e: int) -> FpPoly:
+    """f^e by repeated squaring."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = FpPoly.one(f.field)
+    base = f
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
 
 
 class TestPrimeField:
@@ -41,7 +56,7 @@ class TestPrimeField:
 
     def test_cross_context_rejected_eagerly(self):
         with pytest.raises(FieldMismatch):
-            _ = F5.poly([1, 2]) * F7.poly([1])
+            _ = FpPoly(F5, [1, 2]) * FpPoly(F7, [1])
 
 
 class TestResidues:
@@ -185,25 +200,25 @@ coeff_lists = st.lists(st.integers(-20, 20), max_size=8)
 
 class TestFpPoly:
     def test_normalization(self):
-        f = F5.poly([1, 2, 0, 0])
+        f = FpPoly(F5, [1, 2, 0, 0])
         assert f.coeffs == (1, 2)
         assert FpPoly.zero(F5).degree == -1
-        assert F5.poly([0, 0, 5]).is_zero()
+        assert FpPoly(F5, [0, 0, 5]).is_zero()
 
     def test_worked_product(self):
         # (2t)(2t) = 4t^2 = t^2 over F_3
         f = FpPoly.monomial(F3, 2, 1)
-        assert f * f == F3.poly([0, 0, 1])
+        assert f * f == FpPoly(F3, [0, 0, 1])
 
     def test_coeff_outside_support_is_zero(self):
-        f = F5.poly([1, 2])
+        f = FpPoly(F5, [1, 2])
         assert f[5] == 0 and f[-1] == 0
         assert f[1] == 2
 
     @settings(max_examples=200, derandomize=True)
     @given(coeff_lists, coeff_lists, coeff_lists)
     def test_ring_axioms(self, a, b, c):
-        f, g, h = F7.poly(a), F7.poly(b), F7.poly(c)
+        f, g, h = FpPoly(F7, a), FpPoly(F7, b), FpPoly(F7, c)
         assert (f + g) + h == f + (g + h)
         assert f + g == g + f
         assert (f * g) * h == f * (g * h)
@@ -216,7 +231,7 @@ class TestFpPoly:
     @settings(max_examples=200, derandomize=True)
     @given(coeff_lists, coeff_lists)
     def test_divmod(self, a, b):
-        f, g = F5.poly(a), F5.poly(b)
+        f, g = FpPoly(F5, a), FpPoly(F5, b)
         if g.is_zero():
             with pytest.raises(ZeroDivisionError):
                 divmod(f, g)
@@ -226,30 +241,30 @@ class TestFpPoly:
         assert r.degree < g.degree or r.is_zero()
 
     def test_pow_matches_repeated_mul(self):
-        f = F5.poly([4, 1])
+        f = FpPoly(F5, [4, 1])
         acc = FpPoly.one(F5)
         for e in range(8):
-            assert f ** e == acc
+            assert poly_pow(f, e) == acc
             acc = acc * f
 
     def test_shift(self):
-        assert F5.poly([1, 2]).shift(2) == F5.poly([0, 0, 1, 2])
+        assert FpPoly(F5, [1, 2]).shift(2) == FpPoly(F5, [0, 0, 1, 2])
         with pytest.raises(ValueError):
-            F5.poly([1]).shift(-1)
+            FpPoly(F5, [1]).shift(-1)
 
 
 class TestXMinusOnePow:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_matches_repeated_squaring(self, p):
         field = PrimeField(p)
-        base = field.poly([-1, 1])
+        base = FpPoly(field, [-1, 1])
         for k in (0, 1, 2, 7, p, p + 1, 2 * p, 25, 49):
-            assert x_minus_one_pow(field, k) == base ** k
+            assert x_minus_one_pow(field, k) == poly_pow(base, k)
 
     @pytest.mark.parametrize("p,k", [(5, 50), (5, 27), (3, 28), (7, 52)])
     def test_frobenius_factorization(self, p, k):
         # (X - 1)^k = (X^p - 1)^(k') (X - 1)^(k0) where k = k' p + k0
         field = PrimeField(p)
         kp, k0 = divmod(k, p)
-        frob = field.poly([-1] + [0] * (p - 1) + [1])  # X^p - 1
-        assert x_minus_one_pow(field, k) == frob ** kp * x_minus_one_pow(field, k0)
+        frob = FpPoly(field, [-1] + [0] * (p - 1) + [1])  # X^p - 1
+        assert x_minus_one_pow(field, k) == poly_pow(frob, kp) * x_minus_one_pow(field, k0)

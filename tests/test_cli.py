@@ -174,6 +174,18 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["constituents"]["ell"] == 4
 
+    @pytest.mark.parametrize("betas", ["1,,2,0", "1,2,", ",1", "1,x"])
+    def test_inline_betas_refuse_a_field_that_is_not_an_integer(self, capsys, betas):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--betas", betas, "--p", "3", "--n", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "not a comma separated integer list" in capsys.readouterr().err
+
+    def test_empty_inline_betas_are_the_empty_prefix(self, capsys):
+        code, out, _ = run(capsys, "verify", "--betas", "", "--p", "3", "--n", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["depth"] == 2
+
     def test_inline_betas_need_modulus_and_type(self, capsys):
         code, _, err = run(capsys, "verify", "--betas", "1,1")
         assert code == EXIT_USAGE
@@ -281,6 +293,13 @@ class TestSearch:
                            "--depth", "12", "--seed", "0,0,1,2")
         assert code == EXIT_OK
         assert json.loads(out)["solution_count"] == 3
+
+    @pytest.mark.parametrize("seed", ["0,,1", "0,1,"])
+    def test_seed_refuses_an_empty_field(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--p", "3", "--n", "2", "--depth", "12", "--seed", seed])
+        assert exc.value.code == EXIT_USAGE
+        assert "not a comma separated integer list" in capsys.readouterr().err
 
     def test_budget_exhaustion_exits_nonzero(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "3", "--n", "2",

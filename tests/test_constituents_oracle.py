@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from maxclass.arith import PrimeField
-from maxclass.exceptional import ExceptionalParams, closed_form_betas, theorem_parameter_grid
+from maxclass.exceptional import ExceptionalParams, closed_form_betas
 from maxclass.sequences import (
     BetaSequence,
     Constituent,
@@ -23,6 +23,8 @@ from maxclass.sequences import (
     _is_ordinary,
     constituents,
 )
+
+from paper_helpers import theorem_parameter_grid
 
 
 def reference_constituents(seq: BetaSequence) -> ConstituentReport:

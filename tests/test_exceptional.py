@@ -23,11 +23,11 @@ from maxclass.exceptional import (
     expected_lengths,
     first_length_coverage,
     genfunc_closed_form,
-    theorem_parameter_grid,
     two_path_check,
 )
 from maxclass.sequences import BetaSequence, constituents, jacobi_verify, subalgebra_sequence
 from element_helpers import graded_degree
+from paper_helpers import theorem_parameter_grid
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

@@ -30,7 +30,6 @@ from maxclass.exceptional import (
     ExceptionalParams,
     abelian_ideal_check,
     construct,
-    theorem_parameter_grid,
 )
 from maxclass.sequences import (
     BetaSequence,
@@ -39,6 +38,7 @@ from maxclass.sequences import (
     project_type1,
 )
 from element_helpers import graded_degree
+from paper_helpers import theorem_parameter_grid
 from sequence_helpers import eih_residual
 
 # (p, c): q = 9, 25, 27, 49; every n = m + 1 member with 1 < n < p

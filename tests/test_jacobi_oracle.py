@@ -13,7 +13,7 @@ import random
 import pytest
 
 from maxclass.arith import PrimeField, signed_binom_row
-from maxclass.exceptional import closed_form_betas, theorem_parameter_grid
+from maxclass.exceptional import closed_form_betas
 from maxclass.sequences import (
     BetaSequence,
     JacobiReport,
@@ -22,6 +22,7 @@ from maxclass.sequences import (
     jacobi_verify,
 )
 
+from paper_helpers import theorem_parameter_grid
 from test_acceptance import FAMILY_PRIMES
 from test_sequences import periodic_fixture
 
@@ -135,7 +136,7 @@ class TestTable:
 
 class TestFullSweepCounts:
     def test_all_ones(self):
-        report = full_sweep(BetaSequence.all_ones(F3, 2, 40))
+        report = full_sweep(BetaSequence(F3, 2, [1] * (40 - 2)))
         assert report.ok
         assert report.pairs_checked == 361
         assert report.triples_checked == 1461

@@ -12,8 +12,9 @@ import random
 import pytest
 
 from maxclass.arith import PrimeField
-from maxclass.sequences import BetaSequence, LcsReport, constituents_via_lcs
+from maxclass.sequences import BetaSequence
 
+from sequence_helpers import LcsReport, constituents_via_lcs
 from test_jacobi_oracle import family_prefixes, gamma_rows
 
 F3 = PrimeField(3)
@@ -36,7 +37,7 @@ def set_sweep(seq):
                 if G[d + b][d - n]:
                     nxt.add(d + b)
         levels.append(nxt)
-    if len(levels) >= 2 and not levels[1]:
+    if len(levels) < 2 or not levels[1]:
         return LcsReport(depth=D, lengths=[], incomplete_count=None,
                          no_second_power=True, contiguous=True)
     contiguous = all(lv == set(range(min(lv), D + 1)) for lv in levels if lv)
@@ -78,7 +79,7 @@ class TestAgreement:
     def test_short_prefixes(self):
         for n in (1, 2, 3):
             for depth in range(n, 2 * n + 3):
-                assert_agrees(BetaSequence.all_zero(PrimeField(5), n, depth))
+                assert_agrees(BetaSequence(PrimeField(5), n, [0] * (depth - n)))
 
     def test_family_and_seeded_perturbations(self):
         rng = random.Random(20261018)

@@ -10,7 +10,9 @@ from itertools import product
 import pytest
 
 from maxclass.arith import PrimeField, binom_mod_p
-from maxclass.polycheck import lemma_pairs_check, window_solutions
+from maxclass.polycheck import window_solutions
+
+from paper_helpers import lemma_pairs_check
 
 
 def brute_survivors(p, n, k):

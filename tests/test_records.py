@@ -25,9 +25,10 @@ from maxclass.sequences import (
     JacobiReport,
     bridge_check,
     constituents,
-    constituents_via_lcs,
     jacobi_verify,
 )
+
+from sequence_helpers import constituents_via_lcs
 
 F3, F5 = PrimeField(3), PrimeField(5)
 P5 = ExceptionalParams(F5, 1, 2, 1)

@@ -14,14 +14,13 @@ from maxclass.sequences import (
     bracket_coeff,
     bridge_check,
     constituents,
-    constituents_via_lcs,
     first_constituent_poly,
     jacobi_verify,
     project_type1,
     subalgebra_sequence,
 )
 from maxclass.sequences import _is_ordinary
-from sequence_helpers import eih_residual
+from sequence_helpers import constituents_via_lcs, eih_residual
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -67,7 +66,7 @@ class TestBetaSequence:
         norm = seq.normalize()
         assert norm.normalized is True
         assert norm.betas == (0, 1, 2)  # scaled by 3^(-1) = 2
-        assert BetaSequence.all_zero(F5, 2, 9).normalized is None
+        assert BetaSequence(F5, 2, [0] * (9 - 2)).normalized is None
 
     def test_truncate(self):
         seq = BetaSequence(F5, 2, [1, 2, 3, 4])
@@ -124,13 +123,13 @@ class TestBracketCoeff:
 
 class TestJacobiVerify:
     def test_all_ones_consistent(self):
-        report = jacobi_verify(BetaSequence.all_ones(F3, 2, 40))
+        report = jacobi_verify(BetaSequence(F3, 2, [1] * (40 - 2)))
         assert report.ok
         assert report.pairs_checked == 361
         assert report.triples_checked == 324
 
     def test_all_zero_consistent(self):
-        assert jacobi_verify(BetaSequence.all_zero(F7, 3, 30)).ok
+        assert jacobi_verify(BetaSequence(F7, 3, [0] * (30 - 3))).ok
 
     def test_periodic_fixture_consistent(self):
         report = jacobi_verify(periodic_fixture())
@@ -194,7 +193,7 @@ class TestJacobiVerify:
 
 class TestConstituents:
     def test_all_zero_metabelian(self):
-        report = constituents(BetaSequence.all_zero(F5, 2, 30))
+        report = constituents(BetaSequence(F5, 2, [0] * (30 - 2)))
         assert report.metabelian_within_depth
         assert report.ell is None
         assert report.constituents == []
@@ -202,7 +201,7 @@ class TestConstituents:
     def test_all_ones(self):
         # the other metabelian sequence: ell = 2n, then all constituents of
         # length n, none of them ordinary (for n > 1)
-        report = constituents(BetaSequence.all_ones(F3, 2, 40))
+        report = constituents(BetaSequence(F3, 2, [1] * (40 - 2)))
         assert report.ell == 4
         assert report.lengths() == [4] + [2] * 18
         assert report.violations == []
@@ -409,8 +408,8 @@ class TestSubalgebra:
         assert jacobi_verify(sub).ok
 
     def test_all_ones_transforms_to_zero(self):
-        sub = subalgebra_sequence(BetaSequence.all_ones(F3, 2, 20))
-        assert sub == BetaSequence.all_zero(F3, 3, 19)
+        sub = subalgebra_sequence(BetaSequence(F3, 2, [1] * (20 - 2)))
+        assert sub == BetaSequence(F3, 3, [0] * (19 - 3))
 
     def test_invalid_input_rejected(self):
         # beta_3 != beta_4 cannot happen in an algebra (diagonal bracket),
@@ -431,18 +430,26 @@ class TestLcs:
         assert report.incomplete_count == 5
 
     def test_all_zero(self):
-        report = constituents_via_lcs(BetaSequence.all_zero(F5, 2, 25))
+        report = constituents_via_lcs(BetaSequence(F5, 2, [0] * (25 - 2)))
         assert report.no_second_power
         assert report.lengths == []
 
     def test_nonzero_start_refused(self):
         with pytest.raises(ValueError, match="beta_\\(n\\+1\\) = 0"):
-            constituents_via_lcs(BetaSequence.all_ones(F3, 2, 30))
+            constituents_via_lcs(BetaSequence(F3, 2, [1] * (30 - 2)))
 
     def test_truncated_agreement(self):
         seq = periodic_fixture().truncate(33)
         report = constituents_via_lcs(seq)
         assert report.lengths == constituents(seq).lengths()[: len(report.lengths)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_depth_n_has_no_second_power(self, n):
+        # a prefix with no entries has no nonzero bracket, like one entry deeper
+        seq = BetaSequence(F3, n, [0, 2, 1, 1, 2, 2, 0, 1])
+        for depth in (n, n + 1):
+            report = constituents_via_lcs(seq.truncate(depth))
+            assert report.no_second_power and report.lengths == [], depth
 
 
 class TestBridge:
@@ -457,7 +464,7 @@ class TestBridge:
         assert g.coeffs == (4, 2)  # beta_5 X + beta_6
 
     def test_vacuous_window(self):
-        report = bridge_check(BetaSequence.all_ones(F3, 2, 40))
+        report = bridge_check(BetaSequence(F3, 2, [1] * (40 - 2)))
         assert report.ok and report.window == (2, 2)
 
     def test_violation_detected(self):
@@ -470,4 +477,4 @@ class TestBridge:
 
     def test_needs_two_constituents(self):
         assert bridge_check(BetaSequence(F5, 2, [0, 0, 2, 4, 0, 0])) is None
-        assert bridge_check(BetaSequence.all_zero(F5, 2, 20)) is None
+        assert bridge_check(BetaSequence(F5, 2, [0] * (20 - 2))) is None

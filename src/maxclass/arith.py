@@ -63,10 +63,6 @@ def binom_column_mod_p(b: int, q: int, p: int) -> dict[int, int]:
     digit binomials.  The column is built one digit at a time, low digit
     first, so it costs one step per nonzero entry; keys come out ascending.
     """
-    if not is_power_of(q, p):
-        raise ValueError(f"{q} is not a power of {p}")
-    if not 0 <= b < q:
-        raise ValueError(f"need 0 <= b < q, got b={b}, q={q}")
     column = {0: 1}
     place = 1
     while place < q:
@@ -80,15 +76,6 @@ def binom_column_mod_p(b: int, q: int, p: int) -> dict[int, int]:
         column = wider
         place *= p
     return column
-
-
-def is_power_of(q: int, p: int) -> bool:
-    """True when q = p^e for some e >= 1."""
-    if q < p:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
 
 
 def x_minus_one_coeff(k: int, m: int, p: int) -> int:
@@ -220,11 +207,6 @@ class FpPoly:
             return cls.zero(field)
         return cls(field, (0,) * exponent + (c,))
 
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -260,8 +242,6 @@ class FpPoly:
         return FpPoly(self.field, tuple((-c) % p for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         if not isinstance(other, FpPoly):
             return NotImplemented
         self._check(other)
@@ -277,17 +257,6 @@ class FpPoly:
                 out[i + j] = (out[i + j] + ca * cb) % p
         return FpPoly(self.field, out)
 
-    __rmul__ = __mul__
-
-    def scale(self, s: int) -> "FpPoly":
-        sv = int(s) % self.field.p
-        if sv == 0:
-            return FpPoly.zero(self.field)
-        if sv == 1:
-            return self
-        p = self.field.p
-        return FpPoly(self.field, tuple(c * sv % p for c in self.coeffs))
-
     def shift(self, k: int) -> "FpPoly":
         """Multiply by the k-th power of the indeterminate, k >= 0."""
         if k < 0:
@@ -295,33 +264,6 @@ class FpPoly:
         if self.is_zero():
             return self
         return FpPoly(self.field, (0,) * k + self.coeffs)
-
-    def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
-        if not isinstance(other, FpPoly):
-            return NotImplemented
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.p
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = pow(other.coeffs[-1], p - 2, p)
-        quot = [0] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = c * lead_inv % p
-            quot[i - d] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - d + j] = (rem[i - d + j] - f * oc) % p
-        return FpPoly(self.field, quot), FpPoly(self.field, rem)
-
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return divmod(self, other)[1]
-
-    def divides(self, other: "FpPoly") -> bool:
-        return (other % self).is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpPoly):

@@ -14,6 +14,7 @@ fails (the report still prints), and 2 for unusable arguments.
 import argparse
 import json
 import os
+import re
 import sys
 
 from .arith import PrimeField
@@ -48,14 +49,16 @@ def _render_json(payload: dict) -> str:
 
 
 def _csv_ints(text: str) -> list[int]:
-    """The integers of a comma separated list, where every field must be
-    one; a blank argument is the empty list."""
+    """The integers of a comma separated list, where every field is ASCII
+    digits with at most one sign, and spaces around them (int() alone would
+    take digit-group underscores and non-ASCII digits too); a blank
+    argument is the empty list."""
     if not text.strip():
         return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
+    fields = text.split(",")
+    if not all(re.fullmatch(r" *[+-]?[0-9]+ *", field) for field in fields):
         raise argparse.ArgumentTypeError(f"not a comma separated integer list: {text!r}")
+    return [int(field) for field in fields]
 
 
 def _cmd_construct(args) -> tuple[dict, bool]:

@@ -31,9 +31,9 @@ terms with sign +-1 into one dict, which is reduced mod p once, at the end.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from .arith import FpPoly, PrimeField, binom_column_mod_p
+from .arith import PrimeField, binom_column_mod_p
 
 
 class DividedPowers:
@@ -109,17 +109,9 @@ class _Sparse:
             out[key] = out.get(key, 0) - c
         return type(self)(self.ring, out)
 
-    def scale(self, value: Union[int, FpPoly]):
-        """Multiply by an int or a polynomial in t."""
-        if not isinstance(value, FpPoly):
-            return type(self)(self.ring, {key: c * value for key, c in self.entries.items()})
-        out = {}
-        for key, c in self.entries.items():
-            for k, f in enumerate(value.coeffs):
-                if f:
-                    shifted = key[:-1] + (key[-1] + k,)
-                    out[shifted] = out.get(shifted, 0) + c * f
-        return type(self)(self.ring, out)
+    def scale(self, value: int):
+        """Multiply by an int."""
+        return type(self)(self.ring, {key: c * value for key, c in self.entries.items()})
 
 
 class DPElement(_Sparse):
@@ -161,19 +153,19 @@ class Endo(_Sparse):
         return cls(ring, {(i - 1, i, 0): 1 for i in range(1, ring.q)})
 
     @classmethod
-    def mult_op(cls, ring: DividedPowers, shift: int,
-                scale: Union[int, FpPoly] = 1) -> "Endo":
-        """Multiplication by scale * x^(shift): x^(j) -> scale C(j+shift, shift) x^(j+shift)."""
+    def mult_op(cls, ring: DividedPowers, shift: int, t_power: int = 0) -> "Endo":
+        """Multiplication by t^(t_power) x^(shift):
+        x^(j) -> C(j+shift, shift) t^(t_power) x^(j+shift), the power of t
+        written straight into the entry keys."""
         if not (0 <= shift < ring.q):
             raise ValueError(f"shift must lie in [0, {ring.q})")
         column = binom_column_mod_p(shift, ring.q, ring.field.p)
-        return cls(ring, {(a, a - shift, 0): v for a, v in column.items()}).scale(scale)
+        return cls(ring, {(a, a - shift, t_power): v for a, v in column.items()})
 
     @classmethod
     def z_op(cls, ring: DividedPowers) -> "Endo":
         """Z = -(d/dx) - t * (multiplication by x^(q-1))."""
-        t = FpPoly.monomial(ring.field, 1, 1)
-        return -cls.derivation(ring) - cls.mult_op(ring, ring.q - 1, t)
+        return -cls.derivation(ring) - cls.mult_op(ring, ring.q - 1, t_power=1)
 
     def index(self) -> "Endo":
         """Index the entries by row and by column, and return self.
@@ -304,7 +296,7 @@ class SemidirectElement:
     def __sub__(self, other: "SemidirectElement") -> "SemidirectElement":
         return self + (-other)
 
-    def scale(self, value: Union[int, FpPoly]) -> "SemidirectElement":
+    def scale(self, value: int) -> "SemidirectElement":
         return SemidirectElement(self.vec.scale(value), self.op.scale(value))
 
     def bracket(self, other: "SemidirectElement") -> "SemidirectElement":
@@ -346,9 +338,8 @@ def make_generators(ring: DividedPowers, n: int, m: int
     if not (0 < m < n <= ring.q):
         raise ValueError(f"need 0 < m < n <= q = {ring.q}, got n={n}, m={m}")
     z = SemidirectElement(DPElement.zero(ring), Endo.z_op(ring).index())
-    t = FpPoly.monomial(ring.field, 1, 1)
     e_n = SemidirectElement(
         DPElement.basis(ring, ring.q + m - n),
-        Endo.mult_op(ring, ring.q - n, t).index())
+        Endo.mult_op(ring, ring.q - n, t_power=1).index())
     return z, e_n
 

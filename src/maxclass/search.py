@@ -55,12 +55,6 @@ class SearchReport(Record):
         """Whether the whole tree was covered and every solution stored."""
         return not self.exhausted and not self.truncated_solutions
 
-    def sequences(self, field: PrimeField) -> list[BetaSequence]:
-        if field.p != self.p:
-            raise ValueError(
-                f"report was computed over F_{self.p}, not F_{field.p}")
-        return [BetaSequence(field, self.n, sol) for sol in self.solutions]
-
 
 def level_solutions(prev: list[int], low: list[int], col: list[int], n: int,
                     p: int) -> Iterator[tuple[int, list[int]]]:

@@ -54,27 +54,11 @@ class BetaSequence:
             raise DepthError(f"beta_{i} outside recorded window ({self.n}, {self.depth}]")
         return self.betas[i - self.n - 1]
 
-    def _beta_int(self, i: int) -> int:
-        # bracket expansions read beta_n, which is 0 by [e_n, e_n] = 0
-        if i == self.n:
-            return 0
-        if not (self.n < i <= self.depth):
-            raise DepthError(f"beta_{i} outside recorded window ({self.n}, {self.depth}]")
-        return self.betas[i - self.n - 1]
-
     def first_nonzero(self) -> Optional[int]:
         for k, v in enumerate(self.betas):
             if v:
                 return self.n + 1 + k
         return None
-
-    @property
-    def normalized(self) -> Optional[bool]:
-        """Whether the first nonzero entry is 1; None for the zero prefix."""
-        i = self.first_nonzero()
-        if i is None:
-            return None
-        return self.betas[i - self.n - 1] == 1
 
     def normalize(self) -> "BetaSequence":
         """Rescale so the first nonzero entry becomes 1 (rescaling e_n scales
@@ -152,7 +136,8 @@ def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
         idx = a + i
         if idx > seq.depth:
             return None
-        total += c * seq._beta_int(idx)
+        if idx > n:  # beta_n is 0, by [e_n, e_n] = 0
+            total += c * seq.betas[idx - n - 1]
     return total % p
 
 
@@ -223,8 +208,9 @@ def level_failure(row: list[int], low: list[int], col: list[int],
 
 
 def _sweep_count(n: int, top: int, a: int) -> int:
-    """Number of pairs (x, y) with n <= x < a and x <= y <= top - x."""
-    return max(0, (a - n) * (top + 2 - a - n))
+    """Number of pairs (x, y) with n <= x < a and x <= y <= top - x, for
+    a <= top // 2 + 1: a sum of top + 1 - 2x over x, empty when a <= n."""
+    return max(0, a - n) * (top + 2 - a - n)
 
 
 class JacobiReport(Record):
@@ -266,8 +252,6 @@ def jacobi_verify(seq: BetaSequence) -> JacobiReport:
     D = seq.depth
     n, p = seq.n, seq.field.p
     report = JacobiReport(depth=D)
-    if D < 2 * n:
-        return report
     ring: deque[list[int]] = deque(maxlen=n + 1)
     col: list[int] = []
     for s, row in bracket_levels(seq, D):
@@ -418,17 +402,17 @@ def subalgebra_sequence(seq: BetaSequence) -> BetaSequence:
     D_out = seq.depth - 1
     if D_out < n + 1:
         raise ValueError("prefix too shallow to transform")
-    resid = (seq._beta_int(n + 1) - seq._beta_int(n + 2)) % p
+    resid = (seq.beta(n + 1) - seq.beta(n + 2)) % p
     if resid:
         raise ValueError(
             f"beta_{n + 1} - beta_{n + 2} = {resid} != 0: not an algebra sequence")
-    betas = [(seq._beta_int(i) - seq._beta_int(i + 1)) % p for i in range(n + 2, D_out + 1)]
+    betas = [(seq.beta(i) - seq.beta(i + 1)) % p for i in range(n + 2, D_out + 1)]
     return BetaSequence(seq.field, n + 1, betas)
 
 
 class RationalSeries:
     """num/den over F_p in X, with den(0) invertible; expandable to any depth.
-    Immutable by convention; equal when num and den are."""
+    Immutable by convention."""
 
     __slots__ = ("num", "den")
 
@@ -439,11 +423,6 @@ class RationalSeries:
             raise ValueError("denominator must have invertible constant term")
         self.num = num
         self.den = den
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
 
     def expand(self, depth: int) -> list[int]:
         """Coefficients 0..depth of the power-series expansion."""
@@ -468,7 +447,7 @@ def first_constituent_poly(seq: BetaSequence) -> FpPoly:
     if rep.ell is None or rep.ell > seq.depth:
         raise ValueError("first constituent not complete within depth")
     ell, n = rep.ell, seq.n
-    return FpPoly(seq.field, [seq._beta_int(ell - k) for k in range(n)])
+    return FpPoly(seq.field, [seq.beta(ell - k) for k in range(n)])
 
 
 class BridgeReport(Record):

@@ -2,7 +2,7 @@
 
 from typing import Optional
 
-from maxclass.arith import binom_mod_p
+from maxclass.arith import FpPoly, binom_mod_p
 from maxclass.divided_powers import DividedPowers, SemidirectElement
 
 
@@ -27,6 +27,18 @@ def dp_mul(ring: DividedPowers, i: int, j: int) -> Optional[tuple[int, int]]:
     if coeff == 0:
         return None
     return coeff, i + j
+
+
+def poly_scale(x, value: FpPoly):
+    """A module element or operator x times a polynomial in t: each term of
+    value adds its power of t to every key."""
+    out = {}
+    for key, c in x.entries.items():
+        for k, f in enumerate(value.coeffs):
+            if f:
+                shifted = key[:-1] + (key[-1] + k,)
+                out[shifted] = out.get(shifted, 0) + c * f
+    return type(x)(x.ring, out)
 
 
 def graded_degree(element: SemidirectElement, m: int) -> int:

@@ -1,8 +1,17 @@
 """Statements the tests check but the package does not run."""
 
-from maxclass.arith import PrimeField, binom_mod_p, is_power_of
+from maxclass.arith import PrimeField, binom_mod_p
 from maxclass.exceptional import ExceptionalParams
 from maxclass.polycheck import powers_of, window_solutions
+
+
+def is_power_of(q: int, p: int) -> bool:
+    """True when q = p^e for some e >= 1."""
+    if q < p:
+        return False
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def lucas_symmetry_check(a: int, b: int, q: int, p: int) -> bool:

@@ -12,14 +12,13 @@ from maxclass.arith import (
     PrimeField,
     binom_column_mod_p,
     binom_mod_p,
-    is_power_of,
     signed_binom_row,
     x_minus_one_pow,
 )
 from maxclass.divided_powers import DividedPowers, SemidirectElement, make_generators
 from maxclass.sequences import BetaSequence, bracket_coeff
 
-from paper_helpers import lucas_symmetry_check
+from paper_helpers import is_power_of, lucas_symmetry_check
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -81,7 +80,7 @@ class TestResidues:
         for i in range(2, al.depth + 1):
             residue(al.beta(i))
         f = FpPoly(field, [rng.randrange(-3 * p, 3 * p) for _ in range(6)] + [1])
-        for j in range(-1, f.degree + 3):
+        for j in range(-1, len(f.coeffs) + 2):
             residue(f[j])
         ring = DividedPowers(field, 1)
         z, e_n = make_generators(ring, 2, 1)
@@ -108,14 +107,6 @@ class TestBinom:
             column = binom_column_mod_p(b, q, p)
             assert column == want
             assert list(column) == sorted(column)
-
-    def test_column_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            binom_column_mod_p(0, 12, 3)
-        with pytest.raises(ValueError):
-            binom_column_mod_p(9, 9, 3)
-        with pytest.raises(ValueError):
-            binom_column_mod_p(-1, 9, 3)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -202,7 +193,7 @@ class TestFpPoly:
     def test_normalization(self):
         f = FpPoly(F5, [1, 2, 0, 0])
         assert f.coeffs == (1, 2)
-        assert FpPoly.zero(F5).degree == -1
+        assert FpPoly.zero(F5).coeffs == ()
         assert FpPoly(F5, [0, 0, 5]).is_zero()
 
     def test_worked_product(self):
@@ -227,18 +218,6 @@ class TestFpPoly:
         assert f + FpPoly.zero(F7) == f
         assert f * FpPoly.one(F7) == f
         assert f - f == FpPoly.zero(F7)
-
-    @settings(max_examples=200, derandomize=True)
-    @given(coeff_lists, coeff_lists)
-    def test_divmod(self, a, b):
-        f, g = FpPoly(F5, a), FpPoly(F5, b)
-        if g.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                divmod(f, g)
-            return
-        qt, r = divmod(f, g)
-        assert qt * g + r == f
-        assert r.degree < g.degree or r.is_zero()
 
     def test_pow_matches_repeated_mul(self):
         f = FpPoly(F5, [4, 1])

@@ -174,12 +174,20 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["constituents"]["ell"] == 4
 
-    @pytest.mark.parametrize("betas", ["1,,2,0", "1,2,", ",1", "1,x"])
+    # int() alone would read "0_0,1_1" as 0, 11 and the Arabic-Indic "\u0661,\u0662" as 1, 2
+    @pytest.mark.parametrize("betas", ["1,,2,0", "1,2,", ",1", "1,x", "0_0,1_1",
+                                       "\u0661,\u0662", "+-1", "1 2", "\t1"])
     def test_inline_betas_refuse_a_field_that_is_not_an_integer(self, capsys, betas):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--betas", betas, "--p", "3", "--n", "2"])
         assert exc.value.code == EXIT_USAGE
         assert "not a comma separated integer list" in capsys.readouterr().err
+
+    def test_inline_betas_take_spaces_and_a_sign(self, capsys):
+        code, out, _ = run(capsys, "verify", "--betas", " 1, -2", "--p", "3", "--n", "2")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["depth"] == 4 and payload["constituents"]["ell"] == 4
 
     def test_empty_inline_betas_are_the_empty_prefix(self, capsys):
         code, out, _ = run(capsys, "verify", "--betas", "", "--p", "3", "--n", "2")
@@ -300,6 +308,14 @@ class TestSearch:
             main(["search", "--p", "3", "--n", "2", "--depth", "12", "--seed", seed])
         assert exc.value.code == EXIT_USAGE
         assert "not a comma separated integer list" in capsys.readouterr().err
+
+    def test_seed_refuses_underscored_digits(self, capsys):
+        # int("0_0") is 0, which would pin two entries instead of refusing
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--p", "3", "--n", "2", "--depth", "10", "--seed", "0_0,1"])
+        assert exc.value.code == EXIT_USAGE
+        assert ("argument --seed: not a comma separated integer list: '0_0,1'"
+                in capsys.readouterr().err)
 
     def test_budget_exhaustion_exits_nonzero(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "3", "--n", "2",

@@ -51,8 +51,8 @@ def reference_constituents(seq: BetaSequence) -> ConstituentReport:
     if ell > D:
         report.incomplete_tail = {"start": n + 1, "leading": c}
         return report
-    entries = [seq._beta_int(i) for i in range(n + 1, ell + 1)]
-    trailing = max(i for i in range(n + 1, ell + 1) if seq._beta_int(i))
+    entries = [seq.beta(i) for i in range(n + 1, ell + 1)]
+    trailing = max(i for i in range(n + 1, ell + 1) if seq.beta(i))
     report.constituents.append(Constituent(
         start=n + 1, length=ell, leading=c, trailing=trailing, entries=entries,
         ordinary=_is_ordinary(entries, n, seq.field.p) if entries else None))
@@ -60,7 +60,7 @@ def reference_constituents(seq: BetaSequence) -> ConstituentReport:
     while True:
         lead = None
         for i in range(j + 1, D + 1):
-            if seq._beta_int(i):
+            if seq.beta(i):
                 lead = i
                 break
         if lead is None:
@@ -76,8 +76,8 @@ def reference_constituents(seq: BetaSequence) -> ConstituentReport:
         if end > D:
             report.incomplete_tail = {"start": j + 1, "leading": lead}
             break
-        entries = [seq._beta_int(i) for i in range(j + 1, end + 1)]
-        trailing = max(i for i in range(j + 1, end + 1) if seq._beta_int(i))
+        entries = [seq.beta(i) for i in range(j + 1, end + 1)]
+        trailing = max(i for i in range(j + 1, end + 1) if seq.beta(i))
         report.constituents.append(Constituent(
             start=j + 1, length=m, leading=lead, trailing=trailing, entries=entries,
             ordinary=_is_ordinary(entries, n, seq.field.p)))

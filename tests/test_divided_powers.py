@@ -11,7 +11,7 @@ from maxclass.divided_powers import (
     make_generators,
 )
 from maxclass.sequences import BetaSequence, RationalSeries, constituents, jacobi_verify
-from element_helpers import dp_mul, graded_degree, mul_coeff
+from element_helpers import dp_mul, graded_degree, mul_coeff, poly_scale
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -100,10 +100,15 @@ class TestDPElement:
         assert a + DPElement.zero(ring) == a
 
     def test_scale_by_poly(self):
+        # t^s times an operator or element shifts the t-power of every key;
+        # mult_op writes that power into its keys directly
         ring = DividedPowers(F5, 1)
         t = FpPoly.monomial(F5, 1, 1)
-        scaled = DPElement.basis(ring, 1).scale(t)
-        assert scaled == DPElement.basis(ring, 1, t_power=1)
+        assert poly_scale(DPElement.basis(ring, 1), t) == DPElement.basis(ring, 1, t_power=1)
+        for shift in range(ring.q):
+            for s in range(3):
+                want = poly_scale(Endo.mult_op(ring, shift), FpPoly.monomial(F5, 1, s))
+                assert Endo.mult_op(ring, shift, t_power=s) == want
 
     def test_monomials(self):
         ring = DividedPowers(F5, 1)
@@ -164,10 +169,9 @@ class TestEndo:
         # climbs; exact for every a >= 1 including the wrap at x^(0)
         ring = DividedPowers(field, c)
         z = Endo.z_op(ring)
-        t = FpPoly.monomial(field, 1, 1)
         for a in range(1, ring.q):
-            lhs = Endo.mult_op(ring, a, t).bracket(z)
-            assert lhs == Endo.mult_op(ring, a - 1, t), a
+            lhs = Endo.mult_op(ring, a, t_power=1).bracket(z)
+            assert lhs == Endo.mult_op(ring, a - 1, t_power=1), a
 
     def test_multiplications_commute(self):
         ring = DividedPowers(F3, 2)
@@ -237,7 +241,8 @@ class TestSemidirect:
         assert u.proportional_to(SemidirectElement.zero(ring)) is None
         v = u + SemidirectElement(DPElement.basis(ring, 2, t_power=4), Endo.zero(ring))
         assert v.proportional_to(u) is None
-        t_scaled = SemidirectElement(u.vec.scale(FpPoly.monomial(F5, 1, 1)), Endo.zero(ring))
+        t_scaled = SemidirectElement(poly_scale(u.vec, FpPoly.monomial(F5, 1, 1)),
+                                     Endo.zero(ring))
         base = SemidirectElement(u.vec, Endo.zero(ring))
         if u.vec:
             assert t_scaled.proportional_to(base) is None
@@ -257,12 +262,11 @@ class TestGenerators:
         ring = DividedPowers(F5, 1)
         q, n, m = ring.q, 2, 1
         z, e_n = make_generators(ring, n, m)
-        t = FpPoly.monomial(F5, 1, 1)
         e = {n: e_n}
         for j in range(n + 1, 3 * q + m + 1):
             e[j] = e[j - 1].bracket(z)
         for j in range(n, q + m + 1):
-            want_op = Endo.mult_op(ring, q - j, t) if j <= q else Endo.zero(ring)
+            want_op = Endo.mult_op(ring, q - j, t_power=1) if j <= q else Endo.zero(ring)
             assert e[j] == SemidirectElement(DPElement.basis(ring, q + m - j), want_op), j
         for r in (1, 2):
             for j in range(1, q + 1):
@@ -379,9 +383,8 @@ class TestOperatorSpan:
         # q - n + 2 whose derived subalgebra consists of commuting
         # multiplication operators
         ring = DividedPowers(field, c)
-        t = FpPoly.monomial(field, 1, 1)
         span = _Span(field.p)
-        work = [Endo.z_op(ring), Endo.mult_op(ring, ring.q - n, t)]
+        work = [Endo.z_op(ring), Endo.mult_op(ring, ring.q - n, t_power=1)]
         for op in work:
             span.insert(op)
         grew = True

@@ -27,7 +27,7 @@ from maxclass.divided_powers import (
     SemidirectElement,
     make_generators,
 )
-from element_helpers import graded_degree
+from element_helpers import graded_degree, poly_scale
 
 CONFIGS = [(PrimeField(3), 2), (PrimeField(5), 1), (PrimeField(7), 1), (PrimeField(3), 3)]
 
@@ -86,12 +86,12 @@ def reference_proportional_to(field, mine, theirs):
             return None
         for key, poly in a.items():
             ref = b[key]
-            if poly.degree != ref.degree:
+            if len(poly.coeffs) != len(ref.coeffs):
                 return None
             pairs.append((poly, ref))
     lam = None
     for poly, ref in pairs:
-        for k in range(int(ref.degree) + 1):
+        for k in range(len(ref.coeffs)):
             a, b = poly[k], ref[k]
             if (a == 0) != (b == 0):
                 return None
@@ -128,9 +128,8 @@ def random_pair(rng, ring, count=6):
 
 
 def structured_ops(ring):
-    t = FpPoly.monomial(ring.field, 1, 1)
     ops = [Endo.derivation(ring), Endo.z_op(ring)]
-    ops += [Endo.mult_op(ring, r, t) for r in range(0, ring.q, max(1, ring.q // 5))]
+    ops += [Endo.mult_op(ring, r, t_power=1) for r in range(0, ring.q, max(1, ring.q // 5))]
     return ops
 
 
@@ -139,14 +138,7 @@ def unfused_sub(a, b):
 
 
 def unfused_scale(x, value):
-    factor = value.coeffs if isinstance(value, FpPoly) else (int(value),)
-    out = {}
-    for key, c in x.entries.items():
-        for k, f in enumerate(factor):
-            if f:
-                shifted = key[:-1] + (key[-1] + k,)
-                out[shifted] = out.get(shifted, 0) + c * f
-    return type(x)(x.ring, out)
+    return poly_scale(x, FpPoly(x.ring.field, [value]))
 
 
 def unfused_endo_bracket(a, b):
@@ -259,14 +251,12 @@ def test_sub_and_scale_match_unfused(field, c):
     vecs = [from_polys(DPElement, ring, random_pair(rng, ring, rng.randrange(12))[1])
             for _ in range(20)]
     vecs.append(DPElement.zero(ring))
-    t = FpPoly.monomial(field, 1, 1)
     for _ in range(200):
         for values in (ops, vecs):
             a, b = rng.choice(values), rng.choice(values)
             assert (a - b).entries == unfused_sub(a, b).entries
             k = rng.randrange(-2 * field.p, 2 * field.p)
-            for factor in (k, t.scale(k)):
-                assert a.scale(factor).entries == unfused_scale(a, factor).entries
+            assert a.scale(k).entries == unfused_scale(a, k).entries
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)
@@ -295,8 +285,9 @@ def test_linear_operations_match_reference(field, c):
         assert to_polys(left + right) == _clean(total)
         assert to_polys(left - right) == _clean(diff)
         assert to_polys(-left) == {key: -poly for key, poly in a.items()}
-        assert to_polys(left.scale(f)) == _clean({key: poly * f for key, poly in a.items()})
-        assert to_polys(left.scale(k)) == _clean({key: poly.scale(k) for key, poly in a.items()})
+        assert to_polys(poly_scale(left, f)) == _clean({key: poly * f for key, poly in a.items()})
+        k_poly = FpPoly(field, [k])
+        assert to_polys(left.scale(k)) == _clean({key: poly * k_poly for key, poly in a.items()})
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)
@@ -311,7 +302,7 @@ def test_proportionality_matches_reference(field, c):
         if kind == 0:
             other = base.scale(rng.randrange(field.p))
         elif kind == 1:
-            other = base.scale(t)
+            other = SemidirectElement(poly_scale(base.vec, t), poly_scale(base.op, t))
         elif kind == 2:
             op2, vec2 = random_pair(rng, ring, rng.randrange(3))
             other = base.scale(rng.randrange(1, field.p)) + SemidirectElement(

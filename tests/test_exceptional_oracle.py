@@ -37,7 +37,7 @@ from maxclass.sequences import (
     constituents,
     project_type1,
 )
-from element_helpers import graded_degree
+from element_helpers import graded_degree, poly_scale
 from paper_helpers import theorem_parameter_grid
 from sequence_helpers import eih_residual
 
@@ -86,8 +86,8 @@ def reference_abelian_ideal_check(params, algebra):
 
 def reference_mult_op(ring, shift, scale):
     p = ring.field.p
-    return Endo(ring, {(j + shift, j, 0): binom_mod_p(j + shift, shift, p)
-                       for j in range(ring.q - shift)}).scale(scale)
+    return poly_scale(Endo(ring, {(j + shift, j, 0): binom_mod_p(j + shift, shift, p)
+                                  for j in range(ring.q - shift)}), scale)
 
 
 def reference_construct(params, depth):
@@ -151,9 +151,9 @@ def reference_eih_residual(seq, i, h):
             continue
         if i + n + g > seq.depth:
             return None
-        s1 += c * seq._beta_int(i + g)
-        s2 += c * seq._beta_int(i + n + g)
-    return (seq._beta_int(i + h + n) * s1 - seq._beta_int(i) * s2) % seq.field.p
+        s1 += c * seq.beta(i + g)
+        s2 += c * seq.beta(i + n + g)
+    return (seq.beta(i + h + n) * s1 - seq.beta(i) * s2) % seq.field.p
 
 
 def reference_project_type1(alpha, n):

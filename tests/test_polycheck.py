@@ -1,12 +1,14 @@
 """Window-vanishing checks and the admissible-k classification."""
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 from maxclass.arith import FpPoly, PrimeField, product_coeff_int, x_minus_one_pow
-from maxclass.polycheck import ClassifyReport, classify_admissible_k, in_small_k_menu
+from maxclass.polycheck import (ClassifyReport, _check_structure, classify_admissible_k,
+                                in_small_k_menu)
 
 from paper_helpers import expected_pairs, in_large_k_menu, lemma_pairs_check
 
@@ -47,7 +49,7 @@ def range_condition_holds(g: FpPoly, cond: RangeCondition) -> bool:
     """
     if g.field != cond.field:
         raise ValueError("polynomial and condition live over different fields")
-    if g.degree != cond.n - 1 or g.coeffs[-1] != 1:
+    if len(g.coeffs) != cond.n or g.coeffs[-1] != 1:
         raise ValueError(f"g must be monic of degree {cond.n - 1}, got {g!r}")
     return all(product_coeff_int(g.coeffs, cond.k, j, cond.field.p) == 0
                for j in range(cond.j_lo, cond.j_hi))
@@ -90,7 +92,7 @@ class TestProductCoeff:
                 k = rng.randrange(1, 60)
                 g = FpPoly(field, [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1])
                 full = x_minus_one_pow(field, k) * g
-                for j in range(k + int(g.degree) + 2):
+                for j in range(k + len(g.coeffs) + 1):
                     assert product_coeff_int(g.coeffs, k, j, p) == full[j], (p, k, j)
 
     def test_fp_wrapper(self):
@@ -131,9 +133,8 @@ class TestClassify:
         assert len(rep.survivors[25]) == 25
         # at k = q + 1 every survivor is divisible by X
         assert all(g[0] == 0 for g in rep.survivors[26])
-        # at k = q - 1 every survivor is divisible by (X - 1)
-        for g in rep.survivors[24]:
-            assert x_minus_one_pow(F5, 1).divides(FpPoly(F5, g))
+        # at k = q - 1 every survivor is divisible by (X - 1): g(1) = 0
+        assert all(sum(g) % 5 == 0 for g in rep.survivors[24])
 
     def test_menu_membership_helpers(self):
         assert in_large_k_menu(5, 3, 48)
@@ -169,6 +170,64 @@ class TestClassify:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             classify_admissible_k(F5, 5, 30)
+
+
+def x_minus_one_power_coeffs(e: int, p: int) -> list[int]:
+    """(X - 1)^e over F_p by repeated multiplication, low degree first."""
+    out = [1]
+    for _ in range(e):
+        out = [((out[i - 1] if i else 0) - (out[i] if i < len(out) else 0)) % p
+               for i in range(len(out) + 1)]
+    return out
+
+
+def long_division_remainder(g, d, p: int) -> list[int]:
+    """g mod d over F_p by schoolbook long division, for monic d;
+    coefficient lists low degree first."""
+    rem = [c % p for c in g]
+    for top in range(len(rem) - 1, len(d) - 2, -1):
+        if f := rem[top]:
+            for j, c in enumerate(d):
+                rem[top - len(d) + 1 + j] = (rem[top - len(d) + 1 + j] - f * c) % p
+    return rem[:len(d) - 1]
+
+
+class TestStructureCheck:
+    def test_each_violation_branch(self):
+        # p = 5, n = 3, q = 25: one survivor breaking each of the three shapes
+        survivors = {
+            24: [(1, 3, 1), (1, 1, 1)],  # k = q - 1: g(1) = 3, so X - 1 does not divide g
+            26: [(0, 1, 1), (1, 0, 1)],  # k = q + 1: g(0) = 1, so X does not divide g
+            48: [(1, 0, 1)],             # k = 2q - n + 1: not (X - 1)^2 = X^2 + 3X + 1
+        }
+        report = ClassifyReport(F5, 3, 60, survivors, [])
+        _check_structure(report)
+        assert report.structure_violations == [
+            (24, (1, 1, 1), "(X-1)^1 does not divide g"),
+            (26, (1, 0, 1), "X^1 does not divide g"),
+            (48, (1, 0, 1), "expected unique survivor (X-1)^2"),
+        ]
+        assert not report.structure_ok and report.menu_ok
+        second = ClassifyReport(F5, 3, 60, {48: [(1, 3, 1), (1, 0, 1)]}, [])
+        _check_structure(second)
+        assert second.structure_violations == [
+            (48, (1, 3, 1), "expected unique survivor (X-1)^2")]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_divisibility_matches_long_division(self, p):
+        # every monic g of degree n - 1 <= 3 at k = q - e, e < n, q = p^2
+        q = p * p
+        for n in (2, 3, 4):
+            gs = [(*head, 1) for head in itertools.product(range(p), repeat=n - 1)]
+            report = ClassifyReport(PrimeField(p), n, 2 * q,
+                                    {q - e: list(gs) for e in range(1, n)}, [])
+            _check_structure(report)
+            flagged = {(k, g) for k, g, why in report.structure_violations}
+            assert all("does not divide g" in why for _, _, why in report.structure_violations)
+            want = {(q - e, g) for e in range(1, n) for g in gs
+                    if any(long_division_remainder(g, x_minus_one_power_coeffs(e, p), p))}
+            assert flagged == want, (p, n)
+            assert want  # some g is not divisible, so the check is exercised
 
 
 class TestLemmaPairs:

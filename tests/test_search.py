@@ -149,7 +149,8 @@ class TestSmallDepthExhaustive:
 
     def test_all_solutions_pass_full_verification(self):
         report = search_sequences(F3, 2, 12)
-        for seq in report.sequences(F3):
+        for sol in report.solutions:
+            seq = BetaSequence(F3, 2, sol)
             assert jacobi_verify(seq).ok
             summary = constituents(seq)
             if summary.ell is not None:
@@ -283,17 +284,6 @@ class TestReportShape:
         assert data["solution_count"] == 9
         assert data["p"] == 3
         assert [tuple(s) for s in data["solutions"]] == P3_N2_D12
-
-    def test_sequences_helper_returns_beta_sequences(self):
-        report = search_sequences(F3, 2, 12)
-        seqs = report.sequences(F3)
-        assert all(isinstance(s, BetaSequence) for s in seqs)
-        assert seqs[3].betas == P3_N2_D12[3]
-
-    def test_sequences_helper_rejects_field_mismatch(self):
-        report = search_sequences(F3, 2, 12)
-        with pytest.raises(ValueError):
-            report.sequences(F5)
 
     def test_report_is_dataclass_with_expected_fields(self):
         report = search_sequences(F3, 2, 8)

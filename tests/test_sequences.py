@@ -62,11 +62,12 @@ class TestBetaSequence:
 
     def test_normalize(self):
         seq = BetaSequence(F5, 2, [0, 3, 1])
-        assert seq.normalized is False
+        assert seq.first_nonzero() == 4 and seq.beta(4) == 3
         norm = seq.normalize()
-        assert norm.normalized is True
+        assert norm.beta(norm.first_nonzero()) == 1
         assert norm.betas == (0, 1, 2)  # scaled by 3^(-1) = 2
-        assert BetaSequence(F5, 2, [0] * (9 - 2)).normalized is None
+        zero = BetaSequence(F5, 2, [0] * (9 - 2))
+        assert zero.first_nonzero() is None and zero.normalize() == zero
 
     def test_truncate(self):
         seq = BetaSequence(F5, 2, [1, 2, 3, 4])
@@ -171,6 +172,17 @@ class TestJacobiVerify:
         assert report.depth == 6 and report.failure["indices"] == [2, 4]
         with pytest.raises(ValueError, match="cannot truncate"):
             seq.truncate(1)
+
+    def test_counts_on_passing_prefixes_count_the_sweep(self):
+        # pairs n <= a <= b with a + b <= D and triples (e_n, e_b, e_c) with
+        # n <= b <= c, n + b + c <= D; none of either below depth 2n, and
+        # no triple below 3n (n = 4, D = 8 once reported one)
+        for n in range(1, 8):
+            for D in range(n, 4 * n + 4):
+                report = jacobi_verify(BetaSequence(F7, n, [0] * (D - n)))
+                pairs = sum(max(0, D - 2 * a + 1) for a in range(n, D + 1))
+                triples = sum(max(0, D - n - 2 * b + 1) for b in range(n, D + 1))
+                assert (report.pairs_checked, report.triples_checked) == (pairs, triples), (n, D)
 
     def test_deterministic(self):
         a = jacobi_verify(periodic_fixture()).to_dict()

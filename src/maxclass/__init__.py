@@ -13,11 +13,11 @@ pays only for the layers it runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "arith": ("FieldMismatch", "FpPoly", "PrimeField", "binom_mod_p"),
+    "arith": ("ConstructionError", "FieldMismatch", "FpPoly", "PrimeField",
+              "binom_mod_p"),
     "divided_powers": ("DividedPowers", "DPElement", "Endo",
                        "SemidirectElement", "make_generators"),
-    "exceptional": ("AbelianIdealReport", "ConstructedAlgebra",
-                    "ConstructionError", "ExceptionalParams",
+    "exceptional": ("AbelianIdealReport", "ConstructedAlgebra", "ExceptionalParams",
                     "ExceptionalReport", "abelian_ideal_check",
                     "closed_form_betas", "construct", "exceptional_report",
                     "expected_first_length", "expected_lengths",

@@ -20,6 +20,10 @@ class FieldMismatch(ValueError):
     """Values from different prime-field contexts were combined."""
 
 
+class ConstructionError(Exception):
+    """An internal invariant of the operator construction failed."""
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .arith import PrimeField
+from .arith import ConstructionError, PrimeField
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,30 +38,30 @@ def __getattr__(name: str):
     return getattr(_package, name)
 
 
-def _construction_error() -> tuple:
-    """ConstructionError if its module is loaded; if not, none was raised."""
-    exceptional = sys.modules.get(f"{__package__}.exceptional")
-    return (exceptional.ConstructionError,) if exceptional else ()
+# Every integer argument and list field: ASCII digits, at most one sign, and
+# spaces around them (int() takes digit-group underscores and non-ASCII digits).
+_INTEGER = re.compile(r" *[+-]?[0-9]+ *")
 
 
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _csv_ints(text: str) -> list[int]:
-    """The integers of a comma separated list, where every field is ASCII
-    digits with at most one sign, and spaces around them (int() alone would
-    take digit-group underscores and non-ASCII digits too); a blank
-    argument is the empty list."""
+    """The integers of a comma separated list; a blank one is the empty list."""
     if not text.strip():
         return []
     fields = text.split(",")
-    if not all(re.fullmatch(r" *[+-]?[0-9]+ *", field) for field in fields):
+    if not all(map(_INTEGER.fullmatch, fields)):
         raise argparse.ArgumentTypeError(f"not a comma separated integer list: {text!r}")
     return [int(field) for field in fields]
 
 
 def _cmd_construct(args) -> tuple[dict, bool]:
+    if args.jacobi_depth is not None and not args.report:
+        raise ValueError("--jacobi-depth needs --report")
     params = _cli.ExceptionalParams(PrimeField(args.p), args.c, args.n,
                                     args.m)
     seq = _cli.construct(params, depth=args.depth).sequence
@@ -80,6 +80,8 @@ def _cmd_construct(args) -> tuple[dict, bool]:
 
 def _load_sequence(args) -> "BetaSequence":
     if args.file is not None:
+        if args.p is not None or args.n is not None:
+            raise ValueError("--p and --n go with --betas")
         return _cli.BetaSequence.from_file(args.file)
     if args.p is None or args.n is None:
         raise ValueError("--betas needs --p and --n alongside it")
@@ -178,85 +180,72 @@ def _text_search(payload: dict, out) -> None:
         print(",".join(str(v) for v in sol), file=out)
 
 
-_TEXT_RENDERERS = {
-    "construct": _text_construct,
-    "verify": _text_verify,
-    "classify": _text_classify,
-    "search": _text_search,
-}
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "classify": _cmd_classify,
-    "search": _cmd_search,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxclass",
         description="Exact checks for graded Lie algebras of maximal class.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def add_format(p, run, text):
+        # the subcommand's handler, and its renderer for --format text
+        p.set_defaults(run=run, text=text)
         p.add_argument("--format", choices=("json", "text"), default="json",
                        help="output rendering (default json)")
 
     con = sub.add_parser(
         "construct",
         help="build a family member from divided power operators")
-    con.add_argument("--p", type=int, required=True, help="odd prime")
-    con.add_argument("--c", type=int, required=True,
+    con.add_argument("--p", type=_int, required=True, help="odd prime")
+    con.add_argument("--c", type=_int, required=True,
                      help="power exponent, q = p^c")
-    con.add_argument("--n", type=int, required=True,
+    con.add_argument("--n", type=_int, required=True,
                      help="type of the algebra, 0 < m < n <= q")
-    con.add_argument("--m", type=int, required=True,
+    con.add_argument("--m", type=_int, required=True,
                      help="degree offset of the second generator")
-    con.add_argument("--depth", type=int, default=None,
+    con.add_argument("--depth", type=_int, default=None,
                      help="entries to compute (default 3q + 2n)")
     con.add_argument("--report", action="store_true",
                      help="also run the full family validation report")
-    con.add_argument("--jacobi-depth", type=int, default=None,
+    con.add_argument("--jacobi-depth", type=_int, default=None,
                      help="cap for the report's bracket sweep, >= n (default 3q)")
-    add_format(con)
+    add_format(con, _cmd_construct, _text_construct)
 
     ver = sub.add_parser("verify", help="check a structure constant sequence")
     src = ver.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="JSON file with p, n, depth, betas")
     src.add_argument("--betas", type=_csv_ints,
                      help="comma separated entries starting at index n + 1")
-    ver.add_argument("--p", type=int, help="odd prime (with --betas)")
-    ver.add_argument("--n", type=int, help="type (with --betas)")
-    ver.add_argument("--depth", type=int, default=None,
+    ver.add_argument("--p", type=_int, help="odd prime (with --betas)")
+    ver.add_argument("--n", type=_int, help="type (with --betas)")
+    ver.add_argument("--depth", type=_int, default=None,
                      help="truncate before checking")
-    add_format(ver)
+    add_format(ver, _cmd_verify, _text_verify)
 
     cla = sub.add_parser(
         "classify",
         help="solve for first constituent polynomials per exponent")
-    cla.add_argument("--p", type=int, required=True, help="odd prime")
-    cla.add_argument("--n", type=int, required=True, help="type, 1 < n < p")
-    cla.add_argument("--k-max", type=int, required=True,
+    cla.add_argument("--p", type=_int, required=True, help="odd prime")
+    cla.add_argument("--n", type=_int, required=True, help="type, 1 < n < p")
+    cla.add_argument("--k-max", type=_int, required=True,
                      help="largest exponent to test")
-    add_format(cla)
+    add_format(cla, _cmd_classify, _text_classify)
 
     sea = sub.add_parser(
         "search",
         help="enumerate admissible sequences by constraint propagation")
-    sea.add_argument("--p", type=int, required=True, help="odd prime")
-    sea.add_argument("--n", type=int, required=True, help="type")
-    sea.add_argument("--depth", type=int, required=True,
+    sea.add_argument("--p", type=_int, required=True, help="odd prime")
+    sea.add_argument("--n", type=_int, required=True, help="type")
+    sea.add_argument("--depth", type=_int, required=True,
                      help="last index to assign")
     sea.add_argument("--seed", type=_csv_ints, default=None,
                      help="pin the leading entries, comma separated")
     sea.add_argument("--no-normalize", action="store_true",
                      help="do not restrict the first nonzero entry to 1")
-    sea.add_argument("--budget", type=int, default=500_000,
+    sea.add_argument("--budget", type=_int, default=500_000,
                      help="assignment cap (default 500000)")
-    sea.add_argument("--max-solutions", type=int, default=1000,
+    sea.add_argument("--max-solutions", type=_int, default=1000,
                      help="stored solution cap (default 1000)")
-    add_format(sea)
+    add_format(sea, _cmd_search, _text_search)
 
     return parser
 
@@ -265,18 +254,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, ok = _HANDLERS[args.command](args)
-    except _construction_error() as exc:
+        payload, ok = args.run(args)
+    except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.format == "json":
-            print(_render_json(payload))
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
-            _TEXT_RENDERERS[args.command](payload, sys.stdout)
+            args.text(payload, sys.stdout)
         sys.stdout.flush()  # raise a closed pipe here, not at interpreter exit
     except BrokenPipeError:
         # the reader went away; send the rest of the output nowhere

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .arith import (FpPoly, PrimeField, Record, binom_column_mod_p, x_minus_one_coeff,
-                    x_minus_one_pow)
+from .arith import (ConstructionError, FpPoly, PrimeField, Record, binom_column_mod_p,
+                    x_minus_one_coeff, x_minus_one_pow)
 from .divided_powers import DividedPowers, make_generators
 from .sequences import (
     BetaSequence,
@@ -54,10 +54,6 @@ CONSTRUCT_MAX_Q = 10_000
 # depth, because the two-path check builds the type-(m+1) member n - m - 1
 # deeper, to the same top degree.
 CONSTRUCT_MAX_DEGREE = 6 * CONSTRUCT_MAX_Q
-
-
-class ConstructionError(Exception):
-    """An internal invariant of the operator construction failed."""
 
 
 class ExceptionalParams:

@@ -32,15 +32,14 @@ rejects it.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .arith import PrimeField, Record
 from .sequences import BetaSequence, level_failure, pascal_row
 
-# Largest depth that search_sequences accepts.  Two lists of `depth` entries
-# are allocated before the first node, so `--depth 100000000` would take
-# about 1.6 GB untried; the bound is far above the deepest searches run
-# (depth 2100, and 5000 as a target).
+# Largest depth that search_sequences accepts.  Nothing is allocated up front;
+# the bound caps the rows of a branch, one per level reached (level s has
+# s - 2n + 1 entries), far above the deepest searches run (2100; 5000 planned).
 SEARCH_MAX_DEPTH = 100_000
 
 
@@ -111,21 +110,22 @@ def level_solutions(prev: list[int], low: list[int], col: list[int], n: int,
 
 
 def search_sequences(field: PrimeField, n: int, depth: int,
-                     seed: Union[BetaSequence, Sequence[int], None] = None,
+                     seed: Optional[Sequence[int]] = None,
                      normalize: bool = True,
                      budget: int = 500_000,
                      max_solutions: int = 1000) -> SearchReport:
     """Enumerate all beta prefixes to `depth` satisfying every bracket
     constraint determined within the window.
 
-    seed pins the leading entries (a BetaSequence of the same type, or a
-    plain list starting at beta_(n+1)); seeded levels are checked, not
-    trusted.  With normalize=True the first nonzero entry is restricted
-    to 1 (any other value is a rescaling of e_n).  budget caps the number
-    of assignments tried; on exhaustion the report carries exhausted=True
-    and whatever was found so far.  Solutions appear in lexicographic
-    order; at most max_solutions are stored, all are counted.  Negative
-    limits and depths above SEARCH_MAX_DEPTH are refused.
+    seed pins the leading entries: a list of ints from beta_(n+1) on, taken
+    as BetaSequence entries are (reduced mod p; any other type is refused).
+    Seeded levels are checked, not trusted.  With normalize=True the first
+    nonzero entry is restricted to 1 (any other value is a rescaling of
+    e_n).  budget caps the number of assignments tried; on exhaustion the
+    report carries exhausted=True and whatever was found so far.  Solutions
+    appear in lexicographic order; at most max_solutions are stored, all
+    are counted.  Negative limits and depths above SEARCH_MAX_DEPTH are
+    refused.
     """
     if n < 1:
         raise ValueError(f"type must be a positive integer, got {n}")
@@ -138,23 +138,19 @@ def search_sequences(field: PrimeField, n: int, depth: int,
         raise ValueError(f"budget and max_solutions must be nonnegative, "
                          f"got {budget} and {max_solutions}")
     p = field.p
-    if isinstance(seed, BetaSequence):
-        if seed.field != field or seed.n != n:
-            raise ValueError("seed sequence has different field or type")
-        seed_vals = list(seed.betas)
-    else:
-        seed_vals = [int(v) % p for v in (seed or [])]
+    seed_vals = BetaSequence(field, n, seed or []).betas
     if n + len(seed_vals) > depth:
         raise ValueError(
             f"seed depth {n + len(seed_vals)} exceeds search depth {depth}")
 
     report = SearchReport(p=p, n=n, depth=depth, seed_depth=n + len(seed_vals),
                           normalized=normalize, budget=budget, deepest=n)
-    betas = [0] * (depth - n)
-    # rows[s][a - n] = gamma(a, s - a) for a = n .. s - n, and
-    # col[s - 2n] = gamma(n, s - n), along the current branch
-    rows: list[list[int]] = [[]] * (depth + n + 1)
-    rows[2 * n] = [0]
+    # Stacks along the current branch, pushed before each recursive call and
+    # popped after it.  At level s, rows holds the rows of levels n + 1 ..
+    # s - 1 (as pascal_row; those below 2n are empty), so rows[-1] is level
+    # s - 1 and rows[-n] level s - n; col[j] = gamma(n, n + j).
+    betas: list[int] = []
+    rows: list[list[int]] = [[]] * (n - 1) + [[0]]
     col = [0]
     full_range = range(p)
     norm_range = (0, 1)
@@ -167,8 +163,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
             else:
                 report.truncated_solutions = True
             return
-        s = idx + n
-        prev, low = rows[s - 1], rows[s - n]
+        prev, low = rows[-1], rows[-n]
         if idx <= report.seed_depth:
             candidates = (seed_vals[idx - n - 1],)
         else:
@@ -187,14 +182,15 @@ def search_sequences(field: PrimeField, n: int, depth: int,
                 beta, row = next(solved, (p, None))
             if beta != value:
                 continue
-            betas[idx - n - 1] = value
             if idx > report.deepest:
                 report.deepest = idx
-            rows[s] = row
-            del col[s - 2 * n:]
+            betas.append(value)
+            rows.append(row)
             col.append(row[0])
             extend(idx + 1, has_nonzero or value != 0)
-        betas[idx - n - 1] = 0
+            betas.pop()
+            rows.pop()
+            col.pop()
 
     extend(n + 1, False)
     return report

@@ -23,16 +23,16 @@ from .arith import (FpPoly, PrimeField, Record, product_coeff_int, signed_binom_
                     x_minus_one_coeff)
 
 
-class DepthError(Exception):
+class DepthError(ValueError):
     """A sequence entry outside the recorded window (n, depth] was requested."""
 
 
 class BetaSequence:
     """A finite prefix (beta_i) for n < i <= depth of a type-n sequence.
 
-    Entry i of the backing list holds beta_(n+1+i).  Type-1 data, the
-    sequence (alpha_i) of a type-1 algebra, is the case n = 1:
-    project_type1 validates it and projects it to type n.
+    Entry i of the backing list holds beta_(n+1+i), an int reduced mod p.
+    Type-1 data, the sequence (alpha_i) of a type-1 algebra, is the case
+    n = 1: project_type1 validates it and projects it to type n.
     """
 
     __slots__ = ("field", "n", "betas")
@@ -40,10 +40,12 @@ class BetaSequence:
     def __init__(self, field: PrimeField, n: int, betas: Sequence[int]):
         if n < 1:
             raise ValueError(f"type must be a positive integer, got {n}")
-        p = field.p
+        betas = tuple(betas)
+        if not all(type(b) is int for b in betas):
+            raise ValueError("entries of betas must be integers")
         self.field = field
         self.n = n
-        self.betas = tuple(int(b) % p for b in betas)
+        self.betas = tuple(b % field.p for b in betas)
 
     @property
     def depth(self) -> int:
@@ -90,8 +92,8 @@ class BetaSequence:
     def from_dict(cls, data: dict) -> "BetaSequence":
         if not isinstance(data, dict) or not isinstance(data.get("betas"), list):
             raise ValueError('a sequence must be a JSON object with a "betas" list')
-        if not all(type(v) is int for v in [*map(data.get, ("p", "n", "depth")), *data["betas"]]):
-            raise ValueError("p, n, depth and every entry of betas must be integers")
+        if not all(type(data.get(key)) is int for key in ("p", "n", "depth")):
+            raise ValueError("p, n and depth must be integers")
         seq = cls(PrimeField(data["p"]), data["n"], data["betas"])
         if seq.depth != data["depth"]:
             raise ValueError(f"depth field {data['depth']} does not match {len(data['betas'])} entries")

@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import argparse
 import json
 import os
 import resource
@@ -8,7 +9,8 @@ import sys
 
 import pytest
 
-from maxclass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from maxclass import cli
+from maxclass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 from maxclass.exceptional import CONSTRUCT_MAX_DEGREE, CONSTRUCT_MAX_Q
 from maxclass.search import SEARCH_MAX_DEPTH
 from maxclass.sequences import BetaSequence
@@ -85,6 +87,15 @@ class TestConstruct:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "jacobi depth" in err
+
+    @pytest.mark.parametrize("cap", ["-7", "5"])
+    def test_jacobi_depth_needs_report(self, capsys, cap):
+        # the cap is read only by the report; without it the flag would be dropped
+        code, out, err = run(capsys, "construct", "--p", "5", "--c", "2",
+                             "--n", "2", "--m", "1", "--jacobi-depth", cap)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --jacobi-depth needs --report\n"
 
     @pytest.mark.parametrize("n, m, cap", [(2, 1, "0"), (3, 1, "2")])
     def test_jacobi_depth_below_type_is_usage_error(self, capsys, n, m, cap):
@@ -198,6 +209,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--betas", "1,1")
         assert code == EXIT_USAGE
         assert "--betas needs --p and --n" in err
+
+    @pytest.mark.parametrize("extra", [["--p", "7", "--n", "5"], ["--n", "2"]])
+    def test_file_refuses_modulus_and_type(self, capsys, tmp_path, extra):
+        # the file carries its own p and n; the flags would be dropped
+        path = tmp_path / "seq.json"
+        BetaSequence(F3, 2, (0, 0, 1, 1)).to_file(path)
+        code, out, err = run(capsys, "verify", "--file", str(path), *extra)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --p and --n go with --betas\n"
 
     def test_modulus_above_bound_refused_at_once(self):
         # a 19-digit prime: trial division to its square root takes minutes
@@ -325,7 +346,7 @@ class TestSearch:
         assert payload["exhausted"] is True
 
     def test_depth_above_bound_is_usage_error(self, capsys):
-        # refused before the per-depth lists are allocated: 1.6 GB at 10^8
+        # refused before the search starts
         assert SEARCH_MAX_DEPTH >= 5000
         code, out, err = run(capsys, "search", "--p", "3", "--n", "2",
                              "--depth", "100000000", "--budget", "1")
@@ -364,6 +385,51 @@ class TestSearch:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "solutions: 9 nodes: 167"
         assert "1,1,1,1,1,1,1,1,1,1" in out
+
+
+class TestParser:
+    def test_one_integer_grammar_and_one_subcommand_table(self):
+        [subparsers] = [a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(subparsers.choices) == ["classify", "construct", "search", "verify"]
+        for name, sub in subparsers.choices.items():
+            assert callable(sub.get_default("run")), name
+            assert callable(sub.get_default("text")), name
+            for action in sub._actions:
+                assert action.type is not int, (name, action.dest)
+
+    # int() would read the Arabic-Indic digits as 5 and 3, and 1_0 as 10
+    @pytest.mark.parametrize("argv, option", [
+        (["classify", "--p", "\u0665", "--n", "3", "--k-max", "10"], "--p"),
+        (["classify", "--p", "5", "--n", "3", "--k-max", "1_0"], "--k-max"),
+        (["search", "--p", "3", "--n", "2", "--depth", "1_0"], "--depth"),
+        (["search", "--p", "3", "--n", "2", "--depth", "10", "--budget", "\u0663"],
+         "--budget"),
+        (["construct", "--p", "5", "--c", "2", "--n", "\t2", "--m", "1"], "--n"),
+        (["verify", "--betas", "1", "--p", "3", "--n", "2", "--depth", "2.0"], "--depth"),
+    ])
+    def test_integer_options_refuse_what_is_not_ascii_digits(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = [line for line in captured.err.splitlines() if "error:" in line]
+        assert f"error: argument {option}: not an integer: " in line
+
+    def test_key_error_is_not_a_usage_error(self, monkeypatch):
+        # no handler raises one on bad input, so it is a bug and must show
+        def fail(*args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "classify_admissible_k", fail)
+        with pytest.raises(KeyError, match="bug"):
+            main(["classify", "--p", "5", "--n", "3", "--k-max", "10"])
+
+    def test_integer_options_take_spaces_and_a_sign(self, capsys):
+        code, out, _ = run(capsys, "classify", "--p", " 5", "--n", "3", "--k-max", "+60")
+        assert code == EXIT_OK
+        assert out == run(capsys, "classify", "--p", "5", "--n", "3", "--k-max", "60")[1]
 
 
 class TestEntryPoints:

@@ -52,9 +52,21 @@ class TestBetaSequence:
         with pytest.raises(DepthError):
             seq.beta(6)
 
+    def test_read_past_the_window_is_a_value_error(self):
+        # so the command line reports it as a usage error, not a traceback
+        with pytest.raises(ValueError, match="outside recorded window"):
+            BetaSequence(F5, 2, [0, 1, 2]).beta(6)
+
     def test_entries_reduced_mod_p(self):
         seq = BetaSequence(F5, 2, [-1, 7, 8])
         assert seq.betas == (4, 2, 3)
+        assert BetaSequence(F5, 2, iter([-1, 7, 8])) == seq
+
+    @pytest.mark.parametrize("entry", [2.9, "3", True, None])
+    def test_entries_must_be_ints(self, entry):
+        # int() would have read 2.9, "3" and True as 2, 3 and 1
+        with pytest.raises(ValueError, match="integers"):
+            BetaSequence(F5, 2, [0, entry])
 
     def test_bad_type_rejected(self):
         with pytest.raises(ValueError, match="positive"):

@@ -13,8 +13,7 @@ pays only for the layers it runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "arith": ("ConstructionError", "FieldMismatch", "FpPoly", "PrimeField",
-              "binom_mod_p"),
+    "arith": ("ConstructionError", "PrimeField", "binom_mod_p"),
     "divided_powers": ("DividedPowers", "DPElement", "Endo",
                        "SemidirectElement", "make_generators"),
     "exceptional": ("AbelianIdealReport", "ConstructedAlgebra", "ExceptionalParams",

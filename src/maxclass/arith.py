@@ -1,9 +1,11 @@
 """Exact arithmetic over prime fields.
 
-Scalars are plain ints, residues in [0, p).  Univariate polynomials with
-coefficients mod p carry a reference to a shared PrimeField context, and
-mixing contexts is rejected eagerly.  Binomial coefficients are computed
-digit-wise in base p.  Record is the base of the package's result classes.
+Scalars are plain ints, residues in [0, p), and polynomials are tuples of
+residues, low degree first.  Binomial coefficients are computed digit-wise
+in base p, and single coefficients of (X - 1)^k g(X) come from them.
+Record is the base of the package's result classes.  FpPoly keeps only
+its constructor and product, which perfbench/run.py times
+(arith.fppoly_mul_ns); no package code uses it.
 """
 
 from __future__ import annotations
@@ -179,11 +181,9 @@ class PrimeField:
 
 
 class FpPoly:
-    """Univariate polynomial over F_p, stored dense, low degree first.
-
-    Used both for coefficient polynomials in t and for the series variable X;
-    the indeterminate has no name of its own.  Instances are immutable and
-    always normalized (no trailing zero coefficients).
+    """Univariate polynomial over F_p, stored dense, low degree first and
+    normalized (no trailing zero coefficients).  Only the product is kept:
+    the package itself writes polynomials as residue tuples.
     """
 
     __slots__ = ("field", "coeffs")
@@ -196,94 +196,17 @@ class FpPoly:
         self.field = field
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls, field: PrimeField) -> "FpPoly":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: PrimeField) -> "FpPoly":
-        return cls(field, (1,))
-
-    @classmethod
-    def monomial(cls, field: PrimeField, coefficient: int, exponent: int) -> "FpPoly":
-        c = int(coefficient) % field.p
-        if c == 0:
-            return cls.zero(field)
-        return cls(field, (0,) * exponent + (c,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, j: int) -> int:
-        # coefficient of the j-th power; 0 outside the support
-        if j < 0 or j >= len(self.coeffs):
-            return 0
-        return self.coeffs[j]
-
-    def _check(self, other: "FpPoly") -> None:
-        if other.field != self.field:
-            raise FieldMismatch("cannot mix polynomials over different prime fields")
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        if not isinstance(other, FpPoly):
-            return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.field.p
-        return FpPoly(self.field, out)
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        if not isinstance(other, FpPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "FpPoly":
-        p = self.field.p
-        return FpPoly(self.field, tuple((-c) % p for c in self.coeffs))
-
     def __mul__(self, other):
         if not isinstance(other, FpPoly):
             return NotImplemented
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return FpPoly.zero(self.field)
+        if other.field != self.field:
+            raise FieldMismatch("cannot mix polynomials over different prime fields")
         p = self.field.p
         a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)   # empty when a factor is zero
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % p
-        return FpPoly(self.field, out)
-
-    def shift(self, k: int) -> "FpPoly":
-        """Multiply by the k-th power of the indeterminate, k >= 0."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if self.is_zero():
-            return self
-        return FpPoly(self.field, (0,) * k + self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FpPoly):
-            return NotImplemented
-        return other.field == self.field and other.coeffs == self.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"FpPoly(p={self.field.p}, {list(self.coeffs)})"
-
-
-def x_minus_one_pow(field: PrimeField, k: int) -> FpPoly:
-    """(X - 1)^k, expanded via binomials rather than repeated multiplication."""
-    return FpPoly(field, [x_minus_one_coeff(k, j, field.p) for j in range(k + 1)])
+        return type(self)(self.field, out)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .arith import (ConstructionError, FpPoly, PrimeField, Record, binom_column_mod_p,
-                    x_minus_one_coeff, x_minus_one_pow)
+from .arith import (ConstructionError, PrimeField, Record, binom_column_mod_p,
+                    x_minus_one_coeff)
 from .divided_powers import DividedPowers, make_generators
 from .sequences import (
     BetaSequence,
@@ -248,12 +248,17 @@ def genfunc_closed_form(params: ExceptionalParams) -> RationalSeries:
 
         sum_i beta_i X^i
           = X^(q+m+1-n) ((X-1)^(n-m-1) (1 - X^q) - (X-1)^(n-1)) / (1 - X^q).
+
+    The numerator's coefficient of X^(q+m+1-n+j) is
+    [X^j](X-1)^(n-m-1) - [X^(j-q)](X-1)^(n-m-1) - [X^j](X-1)^(n-1).
     """
     _require_two_constituent_room(params)
-    field, q, n, m = params.field, params.q, params.n, params.m
-    one_minus_xq = FpPoly.one(field) - FpPoly.monomial(field, 1, q)
-    num = x_minus_one_pow(field, n - m - 1) * one_minus_xq - x_minus_one_pow(field, n - 1)
-    return RationalSeries(num.shift(q + m + 1 - n), one_minus_xq)
+    p, q, n, m = params.p, params.q, params.n, params.m
+    num = [0] * (q + m + 1 - n) + [
+        (x_minus_one_coeff(n - m - 1, j, p) - x_minus_one_coeff(n - m - 1, j - q, p)
+         - x_minus_one_coeff(n - 1, j, p)) % p
+        for j in range(q + n - m)]
+    return RationalSeries(params.field, num, [1] + [0] * (q - 1) + [p - 1])
 
 
 def first_length_coverage(field: PrimeField, c: int, n: int) -> dict:

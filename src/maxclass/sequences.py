@@ -19,8 +19,7 @@ import json
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
-from .arith import (FpPoly, PrimeField, Record, product_coeff_int, signed_binom_row,
-                    x_minus_one_coeff)
+from .arith import PrimeField, Record, product_coeff_int, signed_binom_row, x_minus_one_coeff
 
 
 class DepthError(ValueError):
@@ -163,12 +162,11 @@ def pascal_row(prev: list[int], beta: int, p: int) -> list[int]:
 def bracket_levels(seq: BetaSequence, bound: int) -> Iterator[tuple[int, list[int]]]:
     """Yield (s, row) for 2n <= s <= bound, row[a - n] = gamma(a, s - a).
 
-    Level s reads entries up to beta_(s-n), so every row is exact.  Each
+    Level s reads entries up to beta_(s-n), so every row is exact and bound
+    is at most depth + n (both callers stay within it).  Each
     row is a fresh list, so callers keep only the levels they read.
     """
     n, p = seq.n, seq.field.p
-    if bound - n > seq.depth:
-        raise DepthError(f"bracket levels to {bound} need depth {bound - n}, have {seq.depth}")
     row = [0]
     for s in range(2 * n, bound + 1):
         if s > 2 * n:
@@ -414,26 +412,28 @@ def subalgebra_sequence(seq: BetaSequence) -> BetaSequence:
 
 class RationalSeries:
     """num/den over F_p in X, with den(0) invertible; expandable to any depth.
-    Immutable by convention."""
 
-    __slots__ = ("num", "den")
+    num and den are residue tuples, low degree first.  Immutable by
+    convention."""
 
-    def __init__(self, num: FpPoly, den: FpPoly):
-        if num.field != den.field:
-            raise ValueError("numerator and denominator over different fields")
-        if den[0] == 0:
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: PrimeField, num: Sequence[int], den: Sequence[int]):
+        p = field.p
+        self.field = field
+        self.num = tuple(c % p for c in num)
+        self.den = tuple(c % p for c in den)
+        if not self.den or self.den[0] == 0:
             raise ValueError("denominator must have invertible constant term")
-        self.num = num
-        self.den = den
 
     def expand(self, depth: int) -> list[int]:
         """Coefficients 0..depth of the power-series expansion."""
-        p = self.num.field.p
+        p, num = self.field.p, self.num
         d0_inv = pow(self.den[0], p - 2, p)
-        tail = [(j, d) for j, d in enumerate(self.den.coeffs) if j and d]
+        tail = [(j, d) for j, d in enumerate(self.den) if j and d]
         out = []
         for k in range(depth + 1):
-            s = self.num[k]
+            s = num[k] if k < len(num) else 0
             for j, d in tail:
                 if j > k:
                     break
@@ -442,14 +442,15 @@ class RationalSeries:
         return out
 
 
-def first_constituent_poly(seq: BetaSequence) -> FpPoly:
+def first_constituent_poly(seq: BetaSequence) -> tuple[int, ...]:
     """g(X) = beta_(ell-n+1) X^(n-1) + beta_(ell-n+2) X^(n-2) + ... + beta_ell,
-    built from the last n entries of the first constituent."""
+    built from the last n entries of the first constituent, as the tuple
+    (beta_ell, beta_(ell-1), ..., beta_(ell-n+1)) of n residues, low degree
+    first: the form in which classify_admissible_k lists its survivors."""
     rep = constituents(seq)
     if rep.ell is None or rep.ell > seq.depth:
         raise ValueError("first constituent not complete within depth")
-    ell, n = rep.ell, seq.n
-    return FpPoly(seq.field, [seq.beta(ell - k) for k in range(n)])
+    return tuple(seq.beta(rep.ell - k) for k in range(seq.n))
 
 
 class BridgeReport(Record):
@@ -471,7 +472,7 @@ def bridge_check(seq: BetaSequence) -> Optional[BridgeReport]:
         return None
     first, second = rep.constituents[:2]
     ell, ell2, n = first.length, second.length, seq.n
-    g = first.entries[:-n - 1:-1]
+    g = first_constituent_poly(seq)
     k = ell - n + 1
     p = seq.field.p
     failures = []

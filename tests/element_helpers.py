@@ -2,8 +2,9 @@
 
 from typing import Optional
 
-from maxclass.arith import FpPoly, binom_mod_p
+from maxclass.arith import binom_mod_p
 from maxclass.divided_powers import DividedPowers, SemidirectElement
+from poly_helpers import FpPoly
 
 
 def mul_coeff(ring: DividedPowers, i: int, j: int) -> int:

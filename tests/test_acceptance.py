@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from maxclass.arith import FpPoly, PrimeField, binom_mod_p, x_minus_one_pow
+from maxclass.arith import PrimeField, binom_mod_p
 from maxclass.divided_powers import DividedPowers, SemidirectElement
 from maxclass.exceptional import exceptional_report, genfunc_closed_form
 from maxclass.polycheck import classify_admissible_k, powers_of
@@ -31,6 +31,7 @@ from paper_helpers import (
     lucas_symmetry_check,
     theorem_parameter_grid,
 )
+from poly_helpers import FpPoly, x_minus_one_pow
 from sequence_helpers import constituents_via_lcs
 from test_divided_powers import random_element
 
@@ -81,8 +82,8 @@ def test_criterion_2_generating_function_identity(family):
         xq = FpPoly.monomial(field, 1, q)
         expected_num = (one - xq - x_minus_one_pow(field, m)).shift(q)
         series = genfunc_closed_form(params)
-        assert series.num == expected_num, params
-        assert series.den == one - xq, params
+        assert series.num == expected_num.coeffs, params
+        assert series.den == (one - xq).coeffs, params
         depth = algebra.sequence.depth
         assert series.expand(depth)[params.n + 1:] == list(algebra.sequence.betas)
 

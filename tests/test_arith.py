@@ -8,17 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from maxclass.arith import (
     FieldMismatch,
-    FpPoly,
     PrimeField,
     binom_column_mod_p,
     binom_mod_p,
     signed_binom_row,
-    x_minus_one_pow,
 )
 from maxclass.divided_powers import DividedPowers, SemidirectElement, make_generators
 from maxclass.sequences import BetaSequence, bracket_coeff
 
 from paper_helpers import is_power_of, lucas_symmetry_check
+from poly_helpers import FpPoly, x_minus_one_pow
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from maxclass.arith import FpPoly, PrimeField
+from maxclass.arith import PrimeField
 from maxclass.divided_powers import (
     DividedPowers,
     DPElement,
@@ -12,6 +12,7 @@ from maxclass.divided_powers import (
 )
 from maxclass.sequences import BetaSequence, RationalSeries, constituents, jacobi_verify
 from element_helpers import dp_mul, graded_degree, mul_coeff, poly_scale
+from poly_helpers import FpPoly
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -156,6 +157,11 @@ class TestEndo:
         for r in range(1, ring.q):
             assert d.bracket(Endo.mult_op(ring, r)) == Endo.mult_op(ring, r - 1)
 
+    def test_mult_op_shift_of_q_refused(self):
+        ring = DividedPowers(F3, 2)
+        with pytest.raises(ValueError, match=r"shift must lie in \[0, 9\)"):
+            Endo.mult_op(ring, ring.q)
+
     def test_z_op_action(self):
         ring = DividedPowers(F5, 1)
         z = Endo.z_op(ring)
@@ -213,6 +219,12 @@ class TestSemidirect:
             total = (u.bracket(v).bracket(w) + v.bracket(w).bracket(u)
                      + w.bracket(u).bracket(v))
             assert total == zero
+
+    def test_parts_from_two_rings_refused(self):
+        with pytest.raises(ValueError,
+                           match="module part and operator part from different rings"):
+            SemidirectElement(DPElement.zero(DividedPowers(F3, 2)),
+                              Endo.zero(DividedPowers(F5, 1)))
 
     def test_antisymmetric(self):
         ring = DividedPowers(F5, 1)
@@ -301,9 +313,9 @@ class TestGenerators:
             lam = e[i].bracket(e_n).proportional_to(e[i + n])
             assert lam is not None, i
             betas.append(int(lam))
-        num = FpPoly(F5, [0] * 5 + [2, -1, 0, 0, 0, -1])
-        den = FpPoly(F5, [1, 0, 0, 0, 0, -1])
-        assert betas == RationalSeries(num, den).expand(D)[n + 1:]
+        num = [0] * 5 + [2, -1, 0, 0, 0, -1]
+        den = [1, 0, 0, 0, 0, -1]
+        assert betas == RationalSeries(F5, num, den).expand(D)[n + 1:]
         assert jacobi_verify(BetaSequence(F5, n, betas)).ok
 
     def test_even_m_constituents_q9(self):

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from maxclass.arith import FpPoly, PrimeField
+from maxclass.arith import PrimeField
 from maxclass.divided_powers import (
     DividedPowers,
     DPElement,
@@ -28,6 +28,7 @@ from maxclass.divided_powers import (
     make_generators,
 )
 from element_helpers import graded_degree, poly_scale
+from poly_helpers import FpPoly
 
 CONFIGS = [(PrimeField(3), 2), (PrimeField(5), 1), (PrimeField(7), 1), (PrimeField(3), 3)]
 

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from maxclass import cli, exceptional
-from maxclass.arith import FpPoly, PrimeField, x_minus_one_pow
+from maxclass.arith import PrimeField
 from maxclass.divided_powers import (
     DPElement,
     Endo,
@@ -25,9 +25,12 @@ from maxclass.exceptional import (
     genfunc_closed_form,
     two_path_check,
 )
-from maxclass.sequences import BetaSequence, constituents, jacobi_verify, subalgebra_sequence
+from maxclass.polycheck import classify_admissible_k
+from maxclass.sequences import (BetaSequence, constituents, first_constituent_poly,
+                                jacobi_verify, subalgebra_sequence)
 from element_helpers import graded_degree
 from paper_helpers import theorem_parameter_grid
+from poly_helpers import FpPoly, x_minus_one_pow
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -88,6 +91,31 @@ class TestClosedForms:
         series = genfunc_closed_form(params).expand(depth)[params.n + 1:]
         assert series == closed_form_betas(params, depth)
 
+    def test_series_matches_the_polynomial_expression(self):
+        # the residue lists against (X-1)^(n-m-1) (1 - X^q) - (X-1)^(n-1),
+        # shifted, built with the reference polynomial and expanded as
+        # num (1 + X^q + X^2q + ...), without RationalSeries.expand
+        grid = []
+        for p, c in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]:
+            q = p ** c
+            for n in sorted({2, 3, p - 1, p, p + 1, q // 2, q}):
+                for m in sorted({1, 2, n // 2, n - 1}):
+                    if 0 < m < n <= q and 2 * n <= q + m:
+                        grid.append(ExceptionalParams(PrimeField(p), c, n, m))
+        assert len(grid) == 88
+        for params in grid:
+            field, q, n, m = params.field, params.q, params.n, params.m
+            depth = 3 * q + 2 * n
+            den = FpPoly.one(field) - FpPoly.monomial(field, 1, q)
+            num = (x_minus_one_pow(field, n - m - 1) * den
+                   - x_minus_one_pow(field, n - 1)).shift(q + m + 1 - n)
+            series = num
+            for r in range(1, depth // q + 1):
+                series = series + num.shift(r * q)
+            rs = genfunc_closed_form(params)
+            assert (rs.num, rs.den) == (num.coeffs, den.coeffs), params
+            assert rs.expand(depth) == [series[k] for k in range(depth + 1)], params
+
     def test_parent_specialization(self):
         # at n = m + 1 the series collapses to X^q - X^q (X-1)^m / (1 - X^q)
         for params in [ExceptionalParams(F3, 2, 2, 1), ExceptionalParams(F5, 2, 3, 2)]:
@@ -95,8 +123,20 @@ class TestClosedForms:
             rs = genfunc_closed_form(params)
             one_minus_xq = FpPoly.one(field) - FpPoly.monomial(field, 1, q)
             want_num = (one_minus_xq - x_minus_one_pow(field, m)).shift(q)
-            assert rs.num == want_num
-            assert rs.den == one_minus_xq
+            assert rs.num == want_num.coeffs
+            assert rs.den == one_minus_xq.coeffs
+
+    @pytest.mark.parametrize("params", theorem_parameter_grid(F5, 2)
+                             + theorem_parameter_grid(F7, 2))
+    def test_first_constituent_poly_is_a_classify_survivor(self, params):
+        # the census contract: the member's g, in the form classify lists
+        # it, is one of the survivors at its exponent k = ell - n + 1
+        seq = BetaSequence(params.field, params.n,
+                           closed_form_betas(params, params.default_depth)).normalize()
+        g = first_constituent_poly(seq)
+        assert type(g) is tuple and len(g) == params.n and g[-1] == 1
+        k = constituents(seq).ell - params.n + 1
+        assert g in classify_admissible_k(params.field, params.n, k).survivors[k]
 
     def test_first_length(self):
         assert expected_first_length(ExceptionalParams(F5, 2, 4, 1)) == 26

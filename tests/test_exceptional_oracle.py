@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from maxclass.arith import FpPoly, PrimeField, binom_mod_p, signed_binom_row, x_minus_one_pow
+from maxclass.arith import PrimeField, binom_mod_p, signed_binom_row
 from maxclass.divided_powers import (
     DividedPowers,
     DPElement,
@@ -39,6 +39,7 @@ from maxclass.sequences import (
 )
 from element_helpers import graded_degree, poly_scale
 from paper_helpers import theorem_parameter_grid
+from poly_helpers import FpPoly, x_minus_one_pow
 from sequence_helpers import eih_residual
 
 # (p, c): q = 9, 25, 27, 49; every n = m + 1 member with 1 < n < p

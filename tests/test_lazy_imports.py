@@ -23,8 +23,7 @@ from maxclass import cli
 # Exported names that nothing in the package calls yet: the first-constituent
 # census and the check where the family, the type-1 projection and the
 # search meet (ROADMAP items 1 and 9) are to call them.
-AWAITING_CALLERS = {"bridge_check", "first_constituent_poly",
-                    "first_length_coverage", "project_type1"}
+AWAITING_CALLERS = {"bridge_check", "first_length_coverage", "project_type1"}
 
 FOOTPRINT = """
 import json, sys

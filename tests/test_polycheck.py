@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from maxclass.arith import FpPoly, PrimeField, product_coeff_int, x_minus_one_pow
+from maxclass.arith import PrimeField, product_coeff_int
 from maxclass.polycheck import (ClassifyReport, _check_structure, classify_admissible_k,
                                 in_small_k_menu)
 
 from paper_helpers import expected_pairs, in_large_k_menu, lemma_pairs_check
+from poly_helpers import FpPoly, x_minus_one_pow
 
 FIXTURES = Path(__file__).parent / "fixtures"
 F3 = PrimeField(3)

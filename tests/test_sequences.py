@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxclass.arith import FpPoly, PrimeField
+from maxclass.arith import PrimeField
 from maxclass.exceptional import ExceptionalParams, closed_form_betas
 from maxclass.sequences import (
     BetaSequence,
@@ -20,6 +20,7 @@ from maxclass.sequences import (
     subalgebra_sequence,
 )
 from maxclass.sequences import _is_ordinary
+from poly_helpers import FpPoly
 from sequence_helpers import constituents_via_lcs, eih_residual
 
 F3 = PrimeField(3)
@@ -36,9 +37,9 @@ def periodic_fixture(depth=41):
     """A type-2 sequence over F_5 with first constituent length 6 and
     eventually periodic pattern (0, 0, 0, 1, 4); verified below to satisfy
     the full Jacobi sweep.  Series form: X^5 (2 - X - X^5) / (1 - X^5)."""
-    num = FpPoly(F5, [0] * 5 + [2, -1, 0, 0, 0, -1])
-    den = FpPoly(F5, [1, 0, 0, 0, 0, -1])
-    return BetaSequence(F5, 2, RationalSeries(num, den).expand(depth)[3:])
+    num = [0] * 5 + [2, -1, 0, 0, 0, -1]
+    den = [1, 0, 0, 0, 0, -1]
+    return BetaSequence(F5, 2, RationalSeries(F5, num, den).expand(depth)[3:])
 
 
 class TestBetaSequence:
@@ -343,6 +344,10 @@ class TestProjection:
         with pytest.raises(ValueError, match="shallow"):
             project_type1(BetaSequence(F5, 1, [0, 1, 0]), 4)
 
+    def test_type_zero_rejected(self):
+        with pytest.raises(ValueError, match="type must be positive"):
+            project_type1(BetaSequence(F5, 1, [0, 1, 0]), 0)
+
     def test_early_spike_projects_without_raising(self):
         # nonzero alphas 2 apart, but alpha_3 sits below 2n = 4: its block
         # beta_2, beta_3 is cut at index n + 1, leaving a non-ordinary
@@ -408,8 +413,10 @@ class TestSeries:
         assert periodic_fixture().betas[:14] == (0, 0, 2, 4, 0, 0, 0, 1, 4, 0, 0, 0, 1, 4)
 
     def test_constant_term_required(self):
-        with pytest.raises(ValueError, match="constant term"):
-            RationalSeries(FpPoly.one(F5), FpPoly.monomial(F5, 1, 1))
+        # 5 is 0 mod 5, and an empty denominator is the zero polynomial
+        for den in ((0, 1), (5, 1), ()):
+            with pytest.raises(ValueError, match="constant term"):
+                RationalSeries(F5, (1,), den)
 
     @settings(max_examples=100, derandomize=True)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=6),
@@ -418,7 +425,7 @@ class TestSeries:
     def test_expansion_times_denominator(self, num_c, den_tail, d0):
         num = FpPoly(F5, num_c)
         den = FpPoly(F5, [d0] + den_tail)
-        coeffs = RationalSeries(num, den).expand(12)
+        coeffs = RationalSeries(F5, num_c, [d0] + den_tail).expand(12)
         product = FpPoly(F5, coeffs) * den
         for k in range(13):
             assert product[k] == num[k]
@@ -434,6 +441,10 @@ class TestSubalgebra:
     def test_all_ones_transforms_to_zero(self):
         sub = subalgebra_sequence(BetaSequence(F3, 2, [1] * (20 - 2)))
         assert sub == BetaSequence(F3, 3, [0] * (19 - 3))
+
+    def test_prefix_of_depth_n_plus_one_refused(self):
+        with pytest.raises(ValueError, match="prefix too shallow to transform"):
+            subalgebra_sequence(BetaSequence(F5, 2, [1]))
 
     def test_invalid_input_rejected(self):
         # beta_3 != beta_4 cannot happen in an algebra (diagonal bracket),
@@ -485,7 +496,12 @@ class TestBridge:
 
     def test_first_constituent_poly(self):
         g = first_constituent_poly(periodic_fixture())
-        assert g.coeffs == (4, 2)  # beta_5 X + beta_6
+        assert g == (4, 2)  # beta_5 X + beta_6
+
+    def test_first_constituent_poly_needs_the_whole_constituent(self):
+        # beta_5 leads the first constituent, which ends at beta_6
+        with pytest.raises(ValueError, match="first constituent not complete within depth"):
+            first_constituent_poly(BetaSequence(F5, 2, [0, 0, 2]))
 
     def test_vacuous_window(self):
         report = bridge_check(BetaSequence(F3, 2, [1] * (40 - 2)))

@@ -173,9 +173,6 @@ class PrimeField:
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 

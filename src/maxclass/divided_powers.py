@@ -19,21 +19,32 @@ Module elements and operators are stored alike: a dict from monomial keys,
 residues mod p.
 
 Only the two generators' operators, Z and t * x^(q-n), are indexed by row
-and by column (`Endo.index`, called by `make_generators`).  Every bracket
-of the construction has one of them on one side, so a product iterates the
-other, transient operand and costs O(its entries), not O(q).  Transient
-operators carry no index: it would double their memory for a single use.
+and by column (`Endo.index`, called by `make_generators`).  A bracket with
+one of them on one side iterates the other, transient operand and costs
+O(its entries), not O(q).  Transient operators carry no index: it would
+double their memory for a single use.
 
 A bracket builds no transient operators or elements: both products of
 `Endo.bracket`, and both actions of `SemidirectElement.bracket`, add their
 terms with sign +-1 into one dict, which is reduced mod p once, at the end.
+
+Every element of the family is homogeneous, and `RowElement` holds a
+homogeneous element of degree d in row form: the coefficient of its one
+module monomial, at x^((m - d) mod q), and a map from operator row to
+coefficient, the row's column being (row + d) mod q and its t-power
+(row + d) // q.  A product of two such operators has one term per row, so
+the row-form bracket iterates the operand with fewer rows and looks the
+other up by row: [e_i, e_n] costs e_n's few rows, not e_i's.  The family's
+construction checks its generators with one generic bracket and then runs
+on row forms; `SemidirectElement` stays the general model, and the row
+form's test oracle.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .arith import PrimeField, binom_column_mod_p
+from .arith import ConstructionError, PrimeField, binom_column_mod_p
 
 
 class DividedPowers:
@@ -52,9 +63,6 @@ class DividedPowers:
         if not isinstance(other, DividedPowers):
             return NotImplemented
         return self.field == other.field and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.c))
 
     def __repr__(self) -> str:
         return f"DividedPowers(p={self.field.p}, c={self.c})"
@@ -164,8 +172,12 @@ class Endo(_Sparse):
 
     @classmethod
     def z_op(cls, ring: DividedPowers) -> "Endo":
-        """Z = -(d/dx) - t * (multiplication by x^(q-1))."""
-        return -cls.derivation(ring) - cls.mult_op(ring, ring.q - 1, t_power=1)
+        """Z = -(d/dx) - t * (multiplication by x^(q-1)): -1 at (i - 1, i, 0)
+        for 0 < i < q, and -1 at (q - 1, 0, 1), written in one dict."""
+        q = ring.q
+        entries = {(i - 1, i, 0): -1 for i in range(1, q)}
+        entries[(q - 1, 0, 1)] = -1
+        return cls(ring, entries)
 
     def index(self) -> "Endo":
         """Index the entries by row and by column, and return self.
@@ -293,9 +305,6 @@ class SemidirectElement:
     def __neg__(self) -> "SemidirectElement":
         return SemidirectElement(-self.vec, -self.op)
 
-    def __sub__(self, other: "SemidirectElement") -> "SemidirectElement":
-        return self + (-other)
-
     def scale(self, value: int) -> "SemidirectElement":
         return SemidirectElement(self.vec.scale(value), self.op.scale(value))
 
@@ -326,6 +335,117 @@ class SemidirectElement:
 
     def __repr__(self) -> str:
         return f"SemidirectElement(vec={self.vec!r}, op={self.op!r})"
+
+
+class RowElement:
+    """Homogeneous element of degree d in row form.
+
+    m places the module in the grading: a module term t^r x^(i) has degree
+    r q + q + m - i, and an operator entry (row, col, s) has degree
+    col - row + s q.  So degree d leaves one module monomial, at
+    x^((m - d) mod q), whose coefficient is `coeff`, and one entry per
+    operator row, at column (row + d) mod q with t-power (row + d) // q,
+    whose coefficient is rows[row].  Coefficients are residues, and rows
+    holds only nonzero ones.  Immutable by convention.
+    """
+
+    __slots__ = ("ring", "m", "degree", "coeff", "rows")
+
+    def __init__(self, ring: DividedPowers, m: int, degree: int, coeff: int, rows: dict):
+        self.ring = ring
+        self.m = m
+        self.degree = degree
+        self.coeff = coeff
+        self.rows = rows
+
+    @staticmethod
+    def _module_key(q: int, m: int, degree: int) -> tuple[int, int]:
+        """(i, r) of the module monomial t^r x^(i) of the degree."""
+        i = (m - degree) % q
+        return i, (degree - m + i) // q - 1
+
+    @classmethod
+    def from_element(cls, element: SemidirectElement, degree: int, m: int) -> "RowElement":
+        """The row form of element at degree; ConstructionError if element
+        has a term of another degree."""
+        ring = element.ring
+        q = ring.q
+        vec = dict(element.vec.entries)
+        coeff = vec.pop(cls._module_key(q, m, degree), 0)
+        rows = {row: c for (row, col, s), c in element.op.entries.items()
+                if col + s * q - row == degree}
+        if vec or len(rows) != len(element.op.entries):
+            raise ConstructionError(f"element is not homogeneous of degree {degree}")
+        return cls(ring, m, degree, coeff, rows)
+
+    def to_element(self) -> SemidirectElement:
+        """The element in the generic model."""
+        q, d = self.ring.q, self.degree
+        vec = {self._module_key(q, self.m, d): self.coeff} if self.coeff else {}
+        op = {(row, (row + d) % q, (row + d) // q): c for row, c in self.rows.items()}
+        return SemidirectElement(DPElement(self.ring, vec), Endo(self.ring, op))
+
+    def __bool__(self) -> bool:
+        return bool(self.coeff) or bool(self.rows)
+
+    def bracket(self, other: "RowElement") -> "RowElement":
+        """[(f, A), (g, B)] = (A g - B f, AB - BA), of degree a + b.
+
+        Row k of AB is A[k] B[(k + a) mod q] and row k of BA is
+        B[k] A[(k + b) mod q], so each product has one term per row of
+        either factor: the loop iterates the operator with fewer rows and
+        looks the other up by row.  The module monomial of degree a + b is
+        A's row (m - a - b) mod q applied to g, less B's applied to f.
+        """
+        if (self.ring is not other.ring and self.ring != other.ring) or self.m != other.m:
+            raise ValueError("row forms from different rings or gradings")
+        q, p = self.ring.q, self.ring.field.p
+        a, b = self.degree, other.degree
+        A, B = self.rows, other.rows
+        i = (self.m - a - b) % q
+        coeff = (A.get(i, 0) * other.coeff - B.get(i, 0) * self.coeff) % p
+        out = {}
+        if len(A) <= len(B):
+            for k, x in A.items():
+                y = B.get((k + a) % q)
+                if y:
+                    out[k] = out.get(k, 0) + x * y
+                row = (k - b) % q
+                y = B.get(row)
+                if y:
+                    out[row] = out.get(row, 0) - y * x
+        else:
+            for k, y in B.items():
+                row = (k - a) % q
+                x = A.get(row)
+                if x:
+                    out[row] = out.get(row, 0) + x * y
+                x = A.get((k + b) % q)
+                if x:
+                    out[k] = out.get(k, 0) - y * x
+        rows = {k: r for k, c in out.items() if (r := c % p)}
+        return RowElement(self.ring, self.m, a + b, coeff, rows)
+
+    def proportional_to(self, other: "RowElement") -> Optional[int]:
+        """The residue lam with self == lam * other, or None if there is
+        none, as `SemidirectElement.proportional_to`.  lam is read from
+        other's module coefficient, or from one of its rows when that is 0;
+        then every row must match."""
+        if not self:
+            return 0
+        if not other or self.degree != other.degree:
+            return None
+        p = self.ring.field.p
+        if other.coeff:
+            mine, ref = self.coeff, other.coeff
+        else:
+            row, ref = next(iter(other.rows.items()))
+            mine = self.rows.get(row, 0)
+        lam = mine * pow(ref, p - 2, p) % p
+        if self.coeff != lam * other.coeff % p:
+            return None
+        return lam if self.rows == {k: r for k, c in other.rows.items()
+                                    if (r := lam * c % p)} else None
 
 
 def make_generators(ring: DividedPowers, n: int, m: int

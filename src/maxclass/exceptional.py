@@ -20,11 +20,12 @@ any 0 < m < n <= q ("construction mode").
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from .arith import (ConstructionError, PrimeField, Record, binom_column_mod_p,
                     x_minus_one_coeff)
-from .divided_powers import DividedPowers, make_generators
+from .divided_powers import DividedPowers, RowElement, make_generators
 from .sequences import (
     BetaSequence,
     RationalSeries,
@@ -38,27 +39,28 @@ from .sequences import (
 
 # Largest q = p^c that construct accepts.  Z and e_n are built with about q
 # operator entries each before any check runs, so without a bound
-# `--p 3 --c 20` would ask for about 3.5e9 of them.  Each bracket step costs
-# O(entries of its element), but every element is kept, and those up to
-# degree q hold about (p(p+1)/2)^c operator entries: 1.7e6 at q = 3^8 (a
-# default-depth build takes 5 s and 194 MB on a 2-core Xeon), but about
-# q^2/2 = 5e7, several GB, at a prime q near the bound.  The bound caps the
-# generators, not that sum.
+# `--p 3 --c 20` would ask for about 3.5e9 of them.  The build keeps n + 1
+# elements, each with at most q operator rows, but its time grows with the
+# rows of all elements up to degree q, about (p(p+1)/2)^c: 1.7e6 at
+# q = 3^8, and about q^2/2 = 5e7 at a prime q near the bound (q = 997 takes
+# 1.3 s on a 2-core Xeon).  The bound caps the generators, not that sum.
 CONSTRUCT_MAX_Q = 10_000
 
-# Largest degree that construct builds.  It keeps e_n, ..., e_(depth+n),
-# about 0.9 KB each even at q = 3, so `--depth 10000000` would need about
-# 9 GB.  Depths above CONSTRUCT_MAX_DEGREE - n are refused.  The default
-# depth 3q + 2n reaches degree 3q + 3n <= 6q, so every member under
-# CONSTRUCT_MAX_Q may run at it.  The bound is on the top degree, not the
-# depth, because the two-path check builds the type-(m+1) member n - m - 1
-# deeper, to the same top degree.
+# Largest degree that construct builds.  The build keeps n + 1 elements
+# whatever the depth, but each degree is one bracket step and one residue of
+# the sequence: q = 3 builds 60,000 degrees in 0.4 s on a 2-core Xeon, so
+# `--depth 10000000` would take about a minute before any check ran, and the
+# report's checks grow with the depth too.  Depths above
+# CONSTRUCT_MAX_DEGREE - n are refused.  The default depth 3q + 2n reaches
+# degree 3q + 3n <= 6q, so every member under CONSTRUCT_MAX_Q may run at
+# it.  The bound is on the top degree, not the depth, because the two-path
+# check builds the type-(m+1) member n - m - 1 deeper, to the same top
+# degree.
 CONSTRUCT_MAX_DEGREE = 6 * CONSTRUCT_MAX_Q
 
 
 class ExceptionalParams:
-    """The member (p, c, n, m) of the family.  Immutable by convention;
-    equal when all four parameters are."""
+    """The member (p, c, n, m) of the family.  Immutable by convention."""
 
     __slots__ = ("field", "c", "n", "m")
 
@@ -72,14 +74,6 @@ class ExceptionalParams:
         self.c = c
         self.n = n
         self.m = m
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExceptionalParams):
-            return NotImplemented
-        return (self.field, self.c, self.n, self.m) == (other.field, other.c, other.n, other.m)
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.c, self.n, self.m))
 
     @property
     def p(self) -> int:
@@ -122,15 +116,18 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     Each degree j is compared with its closed form: up to degree q + m,
     x^(q+m-j) with t times multiplication by x^(q-j), whose entries are the
     Lucas support of C(., q - j), and no operator part past degree q; above
-    q + m, t^r x^(q-1-jp) with j - m - 1 = r q + jp.  The closed form always
-    has its module term, and every entry has degree j: a module term
-    t^r x^(i) has degree r q + q + m - i and an operator entry (row, col, s)
-    degree col - row + s q, which give j on each of the three forms.  So
-    the comparison also fails whenever bracketing dies or leaves degree j.
-    Then beta_i, i = j - n, is the exact scalar with [e_i, e_n] = beta_i e_j;
-    failure of proportionality raises ConstructionError with the offending
-    degree.  Refuses q above CONSTRUCT_MAX_Q and depth + n above
-    CONSTRUCT_MAX_DEGREE.
+    q + m, t^r x^(q-1-jp) with j - m - 1 = r q + jp.  Degree n + 1 is one
+    generic `SemidirectElement.bracket`, compared entry by entry, so the
+    generators are checked as given; the closed form always has its module
+    term, so the comparison also fails whenever bracketing dies or leaves
+    degree n + 1.  From there the build runs on row forms (`RowElement`),
+    where every closed form has module coefficient 1 and the row map
+    {a: C(a, q - j)} up to degree q, none above.  Then beta_i, i = j - n, is
+    the exact scalar with [e_i, e_n] = beta_i e_j; failure of
+    proportionality raises ConstructionError with the offending degree.
+    Only e_(j-n), ..., e_j are kept, and `elements` is the last such window,
+    degrees depth, ..., depth + n.  Refuses q above CONSTRUCT_MAX_Q and
+    depth + n above CONSTRUCT_MAX_DEGREE.
     """
     # decided from c, since p^c has millions of digits at c = 10^7
     p, c = params.p, params.c
@@ -147,31 +144,32 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
                          f"above CONSTRUCT_MAX_DEGREE = {CONSTRUCT_MAX_DEGREE}")
     ring = DividedPowers(params.field, c)
     z, e_n = make_generators(ring, n, m)
-    elements = {n: e_n}
+    current = e_n.bracket(z)
+    # degree n + 1 <= q + 1 <= q + m has the first closed form
+    op = {(a, a - q + n + 1, 1): v for a, v in
+          binom_column_mod_p(q - n - 1, q, p).items()} if n < q else {}
+    if current.vec.entries != {(q + m - n - 1, 0): 1} or current.op.entries != op:
+        raise ConstructionError(f"element at degree {n + 1} deviates from its closed form")
+    z, e_n, current = (RowElement.from_element(x, d, m)
+                       for x, d in ((z, 1), (e_n, n), (current, n + 1)))
+    window = deque((e_n, current), maxlen=n + 1)
     betas = []
-    current = e_n
-    for j in range(n + 1, depth + n + 1):
+    for j in range(n + 2, depth + n + 1):
         current = current.bracket(z)
-        if j <= q + m:
-            vec = {(q + m - j, 0): 1}
-            op = {(a, a - q + j, 1): v for a, v in
-                  binom_column_mod_p(q - j, q, p).items()} if j <= q else {}
-        else:
-            r, jp = divmod(j - m - 1, q)
-            vec, op = {(q - jp - 1, r): 1}, {}
-        if current.vec.entries != vec or current.op.entries != op:
+        if current.coeff != 1 or current.rows != (
+                binom_column_mod_p(q - j, q, p) if j <= q else {}):
             raise ConstructionError(f"element at degree {j} deviates from its closed form")
-        elements[j] = current
+        window.append(current)
         i = j - n
-        if i > n:
-            lam = elements[i].bracket(e_n).proportional_to(current)
+        if i > n:   # the window is full: window[0] is e_i
+            lam = window[0].bracket(e_n).proportional_to(current)
             if lam is None:
                 raise ConstructionError(
                     f"[e_{i}, e_{n}] is not a scalar multiple of e_{j}")
             betas.append(lam)
     return ConstructedAlgebra(params=params,
                               sequence=BetaSequence(params.field, n, betas),
-                              elements=elements)
+                              elements={e.degree: e.to_element() for e in window})
 
 
 def _require_member(params: ExceptionalParams, seq: BetaSequence) -> None:

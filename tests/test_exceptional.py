@@ -8,6 +8,7 @@ from maxclass.arith import PrimeField
 from maxclass.divided_powers import (
     DPElement,
     Endo,
+    RowElement,
     SemidirectElement,
     make_generators,
 )
@@ -154,7 +155,7 @@ class TestConstruct:
         algebra = construct(params)
         assert algebra.depth == params.default_depth == 19
         assert list(algebra.sequence.betas) == closed_form_betas(params, 19)
-        assert sorted(algebra.elements) == list(range(2, 19 + 3))
+        assert sorted(algebra.elements) == list(range(19, 19 + 3))
 
     def test_matches_closed_form_q9(self):
         params = ExceptionalParams(F3, 2, 3, 2)
@@ -226,7 +227,7 @@ class TestConstruct:
             construct(ExceptionalParams(F5, 1, 2, 1))
 
     def test_non_proportional_bracket_raises(self, monkeypatch, capsys):
-        monkeypatch.setattr(SemidirectElement, "proportional_to", lambda self, other: None)
+        monkeypatch.setattr(RowElement, "proportional_to", lambda self, other: None)
         with pytest.raises(ConstructionError,
                            match=r"^\[e_3, e_2\] is not a scalar multiple of e_5$"):
             construct(ExceptionalParams(F5, 1, 2, 1))
@@ -237,12 +238,26 @@ class TestConstruct:
         assert err == "construction failed: [e_3, e_2] is not a scalar multiple of e_5\n"
 
     def test_only_the_generator_keeps_an_index(self):
-        # an index on every stored element would double the memory the
-        # build keeps; only e_n, the generator, is indexed
+        # an index would double an element's memory; the build keeps the
+        # last n + 1 elements, none of them a generator, and indexes none
         algebra = construct(ExceptionalParams(F7, 3, 3, 2), 700)
-        assert len(algebra.elements) == 701
+        assert sorted(algebra.elements) == list(range(700, 704))
         indexed = [j for j, e in algebra.elements.items() if e.op._index is not None]
-        assert indexed == [3]
+        assert indexed == []
+
+    def test_build_keeps_a_window(self):
+        # every element up to degree q holds a column of C(., q - j): about
+        # q^2/2 operator entries in all at a prime q, 2.7 MiB here if kept
+        params = ExceptionalParams(PrimeField(211), 1, 2, 1)
+        tracemalloc.start()
+        try:
+            algebra = construct(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        depth = params.default_depth
+        assert sorted(algebra.elements) == list(range(depth, depth + 3))
+        assert peak < 512 * 1024
 
     def test_depth_above_bound_is_refused(self, monkeypatch):
         params = ExceptionalParams(F3, 1, 2, 1)

@@ -6,10 +6,11 @@
 the earlier loops, each coefficient a signed-binomial window over the
 prefix; both sides must agree exactly, witnesses included.
 
-`construct` brackets with indexed generators and compares each degree with
-the closed form's nonzero entries, read off the Lucas support; its
-reference builds unindexed generators and one multiplication operator per
-degree from `binom_mod_p`, and compares whole elements.
+`construct` brackets once with the indexed generators, then on row forms,
+compares each degree with the closed form's nonzero entries, read off the
+Lucas support, and keeps the last n + 1 elements; its reference builds
+unindexed generators and one multiplication operator per degree from
+`binom_mod_p`, compares whole elements and keeps every one.
 """
 
 import random
@@ -134,10 +135,12 @@ def test_construct_matches_reference_loop(params):
     for depth in (params.default_depth, params.n + 1):
         algebra = construct(params, depth)
         sequence, elements = reference_construct(params, depth)
+        # both loops compare every degree with its closed form, so equal
+        # windows and sequences mean equal elements at every degree
         assert algebra.sequence == sequence
-        assert sorted(algebra.elements) == sorted(elements)
-        for j, e in elements.items():
-            got = algebra.elements[j]
+        assert sorted(algebra.elements) == list(range(depth, depth + params.n + 1))
+        for j, got in algebra.elements.items():
+            e = elements[j]
             assert (got.vec.entries, got.op.entries) == (e.vec.entries, e.op.entries), j
 
 

@@ -18,12 +18,6 @@ Module elements and operators are stored alike: a dict from monomial keys,
 (i, s) for t^s x^(i) and (row, col, s) for a matrix entry t^s, to nonzero
 residues mod p.
 
-Only the two generators' operators, Z and t * x^(q-n), are indexed by row
-and by column (`Endo.index`, called by `make_generators`).  A bracket with
-one of them on one side iterates the other, transient operand and costs
-O(its entries), not O(q).  Transient operators carry no index: it would
-double their memory for a single use.
-
 A bracket builds no transient operators or elements: both products of
 `Endo.bracket`, and both actions of `SemidirectElement.bracket`, add their
 terms with sign +-1 into one dict, which is reduced mod p once, at the end.
@@ -35,16 +29,16 @@ coefficient, the row's column being (row + d) mod q and its t-power
 (row + d) // q.  A product of two such operators has one term per row, so
 the row-form bracket iterates the operand with fewer rows and looks the
 other up by row: [e_i, e_n] costs e_n's few rows, not e_i's.  The family's
-construction checks its generators with one generic bracket and then runs
-on row forms; `SemidirectElement` stays the general model, and the row
-form's test oracle.
+generators are written in row form, and its construction runs on row forms
+alone; `SemidirectElement` stays the general model, and the row form's test
+oracle.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .arith import ConstructionError, PrimeField, binom_column_mod_p
+from .arith import PrimeField, binom_column_mod_p
 
 
 class DividedPowers:
@@ -143,16 +137,9 @@ class Endo(_Sparse):
     """t-linear endomorphism of the module, as a sparse matrix over F_p[t].
 
     entries[(row, col, s)] = c means x^(col) contributes c t^s x^(row).
-    An operator that is composed or applied many times can be indexed by
-    row and by column with `index()`; products then cost one lookup per
-    entry of the other operand.
     """
 
-    __slots__ = ("_index",)
-
-    def __init__(self, ring: DividedPowers, entries: Optional[dict] = None):
-        super().__init__(ring, entries)
-        self._index = None
+    __slots__ = ()
 
     @classmethod
     def derivation(cls, ring: DividedPowers) -> "Endo":
@@ -179,21 +166,9 @@ class Endo(_Sparse):
         entries[(q - 1, 0, 1)] = -1
         return cls(ring, entries)
 
-    def index(self) -> "Endo":
-        """Index the entries by row and by column, and return self.
-
-        Only for long-lived operators: the index roughly doubles the
-        operator's memory.
-        """
-        self._index = (_group(self.entries, 0, 1), _group(self.entries, 1, 0))
-        return self
-
     def compose(self, other: "Endo") -> "Endo":
-        """Operator product self applied after other.
-
-        Iterates an operand that is not indexed and looks up the other one;
-        with no index on either side, other is grouped by row for this call.
-        """
+        """Operator product self applied after other: iterates self, and
+        looks other up by row."""
         self._check_ring(other)
         out = {}
         self._compose_into(other, out, 1)
@@ -209,25 +184,18 @@ class Endo(_Sparse):
 
     def _compose_into(self, other: "Endo", out: dict, sign: int) -> None:
         """Add sign * (self after other) into out, unreduced."""
-        if self._index is not None and other._index is None:
-            by_col = self._index[1]
-            for (mid, col, r), right in other.entries.items():
-                right *= sign
-                for row, s, left in by_col.get(mid, ()):
-                    key = (row, col, s + r)
-                    out[key] = out.get(key, 0) + left * right
-        else:
-            by_row = (other._index[0] if other._index is not None
-                      else _group(other.entries, 0, 1))
-            for (row, mid, s), left in self.entries.items():
-                left *= sign
-                for col, r, right in by_row.get(mid, ()):
-                    key = (row, col, s + r)
-                    out[key] = out.get(key, 0) + left * right
+        by_row = {}
+        for (mid, col, r), c in other.entries.items():
+            by_row.setdefault(mid, []).append((col, r, c))
+        for (row, mid, s), left in self.entries.items():
+            left *= sign
+            for col, r, right in by_row.get(mid, ()):
+                key = (row, col, s + r)
+                out[key] = out.get(key, 0) + left * right
 
     def apply(self, element: DPElement) -> DPElement:
-        """The operator applied to a module element: an indexed operator
-        iterates the element, any other iterates its own entries."""
+        """The operator applied to a module element: iterates the
+        operator's entries, and looks the element up by exponent."""
         self._check_ring(element)
         out = {}
         self._apply_into(element, out, 1)
@@ -235,35 +203,16 @@ class Endo(_Sparse):
 
     def _apply_into(self, element: DPElement, out: dict, sign: int) -> None:
         """Add sign * (self applied to element) into out, unreduced."""
-        if not element.entries:
-            return
-        if self._index is not None:
-            by_col = self._index[1]
-            for (col, r), part in element.entries.items():
-                part *= sign
-                for row, s, c in by_col.get(col, ()):
-                    key = (row, s + r)
-                    out[key] = out.get(key, 0) + c * part
-        else:
-            by_exponent = {}
-            for (i, r), c in element.entries.items():
-                by_exponent.setdefault(i, []).append((r, sign * c))
-            for (row, col, s), c in self.entries.items():
-                for r, part in by_exponent.get(col, ()):
-                    key = (row, s + r)
-                    out[key] = out.get(key, 0) + c * part
+        by_exponent = {}
+        for (i, r), c in element.entries.items():
+            by_exponent.setdefault(i, []).append((r, sign * c))
+        for (row, col, s), c in self.entries.items():
+            for r, part in by_exponent.get(col, ()):
+                key = (row, s + r)
+                out[key] = out.get(key, 0) + c * part
 
     def __repr__(self) -> str:
         return f"Endo({len(self.entries)} entries, q={self.ring.q})"
-
-
-def _group(entries: dict, key: int, other: int) -> dict:
-    """Operator entries grouped by row (key=0, other=1) or by column
-    (key=1, other=0): {key index: [(other index, t-power, coefficient)]}."""
-    out = {}
-    for k, c in entries.items():
-        out.setdefault(k[key], []).append((k[other], k[2], c))
-    return out
 
 
 class SemidirectElement:
@@ -364,20 +313,6 @@ class RowElement:
         i = (m - degree) % q
         return i, (degree - m + i) // q - 1
 
-    @classmethod
-    def from_element(cls, element: SemidirectElement, degree: int, m: int) -> "RowElement":
-        """The row form of element at degree; ConstructionError if element
-        has a term of another degree."""
-        ring = element.ring
-        q = ring.q
-        vec = dict(element.vec.entries)
-        coeff = vec.pop(cls._module_key(q, m, degree), 0)
-        rows = {row: c for (row, col, s), c in element.op.entries.items()
-                if col + s * q - row == degree}
-        if vec or len(rows) != len(element.op.entries):
-            raise ConstructionError(f"element is not homogeneous of degree {degree}")
-        return cls(ring, m, degree, coeff, rows)
-
     def to_element(self) -> SemidirectElement:
         """The element in the generic model."""
         q, d = self.ring.q, self.degree
@@ -448,18 +383,17 @@ class RowElement:
                                     if (r := lam * c % p)} else None
 
 
-def make_generators(ring: DividedPowers, n: int, m: int
-                    ) -> tuple[SemidirectElement, SemidirectElement]:
+def make_generators(ring: DividedPowers, n: int, m: int) -> tuple[RowElement, RowElement]:
     """The degree-1 and degree-n generators of the type-n algebra with
-    parameter m: z = (0, Z) and e_n = (x^(q+m-n), t * multiplication by x^(q-n)).
+    parameter m, in row form: z = (0, Z), with p - 1 = -1 on every row, and
+    e_n = (x^(q+m-n), t * multiplication by x^(q-n)), whose row a holds
+    C(a, q - n).
 
     Requires 0 < m < n <= q.
     """
-    if not (0 < m < n <= ring.q):
-        raise ValueError(f"need 0 < m < n <= q = {ring.q}, got n={n}, m={m}")
-    z = SemidirectElement(DPElement.zero(ring), Endo.z_op(ring).index())
-    e_n = SemidirectElement(
-        DPElement.basis(ring, ring.q + m - n),
-        Endo.mult_op(ring, ring.q - n, t_power=1).index())
+    q, p = ring.q, ring.field.p
+    if not (0 < m < n <= q):
+        raise ValueError(f"need 0 < m < n <= q = {q}, got n={n}, m={m}")
+    z = RowElement(ring, m, 1, 0, dict.fromkeys(range(q), p - 1))
+    e_n = RowElement(ring, m, n, 1, binom_column_mod_p(q - n, q, p))
     return z, e_n
-

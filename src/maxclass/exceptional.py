@@ -25,7 +25,7 @@ from typing import Optional
 
 from .arith import (ConstructionError, PrimeField, Record, binom_column_mod_p,
                     x_minus_one_coeff)
-from .divided_powers import DividedPowers, RowElement, make_generators
+from .divided_powers import DividedPowers, make_generators
 from .sequences import (
     BetaSequence,
     RationalSeries,
@@ -37,9 +37,9 @@ from .sequences import (
 )
 
 
-# Largest q = p^c that construct accepts.  Z and e_n are built with about q
-# operator entries each before any check runs, so without a bound
-# `--p 3 --c 20` would ask for about 3.5e9 of them.  The build keeps n + 1
+# Largest q = p^c that construct accepts.  z is built with q operator rows
+# before any check runs, so without a bound `--p 3 --c 20` would ask for
+# about 3.5e9 of them.  The build keeps n + 1
 # elements, each with at most q operator rows, but its time grows with the
 # rows of all elements up to degree q, about (p(p+1)/2)^c: 1.7e6 at
 # q = 3^8, and about q^2/2 = 5e7 at a prime q near the bound (q = 997 takes
@@ -116,13 +116,11 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     Each degree j is compared with its closed form: up to degree q + m,
     x^(q+m-j) with t times multiplication by x^(q-j), whose entries are the
     Lucas support of C(., q - j), and no operator part past degree q; above
-    q + m, t^r x^(q-1-jp) with j - m - 1 = r q + jp.  Degree n + 1 is one
-    generic `SemidirectElement.bracket`, compared entry by entry, so the
-    generators are checked as given; the closed form always has its module
-    term, so the comparison also fails whenever bracketing dies or leaves
-    degree n + 1.  From there the build runs on row forms (`RowElement`),
-    where every closed form has module coefficient 1 and the row map
-    {a: C(a, q - j)} up to degree q, none above.  Then beta_i, i = j - n, is
+    q + m, t^r x^(q-1-jp) with j - m - 1 = r q + jp.  The build runs on
+    row forms (`RowElement`) from the generators on, where every closed form
+    has module coefficient 1 and the row map {a: C(a, q - j)} up to degree
+    q, none above; the closed form always has its module term, so the
+    comparison also fails whenever bracketing dies.  Then beta_i, i = j - n, is
     the exact scalar with [e_i, e_n] = beta_i e_j; failure of
     proportionality raises ConstructionError with the offending degree.
     Only e_(j-n), ..., e_j are kept, and `elements` is the last such window,
@@ -142,20 +140,11 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     if depth + n > CONSTRUCT_MAX_DEGREE:
         raise ValueError(f"refusing construct: depth {depth} builds to degree {depth + n}, "
                          f"above CONSTRUCT_MAX_DEGREE = {CONSTRUCT_MAX_DEGREE}")
-    ring = DividedPowers(params.field, c)
-    z, e_n = make_generators(ring, n, m)
-    current = e_n.bracket(z)
-    # degree n + 1 <= q + 1 <= q + m has the first closed form
-    op = {(a, a - q + n + 1, 1): v for a, v in
-          binom_column_mod_p(q - n - 1, q, p).items()} if n < q else {}
-    if current.vec.entries != {(q + m - n - 1, 0): 1} or current.op.entries != op:
-        raise ConstructionError(f"element at degree {n + 1} deviates from its closed form")
-    z, e_n, current = (RowElement.from_element(x, d, m)
-                       for x, d in ((z, 1), (e_n, n), (current, n + 1)))
-    window = deque((e_n, current), maxlen=n + 1)
+    z, e_n = make_generators(DividedPowers(params.field, c), n, m)
+    window = deque((e_n,), maxlen=n + 1)
     betas = []
-    for j in range(n + 2, depth + n + 1):
-        current = current.bracket(z)
+    for j in range(n + 1, depth + n + 1):
+        current = window[-1].bracket(z)
         if current.coeff != 1 or current.rows != (
                 binom_column_mod_p(q - j, q, p) if j <= q else {}):
             raise ConstructionError(f"element at degree {j} deviates from its closed form")

@@ -2,8 +2,9 @@
 
 from typing import Optional
 
-from maxclass.arith import binom_mod_p
-from maxclass.divided_powers import DividedPowers, SemidirectElement
+from maxclass.arith import ConstructionError, binom_mod_p
+from maxclass.divided_powers import (DividedPowers, RowElement, SemidirectElement,
+                                     make_generators)
 from poly_helpers import FpPoly
 
 
@@ -55,3 +56,23 @@ def graded_degree(element: SemidirectElement, m: int) -> int:
     if len(degrees) > 1:
         raise ValueError(f"inhomogeneous element, degrees {sorted(degrees)}")
     return degrees.pop()
+
+
+def generic_generators(ring: DividedPowers, n: int, m: int
+                       ) -> tuple[SemidirectElement, SemidirectElement]:
+    """z and e_n of `make_generators` in the generic model."""
+    return tuple(g.to_element() for g in make_generators(ring, n, m))
+
+
+def row_form(element: SemidirectElement, degree: int, m: int) -> RowElement:
+    """The row form of element at degree; ConstructionError if element has
+    a term of another degree."""
+    ring = element.ring
+    q = ring.q
+    vec = dict(element.vec.entries)
+    coeff = vec.pop(RowElement._module_key(q, m, degree), 0)
+    rows = {row: c for (row, col, s), c in element.op.entries.items()
+            if col + s * q - row == degree}
+    if vec or len(rows) != len(element.op.entries):
+        raise ConstructionError(f"element is not homogeneous of degree {degree}")
+    return RowElement(ring, m, degree, coeff, rows)

@@ -13,9 +13,10 @@ from maxclass.arith import (
     binom_mod_p,
     signed_binom_row,
 )
-from maxclass.divided_powers import DividedPowers, SemidirectElement, make_generators
+from maxclass.divided_powers import DividedPowers, SemidirectElement
 from maxclass.sequences import BetaSequence, bracket_coeff
 
+from element_helpers import generic_generators
 from paper_helpers import is_power_of, lucas_symmetry_check
 from poly_helpers import FpPoly, x_minus_one_pow
 
@@ -82,7 +83,7 @@ class TestResidues:
         for j in range(-1, len(f.coeffs) + 2):
             residue(f[j])
         ring = DividedPowers(field, 1)
-        z, e_n = make_generators(ring, 2, 1)
+        z, e_n = generic_generators(ring, 2, 1)
         u = e_n.bracket(z)
         for k in (-p - 3, -1, 0, 1, 2, p + 2):
             assert residue(u.scale(k).proportional_to(u)) == k % p

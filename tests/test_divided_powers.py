@@ -11,7 +11,7 @@ from maxclass.divided_powers import (
     make_generators,
 )
 from maxclass.sequences import BetaSequence, RationalSeries, constituents, jacobi_verify
-from element_helpers import dp_mul, graded_degree, mul_coeff, poly_scale
+from element_helpers import dp_mul, generic_generators, graded_degree, mul_coeff, poly_scale
 from poly_helpers import FpPoly
 
 F3 = PrimeField(3)
@@ -270,10 +270,22 @@ class TestGenerators:
         with pytest.raises(ValueError):
             make_generators(ring, 6, 1)     # n <= q required
 
+    @pytest.mark.parametrize("field, c, n, m", [
+        (F5, 1, 2, 1), (F7, 1, 7, 3), (F3, 2, 3, 2), (F3, 2, 9, 4), (F5, 2, 4, 1),
+        (F3, 3, 2, 1)])
+    def test_row_forms_are_the_operator_generators(self, field, c, n, m):
+        # q prime and q = p^c with c >= 2, with n < q and n = q
+        ring = DividedPowers(field, c)
+        q = ring.q
+        z, e_n = (g.to_element() for g in make_generators(ring, n, m))
+        assert z == SemidirectElement(DPElement(ring), Endo.z_op(ring))
+        assert e_n == SemidirectElement(DPElement.basis(ring, q + m - n),
+                                        Endo.mult_op(ring, q - n, t_power=1))
+
     def test_closed_forms_q5(self):
         ring = DividedPowers(F5, 1)
         q, n, m = ring.q, 2, 1
-        z, e_n = make_generators(ring, n, m)
+        z, e_n = generic_generators(ring, n, m)
         e = {n: e_n}
         for j in range(n + 1, 3 * q + m + 1):
             e[j] = e[j - 1].bracket(z)
@@ -291,7 +303,7 @@ class TestGenerators:
 
     def test_degrees_are_graded(self):
         ring = DividedPowers(F3, 2)
-        z, e_n = make_generators(ring, 3, 2)
+        z, e_n = generic_generators(ring, 3, 2)
         assert graded_degree(z, 2) == 1
         assert graded_degree(e_n, 2) == 3
         e = e_n
@@ -304,7 +316,7 @@ class TestGenerators:
         # the expansion of X^5 (2 - X - X^5) / (1 - X^5) over F_5
         ring = DividedPowers(F5, 1)
         n, D = 2, 19
-        z, e_n = make_generators(ring, n, 1)
+        z, e_n = generic_generators(ring, n, 1)
         e = {n: e_n}
         for j in range(n + 1, D + n + 1):
             e[j] = e[j - 1].bracket(z)
@@ -323,7 +335,7 @@ class TestGenerators:
         # short of q
         ring = DividedPowers(F3, 2)
         n, m, D = 3, 2, 30
-        z, e_n = make_generators(ring, n, m)
+        z, e_n = generic_generators(ring, n, m)
         e = {n: e_n}
         for j in range(n + 1, D + n + 1):
             e[j] = e[j - 1].bracket(z)
@@ -344,7 +356,7 @@ class TestGradedDegree:
 
     def test_inhomogeneous_rejected(self):
         ring = DividedPowers(F5, 1)
-        z, e_n = make_generators(ring, 2, 1)
+        z, e_n = generic_generators(ring, 2, 1)
         with pytest.raises(ValueError, match="inhomogeneous"):
             graded_degree(z + e_n, 1)
 

@@ -5,8 +5,7 @@ dicts of residues keyed by (row, col, t-power) and (exponent, t-power).
 The functions here are the earlier representation, one polynomial in t per
 (row, col) or per exponent, with its compose, apply, scale, proportionality
 and degree reading.  Random operators with polynomial entries, converted
-between the two forms, must give the same results on both sides, with and
-without the row and column index of `Endo.index`.
+between the two forms, must give the same results on both sides.
 
 The brackets add both products into one dict and reduce it once.  The
 `unfused_*` functions keep the earlier route as a second reference: the
@@ -25,9 +24,8 @@ from maxclass.divided_powers import (
     DPElement,
     Endo,
     SemidirectElement,
-    make_generators,
 )
-from element_helpers import graded_degree, poly_scale
+from element_helpers import generic_generators, graded_degree, poly_scale
 from poly_helpers import FpPoly
 
 CONFIGS = [(PrimeField(3), 2), (PrimeField(5), 1), (PrimeField(7), 1), (PrimeField(3), 3)]
@@ -177,13 +175,9 @@ def test_compose_and_apply_match_reference(field, c):
         assert to_polys(got) == reference_apply(field, a, vec)
 
 
-def unindexed(op):
-    return Endo(op.ring, op.entries)
-
-
 @pytest.mark.parametrize("field,c", CONFIGS)
 def test_indexed_compose_and_apply_match_reference(field, c):
-    # every product is taken with neither, either and both operands indexed
+    # the structured operators, Z and multiplications, among random ones
     ring = DividedPowers(field, c)
     rng = random.Random(field.p * 3000 + c)
     ops = structured_ops(ring)
@@ -195,18 +189,14 @@ def test_indexed_compose_and_apply_match_reference(field, c):
     for _ in range(150):
         a, b = rng.choice(ops), rng.choice(ops)
         want = reference_compose(field, to_polys(a), to_polys(b))
-        for left in (unindexed(a), unindexed(a).index()):
-            for right in (unindexed(b), unindexed(b).index()):
-                assert to_polys(left.compose(right)) == want
+        assert to_polys(a.compose(b)) == want
         vec = rng.choice(vecs)
         want = reference_apply(field, to_polys(a), to_polys(vec))
-        assert to_polys(unindexed(a).apply(vec)) == want
-        assert to_polys(unindexed(a).index().apply(vec)) == want
+        assert to_polys(a.apply(vec)) == want
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)
 def test_fused_brackets_match_unfused(field, c):
-    # every bracket is taken with neither, either and both operands indexed
     ring = DividedPowers(field, c)
     rng = random.Random(field.p * 5000 + c)
     ops = structured_ops(ring)
@@ -220,12 +210,8 @@ def test_fused_brackets_match_unfused(field, c):
         f, g = rng.choice(vecs), rng.choice(vecs)
         want = unfused_endo_bracket(a, b).entries
         want_pair = unfused_bracket(SemidirectElement(f, a), SemidirectElement(g, b))
-        for left in (unindexed(a), unindexed(a).index()):
-            for right in (unindexed(b), unindexed(b).index()):
-                assert left.bracket(right).entries == want
-                got = SemidirectElement(f, left).bracket(SemidirectElement(g, right))
-                assert got == want_pair
-                assert got.op._index is None
+        assert a.bracket(b).entries == want
+        assert SemidirectElement(f, a).bracket(SemidirectElement(g, b)) == want_pair
 
 
 @pytest.mark.parametrize("field,c,n,m", [(PrimeField(3), 2, 2, 1), (PrimeField(5), 2, 3, 2),
@@ -234,7 +220,7 @@ def test_fused_bracket_walks_the_family_like_unfused(field, c, n, m):
     # the elements of the construction, up past the re-entry at degree q + m,
     # and their brackets with e_n
     ring = DividedPowers(field, c)
-    z, e_n = make_generators(ring, n, m)
+    z, e_n = generic_generators(ring, n, m)
     fused = unfused = e_n
     for _ in range(2 * ring.q + n):
         fused, unfused = fused.bracket(z), unfused_bracket(unfused, z)
@@ -258,16 +244,6 @@ def test_sub_and_scale_match_unfused(field, c):
             assert (a - b).entries == unfused_sub(a, b).entries
             k = rng.randrange(-2 * field.p, 2 * field.p)
             assert a.scale(k).entries == unfused_scale(a, k).entries
-
-
-@pytest.mark.parametrize("field,c", CONFIGS)
-def test_only_generators_are_indexed(field, c):
-    ring = DividedPowers(field, c)
-    z, e = make_generators(ring, 2, 1)
-    assert z.op._index is not None and e.op._index is not None
-    for value in (z.op + e.op, z.op.compose(e.op), e.op.bracket(z.op), z.op.scale(2),
-                  e.bracket(z).op, Endo.mult_op(ring, 1)):
-        assert value._index is None
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)
@@ -320,7 +296,7 @@ def test_proportionality_matches_reference(field, c):
                                          (PrimeField(7), 1, 4, 1)])
 def test_graded_degree_matches_reference(field, c, n, m):
     ring = DividedPowers(field, c)
-    z, e = make_generators(ring, n, m)
+    z, e = generic_generators(ring, n, m)
     for j in range(n, 3 * ring.q + m):
         degrees = reference_degrees(ring.q, m, to_polys(e.vec), to_polys(e.op))
         assert degrees == {j}

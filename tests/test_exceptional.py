@@ -5,13 +5,7 @@ import pytest
 
 from maxclass import cli, exceptional
 from maxclass.arith import PrimeField
-from maxclass.divided_powers import (
-    DPElement,
-    Endo,
-    RowElement,
-    SemidirectElement,
-    make_generators,
-)
+from maxclass.divided_powers import RowElement, make_generators
 from maxclass.exceptional import (
     CONSTRUCT_MAX_DEGREE,
     ConstructionError,
@@ -29,7 +23,6 @@ from maxclass.exceptional import (
 from maxclass.polycheck import classify_admissible_k
 from maxclass.sequences import (BetaSequence, constituents, first_constituent_poly,
                                 jacobi_verify, subalgebra_sequence)
-from element_helpers import graded_degree
 from paper_helpers import theorem_parameter_grid
 from poly_helpers import FpPoly, x_minus_one_pow
 
@@ -167,12 +160,11 @@ class TestConstruct:
             construct(ExceptionalParams(F5, 1, 2, 1), 2)
 
     def test_tampered_generator_raises(self, monkeypatch, capsys):
-        # e_n with its module term x^(q+m-n) added once more stays homogeneous
-        # of degree n, so only the closed-form comparison can catch it
+        # e_n with module coefficient 2 stays homogeneous of degree n, so
+        # only the closed-form comparison can catch it
         def tampered(ring, n, m):
             z, e_n = make_generators(ring, n, m)
-            extra = DPElement.basis(ring, ring.q + m - n)
-            return z, SemidirectElement(e_n.vec + extra, e_n.op)
+            return z, RowElement(ring, m, n, 2, e_n.rows)
 
         monkeypatch.setattr(exceptional, "make_generators", tampered)
         with pytest.raises(ConstructionError, match="degree 3 deviates from its closed form"):
@@ -185,15 +177,14 @@ class TestConstruct:
 
     @pytest.mark.parametrize("p, c, n, m", [(3, 2, 2, 1), (3, 7, 2, 1), (7, 3, 3, 2)])
     def test_tampered_generator_operator_raises(self, monkeypatch, p, c, n, m):
-        # one entry of e_n's operator moved by 1 keeps e_n homogeneous of
+        # one row of e_n's operator moved by 1 keeps e_n homogeneous of
         # degree n, and [e_n, z] keeps its module term -Z x^(q+m-n), so only
-        # the comparison of operator entries can catch it
+        # the comparison of operator rows can catch it
         def tampered(ring, n, m):
             z, e_n = make_generators(ring, n, m)
-            entries = dict(e_n.op.entries)
-            key = min(entries)
-            entries[key] += 1
-            return z, SemidirectElement(e_n.vec, Endo(ring, entries).index())
+            rows = dict(e_n.rows)
+            rows[min(rows)] += 1    # C(q - n, q - n) = 1 becomes 2
+            return z, RowElement(ring, m, n, 1, rows)
 
         monkeypatch.setattr(exceptional, "make_generators", tampered)
         with pytest.raises(ConstructionError,
@@ -205,22 +196,7 @@ class TestConstruct:
         # always has its module term, so the comparison catches it
         def tampered(ring, n, m):
             _, e_n = make_generators(ring, n, m)
-            return SemidirectElement.zero(ring), e_n
-
-        monkeypatch.setattr(exceptional, "make_generators", tampered)
-        with pytest.raises(ConstructionError, match="degree 3 deviates from its closed form"):
-            construct(ExceptionalParams(F5, 1, 2, 1))
-
-    def test_inhomogeneous_step_raises(self, monkeypatch):
-        # e_n plus a module term of degree n + 1 makes [e_n, z] span degrees
-        # n + 1 and n + 2; every closed-form entry has degree n + 1
-        def tampered(ring, n, m):
-            z, e_n = make_generators(ring, n, m)
-            extra = DPElement.basis(ring, ring.q + m - n - 1)
-            bad = SemidirectElement(e_n.vec + extra, e_n.op)
-            with pytest.raises(ValueError):
-                graded_degree(bad.bracket(z), m)
-            return z, bad
+            return RowElement(ring, m, 1, 0, {}), e_n
 
         monkeypatch.setattr(exceptional, "make_generators", tampered)
         with pytest.raises(ConstructionError, match="degree 3 deviates from its closed form"):
@@ -237,26 +213,21 @@ class TestConstruct:
         assert out == ""
         assert err == "construction failed: [e_3, e_2] is not a scalar multiple of e_5\n"
 
-    def test_only_the_generator_keeps_an_index(self):
-        # an index would double an element's memory; the build keeps the
-        # last n + 1 elements, none of them a generator, and indexes none
-        algebra = construct(ExceptionalParams(F7, 3, 3, 2), 700)
-        assert sorted(algebra.elements) == list(range(700, 704))
-        indexed = [j for j, e in algebra.elements.items() if e.op._index is not None]
-        assert indexed == []
-
-    def test_build_keeps_a_window(self):
+    @pytest.mark.parametrize("p, c, n, m, depth", [
+        (211, 1, 2, 1, None), (3, 7, 2, 1, 350), (7, 3, 3, 2, 700)])
+    def test_build_keeps_a_window(self, p, c, n, m, depth):
         # every element up to degree q holds a column of C(., q - j): about
-        # q^2/2 operator entries in all at a prime q, 2.7 MiB here if kept
-        params = ExceptionalParams(PrimeField(211), 1, 2, 1)
+        # q^2/2 operator entries in all at q = 211, 2.7 MiB if kept; at
+        # q = 2187, z alone has 2187 rows
+        params = ExceptionalParams(PrimeField(p), c, n, m)
         tracemalloc.start()
         try:
-            algebra = construct(params)
+            algebra = construct(params, depth)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        depth = params.default_depth
-        assert sorted(algebra.elements) == list(range(depth, depth + 3))
+        depth = params.default_depth if depth is None else depth
+        assert sorted(algebra.elements) == list(range(depth, depth + n + 1))
         assert peak < 512 * 1024
 
     def test_depth_above_bound_is_refused(self, monkeypatch):

@@ -16,11 +16,10 @@ from maxclass.divided_powers import (
     DividedPowers,
     DPElement,
     Endo,
-    RowElement,
     SemidirectElement,
     make_generators,
 )
-from element_helpers import graded_degree
+from element_helpers import generic_generators, graded_degree, row_form
 
 # (p, c, m): q = 9, 5, 7, 27
 CONFIGS = [(3, 2, 1), (5, 1, 2), (7, 1, 3), (3, 3, 2)]
@@ -62,7 +61,7 @@ def test_bracket_matches_generic(p, c, m):
     for _ in range(300):
         a, x = random_homogeneous(rng, ring, m)
         b, y = random_homogeneous(rng, ring, m)
-        rx, ry = RowElement.from_element(x, a, m), RowElement.from_element(y, b, m)
+        rx, ry = row_form(x, a, m), row_form(y, b, m)
         # each order iterates the other operand when the sizes differ
         for left, right, want in ((rx, ry, x.bracket(y)), (ry, rx, y.bracket(x))):
             got = left.bracket(right)
@@ -84,8 +83,8 @@ def test_family_chain_matches_generic(p, c, n, m):
     # the elements of the construction, up past the re-entry at degree q + m
     # where t-powers reach 2, and their brackets with e_n in both orders
     ring = DividedPowers(PrimeField(p), c)
-    z, e_n = make_generators(ring, n, m)
-    rz, re_n = RowElement.from_element(z, 1, m), RowElement.from_element(e_n, n, m)
+    z, e_n = generic_generators(ring, n, m)
+    rz, re_n = row_form(z, 1, m), row_form(e_n, n, m)
     e, row = e_n, re_n
     for j in range(n + 1, 2 * ring.q + m + n):
         e, row = e.bracket(z), row.bracket(rz)
@@ -102,17 +101,17 @@ def test_conversion_round_trips_and_refuses_mixed_degrees(p, c, m):
     rng = random.Random(p * 1000 + c)
     for _ in range(200):
         d, x = random_homogeneous(rng, ring, m)
-        assert RowElement.from_element(x, d, m).to_element() == x
+        assert row_form(x, d, m).to_element() == x
         # a term of another degree, in either part
         e = rng.choice([e for e in range(1, 3 * q) if e != d])
         other = homogeneous(rng, ring, m, e, 1, with_vec=False)
         if e >= m + 1:
             other = rng.choice([other, homogeneous(rng, ring, m, e, 0)])
         with pytest.raises(ConstructionError, match=f"not homogeneous of degree {d}$"):
-            RowElement.from_element(SemidirectElement(x.vec + other.vec, x.op + other.op), d, m)
+            row_form(SemidirectElement(x.vec + other.vec, x.op + other.op), d, m)
     zero = SemidirectElement.zero(ring)
     for d in (1, q, 3 * q):
-        assert RowElement.from_element(zero, d, m).to_element() == zero
+        assert row_form(zero, d, m).to_element() == zero
 
 
 @pytest.mark.parametrize("p,c,m", CONFIGS)
@@ -132,7 +131,7 @@ def test_proportionality_matches_generic(p, c, m):
             e, y = random_homogeneous(rng, ring, m)
         else:
             e, y = d, zero
-        rx, ry = RowElement.from_element(x, d, m), RowElement.from_element(y, e, m)
+        rx, ry = row_form(x, d, m), row_form(y, e, m)
         assert rx.proportional_to(ry) == x.proportional_to(y)
         assert ry.proportional_to(rx) == y.proportional_to(x)
 
@@ -140,9 +139,8 @@ def test_proportionality_matches_generic(p, c, m):
 def test_bracket_refuses_another_ring_or_grading():
     field = PrimeField(5)
     ring = DividedPowers(field, 1)
-    z, _ = make_generators(ring, 2, 1)
-    rz = RowElement.from_element(z, 1, 1)
+    rz, _ = make_generators(ring, 2, 1)
     for other, m in ((ring, 2), (DividedPowers(field, 2), 1)):
-        zero = RowElement.from_element(SemidirectElement.zero(other), 2, m)
+        zero = row_form(SemidirectElement.zero(other), 2, m)
         with pytest.raises(ValueError, match="different rings or gradings"):
             rz.bracket(zero)

@@ -16,11 +16,12 @@ algebras live there.
 
 Module elements and operators are stored alike: a dict from monomial keys,
 (i, s) for t^s x^(i) and (row, col, s) for a matrix entry t^s, to nonzero
-residues mod p.
-
-A bracket builds no transient operators or elements: both products of
-`Endo.bracket`, and both actions of `SemidirectElement.bracket`, add their
-terms with sign +-1 into one dict, which is reduced mod p once, at the end.
+residues mod p.  In the package these generic classes are data: what
+`RowElement.to_element` returns, with equality, truth, and `Endo.compose`
+and `Endo.apply`, which the benchmark tracer times.  Their arithmetic (sums,
+scalings, the named operators d/dx, Z and multiplication by x^(r), the
+semidirect bracket written as two products and a difference, and
+proportionality) is the tests' reference, in `tests/element_helpers.py`.
 
 Every element of the family is homogeneous, and `RowElement` holds a
 homogeneous element of degree d in row form: the coefficient of its one
@@ -30,8 +31,7 @@ coefficient, the row's column being (row + d) mod q and its t-power
 the row-form bracket iterates the operand with fewer rows and looks the
 other up by row: [e_i, e_n] costs e_n's few rows, not e_i's.  The family's
 generators are written in row form, and its construction runs on row forms
-alone; `SemidirectElement` stays the general model, and the row form's test
-oracle.
+alone: `RowElement.bracket` is the package's one semidirect bracket.
 """
 
 from __future__ import annotations
@@ -58,17 +58,13 @@ class DividedPowers:
             return NotImplemented
         return self.field == other.field and self.c == other.c
 
-    def __repr__(self) -> str:
-        return f"DividedPowers(p={self.field.p}, c={self.c})"
-
 
 class _Sparse:
     """Sparse F_p-linear combination of monomials: entries maps a key, whose
     last component is the power of t, to a nonzero residue mod p.
 
     The constructor reduces mod p and drops zeros, so equal values have
-    equal entries.  Instances are immutable by convention: all operations
-    return new ones.
+    equal entries.  Instances are immutable by convention.
     """
 
     __slots__ = ("ring", "entries")
@@ -77,10 +73,6 @@ class _Sparse:
         p = ring.field.p
         self.ring = ring
         self.entries = {key: r for key, c in entries.items() if (r := c % p)} if entries else {}
-
-    @classmethod
-    def zero(cls, ring: DividedPowers):
-        return cls(ring)
 
     def _check_ring(self, other) -> None:
         if self.ring is not other.ring and self.ring != other.ring:
@@ -94,43 +86,11 @@ class _Sparse:
             return NotImplemented
         return self.ring == other.ring and self.entries == other.entries
 
-    def __add__(self, other):
-        self._check_ring(other)
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, 0) + c
-        return type(self)(self.ring, out)
-
-    def __neg__(self):
-        return type(self)(self.ring, {key: -c for key, c in self.entries.items()})
-
-    def __sub__(self, other):
-        self._check_ring(other)
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, 0) - c
-        return type(self)(self.ring, out)
-
-    def scale(self, value: int):
-        """Multiply by an int."""
-        return type(self)(self.ring, {key: c * value for key, c in self.entries.items()})
-
 
 class DPElement(_Sparse):
     """Module element sum c t^s x^(i), with entries[(i, s)] = c."""
 
     __slots__ = ()
-
-    @classmethod
-    def basis(cls, ring: DividedPowers, exponent: int, t_power: int = 0,
-              coeff: int = 1) -> "DPElement":
-        """coeff * t^t_power * x^(exponent)."""
-        if not (0 <= exponent < ring.q):
-            raise ValueError(f"exponent {exponent} outside [0, {ring.q})")
-        return cls(ring, {(exponent, t_power): coeff})
-
-    def __repr__(self) -> str:
-        return f"DPElement({self.entries!r})"
 
 
 class Endo(_Sparse):
@@ -141,82 +101,38 @@ class Endo(_Sparse):
 
     __slots__ = ()
 
-    @classmethod
-    def derivation(cls, ring: DividedPowers) -> "Endo":
-        """x^(i) -> x^(i-1); kills 1.  A derivation of the divided-power
-        product, by the Pascal rule on the coefficients."""
-        return cls(ring, {(i - 1, i, 0): 1 for i in range(1, ring.q)})
-
-    @classmethod
-    def mult_op(cls, ring: DividedPowers, shift: int, t_power: int = 0) -> "Endo":
-        """Multiplication by t^(t_power) x^(shift):
-        x^(j) -> C(j+shift, shift) t^(t_power) x^(j+shift), the power of t
-        written straight into the entry keys."""
-        if not (0 <= shift < ring.q):
-            raise ValueError(f"shift must lie in [0, {ring.q})")
-        column = binom_column_mod_p(shift, ring.q, ring.field.p)
-        return cls(ring, {(a, a - shift, t_power): v for a, v in column.items()})
-
-    @classmethod
-    def z_op(cls, ring: DividedPowers) -> "Endo":
-        """Z = -(d/dx) - t * (multiplication by x^(q-1)): -1 at (i - 1, i, 0)
-        for 0 < i < q, and -1 at (q - 1, 0, 1), written in one dict."""
-        q = ring.q
-        entries = {(i - 1, i, 0): -1 for i in range(1, q)}
-        entries[(q - 1, 0, 1)] = -1
-        return cls(ring, entries)
-
     def compose(self, other: "Endo") -> "Endo":
         """Operator product self applied after other: iterates self, and
         looks other up by row."""
         self._check_ring(other)
-        out = {}
-        self._compose_into(other, out, 1)
-        return Endo(self.ring, out)
-
-    def bracket(self, other: "Endo") -> "Endo":
-        """self other - other self, both products added into one dict."""
-        self._check_ring(other)
-        out = {}
-        self._compose_into(other, out, 1)
-        other._compose_into(self, out, -1)
-        return Endo(self.ring, out)
-
-    def _compose_into(self, other: "Endo", out: dict, sign: int) -> None:
-        """Add sign * (self after other) into out, unreduced."""
         by_row = {}
         for (mid, col, r), c in other.entries.items():
             by_row.setdefault(mid, []).append((col, r, c))
+        out = {}
         for (row, mid, s), left in self.entries.items():
-            left *= sign
             for col, r, right in by_row.get(mid, ()):
                 key = (row, col, s + r)
                 out[key] = out.get(key, 0) + left * right
+        return type(self)(self.ring, out)
 
     def apply(self, element: DPElement) -> DPElement:
         """The operator applied to a module element: iterates the
         operator's entries, and looks the element up by exponent."""
         self._check_ring(element)
-        out = {}
-        self._apply_into(element, out, 1)
-        return DPElement(self.ring, out)
-
-    def _apply_into(self, element: DPElement, out: dict, sign: int) -> None:
-        """Add sign * (self applied to element) into out, unreduced."""
         by_exponent = {}
         for (i, r), c in element.entries.items():
-            by_exponent.setdefault(i, []).append((r, sign * c))
+            by_exponent.setdefault(i, []).append((r, c))
+        out = {}
         for (row, col, s), c in self.entries.items():
             for r, part in by_exponent.get(col, ()):
                 key = (row, s + r)
                 out[key] = out.get(key, 0) + c * part
-
-    def __repr__(self) -> str:
-        return f"Endo({len(self.entries)} entries, q={self.ring.q})"
+        return type(element)(self.ring, out)
 
 
 class SemidirectElement:
-    """Pair (module element, operator) under the bracket
+    """Pair (module element, operator) of the semidirect product, whose
+    bracket is
 
         [(f, A), (g, B)] = (A g - B f, AB - BA).
 
@@ -236,10 +152,6 @@ class SemidirectElement:
     def ring(self) -> DividedPowers:
         return self.vec.ring
 
-    @classmethod
-    def zero(cls, ring: DividedPowers) -> "SemidirectElement":
-        return cls(DPElement.zero(ring), Endo.zero(ring))
-
     def __bool__(self) -> bool:
         return bool(self.vec) or bool(self.op)
 
@@ -247,43 +159,6 @@ class SemidirectElement:
         if not isinstance(other, SemidirectElement):
             return NotImplemented
         return self.vec == other.vec and self.op == other.op
-
-    def __add__(self, other: "SemidirectElement") -> "SemidirectElement":
-        return SemidirectElement(self.vec + other.vec, self.op + other.op)
-
-    def __neg__(self) -> "SemidirectElement":
-        return SemidirectElement(-self.vec, -self.op)
-
-    def scale(self, value: int) -> "SemidirectElement":
-        return SemidirectElement(self.vec.scale(value), self.op.scale(value))
-
-    def bracket(self, other: "SemidirectElement") -> "SemidirectElement":
-        """(A g - B f, AB - BA), each part added into one dict."""
-        op = self.op.bracket(other.op)  # checks the rings
-        vec = {}
-        self.op._apply_into(other.vec, vec, 1)
-        other.op._apply_into(self.vec, vec, -1)
-        return SemidirectElement(DPElement(self.ring, vec), op)
-
-    def proportional_to(self, other: "SemidirectElement") -> Optional[int]:
-        """The residue lam with self == lam * other, or None if there is none.
-
-        The zero element is 0 * anything; a nonzero self against zero other
-        has no scalar.
-        """
-        if not self:
-            return 0
-        if not other:
-            return None
-        # lam is fixed by any one entry of other; then check all of them
-        mine, theirs = (self.vec, other.vec) if other.vec else (self.op, other.op)
-        key, ref = next(iter(theirs.entries.items()))
-        p = self.ring.field.p
-        lam = mine.entries.get(key, 0) * pow(ref, p - 2, p) % p
-        return lam if other.scale(lam) == self else None
-
-    def __repr__(self) -> str:
-        return f"SemidirectElement(vec={self.vec!r}, op={self.op!r})"
 
 
 class RowElement:
@@ -363,9 +238,10 @@ class RowElement:
 
     def proportional_to(self, other: "RowElement") -> Optional[int]:
         """The residue lam with self == lam * other, or None if there is
-        none, as `SemidirectElement.proportional_to`.  lam is read from
-        other's module coefficient, or from one of its rows when that is 0;
-        then every row must match."""
+        none.  The zero element is 0 * anything; a nonzero self has no
+        scalar against a zero other or one of another degree.  lam is read
+        from other's module coefficient, or from one of its rows when that
+        is 0; then every row must match."""
         if not self:
             return 0
         if not other or self.degree != other.degree:

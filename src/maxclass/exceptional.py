@@ -104,10 +104,6 @@ class ExceptionalParams:
 class ConstructedAlgebra(Record):
     __slots__ = ("params", "sequence", "elements")
 
-    @property
-    def depth(self) -> int:
-        return self.sequence.depth
-
 
 def construct(params: ExceptionalParams, depth: Optional[int] = None) -> ConstructedAlgebra:
     """Build the algebra by iterated bracketing with z and read off the

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from maxclass.arith import PrimeField, binom_mod_p
-from maxclass.divided_powers import DividedPowers, SemidirectElement
+from maxclass.divided_powers import DividedPowers
 from maxclass.exceptional import exceptional_report, genfunc_closed_form
 from maxclass.polycheck import classify_admissible_k, powers_of
 from maxclass.search import search_sequences
@@ -23,7 +23,7 @@ from maxclass.sequences import (
     project_type1,
 )
 
-from element_helpers import dp_mul
+from element_helpers import SemidirectElement, dp_mul
 from paper_helpers import (
     expected_pairs,
     in_large_k_menu,

@@ -13,10 +13,10 @@ from maxclass.arith import (
     binom_mod_p,
     signed_binom_row,
 )
-from maxclass.divided_powers import DividedPowers, SemidirectElement
+from maxclass.divided_powers import DividedPowers
 from maxclass.sequences import BetaSequence, bracket_coeff
 
-from element_helpers import generic_generators
+from element_helpers import SemidirectElement, generic_generators
 from paper_helpers import is_power_of, lucas_symmetry_check
 from poly_helpers import FpPoly, x_minus_one_pow
 

@@ -3,15 +3,10 @@ import random
 import pytest
 
 from maxclass.arith import PrimeField
-from maxclass.divided_powers import (
-    DividedPowers,
-    DPElement,
-    Endo,
-    SemidirectElement,
-    make_generators,
-)
+from maxclass.divided_powers import DividedPowers, make_generators
 from maxclass.sequences import BetaSequence, RationalSeries, constituents, jacobi_verify
-from element_helpers import dp_mul, generic_generators, graded_degree, mul_coeff, poly_scale
+from element_helpers import (DPElement, Endo, SemidirectElement, dp_mul, generic_generators,
+                             graded_degree, mul_coeff, poly_scale)
 from poly_helpers import FpPoly
 
 F3 = PrimeField(3)
@@ -98,7 +93,7 @@ class TestDPElement:
         a = DPElement.basis(ring, 2)
         b = DPElement.basis(ring, 2, coeff=4)
         assert not (a + b)
-        assert a + DPElement.zero(ring) == a
+        assert a + DPElement(ring) == a
 
     def test_scale_by_poly(self):
         # t^s times an operator or element shifts the t-power of every key;
@@ -223,8 +218,7 @@ class TestSemidirect:
     def test_parts_from_two_rings_refused(self):
         with pytest.raises(ValueError,
                            match="module part and operator part from different rings"):
-            SemidirectElement(DPElement.zero(DividedPowers(F3, 2)),
-                              Endo.zero(DividedPowers(F5, 1)))
+            SemidirectElement(DPElement(DividedPowers(F3, 2)), Endo(DividedPowers(F5, 1)))
 
     def test_antisymmetric(self):
         ring = DividedPowers(F5, 1)
@@ -238,8 +232,8 @@ class TestSemidirect:
         ring = DividedPowers(F5, 1)
         rng = random.Random(8)
         for _ in range(20):
-            f = SemidirectElement(random_element(ring, rng).vec, Endo.zero(ring))
-            g = SemidirectElement(random_element(ring, rng).vec, Endo.zero(ring))
+            f = SemidirectElement(random_element(ring, rng).vec, Endo(ring))
+            g = SemidirectElement(random_element(ring, rng).vec, Endo(ring))
             assert not f.bracket(g)
             h = random_element(ring, rng)
             assert not h.bracket(f).op.entries
@@ -251,11 +245,10 @@ class TestSemidirect:
         assert u.scale(3).proportional_to(u) == 3
         assert SemidirectElement.zero(ring).proportional_to(u) == 0
         assert u.proportional_to(SemidirectElement.zero(ring)) is None
-        v = u + SemidirectElement(DPElement.basis(ring, 2, t_power=4), Endo.zero(ring))
+        v = u + SemidirectElement(DPElement.basis(ring, 2, t_power=4), Endo(ring))
         assert v.proportional_to(u) is None
-        t_scaled = SemidirectElement(poly_scale(u.vec, FpPoly.monomial(F5, 1, 1)),
-                                     Endo.zero(ring))
-        base = SemidirectElement(u.vec, Endo.zero(ring))
+        t_scaled = SemidirectElement(poly_scale(u.vec, FpPoly.monomial(F5, 1, 1)), Endo(ring))
+        base = SemidirectElement(u.vec, Endo(ring))
         if u.vec:
             assert t_scaled.proportional_to(base) is None
 
@@ -277,7 +270,7 @@ class TestGenerators:
         # q prime and q = p^c with c >= 2, with n < q and n = q
         ring = DividedPowers(field, c)
         q = ring.q
-        z, e_n = (g.to_element() for g in make_generators(ring, n, m))
+        z, e_n = generic_generators(ring, n, m)
         assert z == SemidirectElement(DPElement(ring), Endo.z_op(ring))
         assert e_n == SemidirectElement(DPElement.basis(ring, q + m - n),
                                         Endo.mult_op(ring, q - n, t_power=1))
@@ -290,15 +283,14 @@ class TestGenerators:
         for j in range(n + 1, 3 * q + m + 1):
             e[j] = e[j - 1].bracket(z)
         for j in range(n, q + m + 1):
-            want_op = Endo.mult_op(ring, q - j, t_power=1) if j <= q else Endo.zero(ring)
+            want_op = Endo.mult_op(ring, q - j, t_power=1) if j <= q else Endo(ring)
             assert e[j] == SemidirectElement(DPElement.basis(ring, q + m - j), want_op), j
         for r in (1, 2):
             for j in range(1, q + 1):
                 deg = r * q + m + j
                 if deg <= q + m or deg > 3 * q + m:
                     continue
-                want = SemidirectElement(DPElement.basis(ring, q - j, t_power=r),
-                                         Endo.zero(ring))
+                want = SemidirectElement(DPElement.basis(ring, q - j, t_power=r), Endo(ring))
                 assert e[deg] == want, deg
 
     def test_degrees_are_graded(self):
@@ -362,13 +354,9 @@ class TestGradedDegree:
 
     def test_module_monomial_degree(self):
         ring = DividedPowers(F5, 1)
-        el = SemidirectElement(DPElement.basis(ring, 3, t_power=2), Endo.zero(ring))
+        el = SemidirectElement(DPElement.basis(ring, 3, t_power=2), Endo(ring))
         # degree r q + (q + m) - i = 2*5 + 6 - 3 with m = 1
         assert graded_degree(el, 1) == 13
-
-
-def _flatten(endo):
-    return dict(endo.entries)
 
 
 class _Span:
@@ -380,7 +368,7 @@ class _Span:
         self.members = []
 
     def insert(self, endo):
-        vec = _flatten(endo)
+        vec = dict(endo.entries)
         while vec:
             pivot = min(vec)
             if pivot not in self.rows:

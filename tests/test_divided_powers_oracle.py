@@ -1,17 +1,12 @@
 """Reference operator arithmetic with one FpPoly per matrix entry.
 
 `maxclass.divided_powers` stores operators and module elements as sparse
-dicts of residues keyed by (row, col, t-power) and (exponent, t-power).
-The functions here are the earlier representation, one polynomial in t per
-(row, col) or per exponent, with its compose, apply, scale, proportionality
-and degree reading.  Random operators with polynomial entries, converted
+dicts of residues keyed by (row, col, t-power) and (exponent, t-power), and
+`element_helpers` adds the tests' generic arithmetic to them.  The functions
+here are the earlier representation, one polynomial in t per (row, col) or
+per exponent, with its compose, apply, bracket, scale, proportionality and
+degree reading.  Random operators with polynomial entries, converted
 between the two forms, must give the same results on both sides.
-
-The brackets add both products into one dict and reduce it once.  The
-`unfused_*` functions keep the earlier route as a second reference: the
-bracket as two products and a subtraction, subtraction as adding a negated
-copy, and scaling by a number through the per-key rebuild of the
-polynomial case.
 """
 
 import random
@@ -19,13 +14,9 @@ import random
 import pytest
 
 from maxclass.arith import PrimeField
-from maxclass.divided_powers import (
-    DividedPowers,
-    DPElement,
-    Endo,
-    SemidirectElement,
-)
-from element_helpers import generic_generators, graded_degree, poly_scale
+from maxclass.divided_powers import DividedPowers
+from element_helpers import (DPElement, Endo, SemidirectElement, generic_generators,
+                             graded_degree, poly_scale)
 from poly_helpers import FpPoly
 
 CONFIGS = [(PrimeField(3), 2), (PrimeField(5), 1), (PrimeField(7), 1), (PrimeField(3), 3)]
@@ -42,6 +33,10 @@ def to_polys(sparse):
             for head, cs in coeffs.items()}
 
 
+def as_polys(x):
+    return to_polys(x.vec), to_polys(x.op)
+
+
 def from_polys(cls, ring, polys):
     return cls(ring, {head + (s,): c for head, poly in polys.items()
                       for s, c in enumerate(poly.coeffs)})
@@ -49,6 +44,11 @@ def from_polys(cls, ring, polys):
 
 def _clean(polys):
     return {key: poly for key, poly in polys.items() if poly}
+
+
+def poly_sub(field, a, b):
+    zero = FpPoly.zero(field)
+    return _clean({key: a.get(key, zero) - b.get(key, zero) for key in set(a) | set(b)})
 
 
 def reference_compose(field, left, right):
@@ -71,6 +71,13 @@ def reference_apply(field, op, parts):
         if part is not None:
             out[(row,)] = out.get((row,), zero) + poly * part
     return _clean(out)
+
+
+def reference_bracket(field, x, y):
+    """[(f, A), (g, B)] = (A g - B f, AB - BA) on (vec polys, op polys) pairs."""
+    (f, a), (g, b) = x, y
+    return (poly_sub(field, reference_apply(field, a, g), reference_apply(field, b, f)),
+            poly_sub(field, reference_compose(field, a, b), reference_compose(field, b, a)))
 
 
 def reference_proportional_to(field, mine, theirs):
@@ -132,21 +139,14 @@ def structured_ops(ring):
     return ops
 
 
-def unfused_sub(a, b):
-    return a + (-b)
-
-
-def unfused_scale(x, value):
-    return poly_scale(x, FpPoly(x.ring.field, [value]))
-
-
-def unfused_endo_bracket(a, b):
-    return unfused_sub(a.compose(b), b.compose(a))
-
-
-def unfused_bracket(x, y):
-    return SemidirectElement(unfused_sub(x.op.apply(y.vec), y.op.apply(x.vec)),
-                             unfused_endo_bracket(x.op, y.op))
+def operands(ring, rng, count=40):
+    """The structured operators among `count` random ones, and 20 random
+    module elements with zero."""
+    ops = structured_ops(ring) + [
+        from_polys(Endo, ring, random_pair(rng, ring, rng.randrange(12))[0]) for _ in range(count)]
+    vecs = [from_polys(DPElement, ring, random_pair(rng, ring, rng.randrange(12))[1])
+            for _ in range(20)]
+    return ops, vecs + [DPElement(ring)]
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)
@@ -159,20 +159,19 @@ def test_conversion_round_trips(field, c):
         assert to_polys(from_polys(DPElement, ring, vec)) == vec
 
 
+def assert_compose_and_apply(field, rng, ops, vecs, rounds):
+    for _ in range(rounds):
+        a, b = rng.choice(ops), rng.choice(ops)
+        assert to_polys(a.compose(b)) == reference_compose(field, to_polys(a), to_polys(b))
+        vec = rng.choice(vecs)
+        assert to_polys(a.apply(vec)) == reference_apply(field, to_polys(a), to_polys(vec))
+
+
 @pytest.mark.parametrize("field,c", CONFIGS)
 def test_compose_and_apply_match_reference(field, c):
     ring = DividedPowers(field, c)
     rng = random.Random(field.p * 1000 + c)
-    ops = [to_polys(op) for op in structured_ops(ring)]
-    ops += [random_pair(rng, ring, rng.randrange(12))[0] for _ in range(60)]
-    vecs = [random_pair(rng, ring, rng.randrange(12))[1] for _ in range(20)]
-    for _ in range(300):
-        a, b = rng.choice(ops), rng.choice(ops)
-        got = from_polys(Endo, ring, a).compose(from_polys(Endo, ring, b))
-        assert to_polys(got) == reference_compose(field, a, b)
-        vec = rng.choice(vecs)
-        got = from_polys(Endo, ring, a).apply(from_polys(DPElement, ring, vec))
-        assert to_polys(got) == reference_apply(field, a, vec)
+    assert_compose_and_apply(field, rng, *operands(ring, rng, 60), 300)
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)
@@ -180,38 +179,24 @@ def test_indexed_compose_and_apply_match_reference(field, c):
     # the structured operators, Z and multiplications, among random ones
     ring = DividedPowers(field, c)
     rng = random.Random(field.p * 3000 + c)
-    ops = structured_ops(ring)
-    ops += [from_polys(Endo, ring, random_pair(rng, ring, rng.randrange(12))[0])
-            for _ in range(40)]
-    vecs = [from_polys(DPElement, ring, random_pair(rng, ring, rng.randrange(12))[1])
-            for _ in range(20)]
-    vecs.append(DPElement.zero(ring))
-    for _ in range(150):
-        a, b = rng.choice(ops), rng.choice(ops)
-        want = reference_compose(field, to_polys(a), to_polys(b))
-        assert to_polys(a.compose(b)) == want
-        vec = rng.choice(vecs)
-        want = reference_apply(field, to_polys(a), to_polys(vec))
-        assert to_polys(a.apply(vec)) == want
+    assert_compose_and_apply(field, rng, *operands(ring, rng), 150)
 
 
+# The next three tests keep their names from when they compared fused package
+# code with unfused copies here; they now check the tests' reference
+# arithmetic, the unfused form, against the polynomial representation.
 @pytest.mark.parametrize("field,c", CONFIGS)
 def test_fused_brackets_match_unfused(field, c):
     ring = DividedPowers(field, c)
     rng = random.Random(field.p * 5000 + c)
-    ops = structured_ops(ring)
-    ops += [from_polys(Endo, ring, random_pair(rng, ring, rng.randrange(12))[0])
-            for _ in range(40)]
-    vecs = [from_polys(DPElement, ring, random_pair(rng, ring, rng.randrange(12))[1])
-            for _ in range(20)]
-    vecs.append(DPElement.zero(ring))
+    ops, vecs = operands(ring, rng)
     for _ in range(150):
         a, b = rng.choice(ops), rng.choice(ops)
         f, g = rng.choice(vecs), rng.choice(vecs)
-        want = unfused_endo_bracket(a, b).entries
-        want_pair = unfused_bracket(SemidirectElement(f, a), SemidirectElement(g, b))
-        assert a.bracket(b).entries == want
-        assert SemidirectElement(f, a).bracket(SemidirectElement(g, b)) == want_pair
+        x, y = SemidirectElement(f, a), SemidirectElement(g, b)
+        want = reference_bracket(field, as_polys(x), as_polys(y))
+        assert to_polys(a.bracket(b)) == want[1]
+        assert as_polys(x.bracket(y)) == want
 
 
 @pytest.mark.parametrize("field,c,n,m", [(PrimeField(3), 2, 2, 1), (PrimeField(5), 2, 3, 2),
@@ -221,29 +206,27 @@ def test_fused_bracket_walks_the_family_like_unfused(field, c, n, m):
     # and their brackets with e_n
     ring = DividedPowers(field, c)
     z, e_n = generic_generators(ring, n, m)
-    fused = unfused = e_n
+    pz, pe_n = as_polys(z), as_polys(e_n)
+    e, want = e_n, pe_n
     for _ in range(2 * ring.q + n):
-        fused, unfused = fused.bracket(z), unfused_bracket(unfused, z)
-        assert fused == unfused
-        assert fused.bracket(e_n) == unfused_bracket(unfused, e_n)
+        e, want = e.bracket(z), reference_bracket(field, want, pz)
+        assert as_polys(e) == want
+        assert as_polys(e.bracket(e_n)) == reference_bracket(field, want, pe_n)
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)
 def test_sub_and_scale_match_unfused(field, c):
     ring = DividedPowers(field, c)
     rng = random.Random(field.p * 6000 + c)
-    ops = structured_ops(ring)
-    ops += [from_polys(Endo, ring, random_pair(rng, ring, rng.randrange(12))[0])
-            for _ in range(40)]
-    vecs = [from_polys(DPElement, ring, random_pair(rng, ring, rng.randrange(12))[1])
-            for _ in range(20)]
-    vecs.append(DPElement.zero(ring))
+    ops, vecs = operands(ring, rng)
     for _ in range(200):
         for values in (ops, vecs):
             a, b = rng.choice(values), rng.choice(values)
-            assert (a - b).entries == unfused_sub(a, b).entries
+            assert to_polys(a - b) == poly_sub(field, to_polys(a), to_polys(b))
             k = rng.randrange(-2 * field.p, 2 * field.p)
-            assert a.scale(k).entries == unfused_scale(a, k).entries
+            k_poly = FpPoly(field, [k])
+            assert to_polys(a.scale(k)) == _clean({key: poly * k_poly
+                                                   for key, poly in to_polys(a).items()})
 
 
 @pytest.mark.parametrize("field,c", CONFIGS)
@@ -258,9 +241,8 @@ def test_linear_operations_match_reference(field, c):
         k = rng.randrange(-field.p, 2 * field.p)
         left, right = from_polys(Endo, ring, a), from_polys(Endo, ring, b)
         total = {key: a.get(key, zero) + b.get(key, zero) for key in set(a) | set(b)}
-        diff = {key: a.get(key, zero) - b.get(key, zero) for key in set(a) | set(b)}
         assert to_polys(left + right) == _clean(total)
-        assert to_polys(left - right) == _clean(diff)
+        assert to_polys(left - right) == poly_sub(field, a, b)
         assert to_polys(-left) == {key: -poly for key, poly in a.items()}
         assert to_polys(poly_scale(left, f)) == _clean({key: poly * f for key, poly in a.items()})
         k_poly = FpPoly(field, [k])
@@ -287,8 +269,7 @@ def test_proportionality_matches_reference(field, c):
         else:
             other = SemidirectElement.zero(ring)
         for x, y in ((other, base), (base, other)):
-            want = reference_proportional_to(field, (to_polys(x.vec), to_polys(x.op)),
-                                             (to_polys(y.vec), to_polys(y.op)))
+            want = reference_proportional_to(field, as_polys(x), as_polys(y))
             assert x.proportional_to(y) == want
 
 
@@ -298,7 +279,7 @@ def test_graded_degree_matches_reference(field, c, n, m):
     ring = DividedPowers(field, c)
     z, e = generic_generators(ring, n, m)
     for j in range(n, 3 * ring.q + m):
-        degrees = reference_degrees(ring.q, m, to_polys(e.vec), to_polys(e.op))
+        degrees = reference_degrees(ring.q, m, *as_polys(e))
         assert degrees == {j}
         assert graded_degree(e, m) == j
         e = e.bracket(z)

@@ -146,7 +146,7 @@ class TestConstruct:
     def test_matches_closed_form_q5(self):
         params = ExceptionalParams(F5, 1, 2, 1)
         algebra = construct(params)
-        assert algebra.depth == params.default_depth == 19
+        assert algebra.sequence.depth == params.default_depth == 19
         assert list(algebra.sequence.betas) == closed_form_betas(params, 19)
         assert sorted(algebra.elements) == list(range(19, 19 + 3))
 

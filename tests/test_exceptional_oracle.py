@@ -6,10 +6,10 @@
 the earlier loops, each coefficient a signed-binomial window over the
 prefix; both sides must agree exactly, witnesses included.
 
-`construct` brackets once with the indexed generators, then on row forms,
-compares each degree with the closed form's nonzero entries, read off the
-Lucas support, and keeps the last n + 1 elements; its reference builds
-unindexed generators and one multiplication operator per degree from
+`construct` brackets on row forms, compares each degree with the closed
+form's nonzero entries, read off the Lucas support, and keeps the last
+n + 1 elements; its reference brackets generic elements from the tests'
+arithmetic, builds one multiplication operator per degree from
 `binom_mod_p`, compares whole elements and keeps every one.
 """
 
@@ -19,12 +19,7 @@ from collections import Counter
 import pytest
 
 from maxclass.arith import PrimeField, binom_mod_p, signed_binom_row
-from maxclass.divided_powers import (
-    DividedPowers,
-    DPElement,
-    Endo,
-    SemidirectElement,
-)
+from maxclass.divided_powers import DividedPowers
 from maxclass.exceptional import (
     AbelianIdealReport,
     ConstructedAlgebra,
@@ -38,7 +33,7 @@ from maxclass.sequences import (
     constituents,
     project_type1,
 )
-from element_helpers import graded_degree, poly_scale
+from element_helpers import DPElement, Endo, SemidirectElement, graded_degree, poly_scale
 from paper_helpers import theorem_parameter_grid
 from poly_helpers import FpPoly, x_minus_one_pow
 from sequence_helpers import eih_residual
@@ -93,12 +88,12 @@ def reference_mult_op(ring, shift, scale):
 
 
 def reference_construct(params, depth):
-    """The construction loop with generators that carry no index and one
-    multiplication operator per degree j <= q for the closed form."""
+    """The construction loop on generic elements, with one multiplication
+    operator per degree j <= q for the closed form."""
     q, n, m = params.q, params.n, params.m
     ring = DividedPowers(params.field, params.c)
     t = FpPoly.monomial(params.field, 1, 1)
-    z = SemidirectElement(DPElement.zero(ring),
+    z = SemidirectElement(DPElement(ring),
                           -Endo.derivation(ring) - reference_mult_op(ring, q - 1, t))
     e_n = SemidirectElement(DPElement.basis(ring, q + m - n),
                             reference_mult_op(ring, q - n, t))
@@ -110,11 +105,10 @@ def reference_construct(params, depth):
         if j <= q + m:
             expected = SemidirectElement(
                 DPElement.basis(ring, q + m - j),
-                reference_mult_op(ring, q - j, t) if j <= q else Endo.zero(ring))
+                reference_mult_op(ring, q - j, t) if j <= q else Endo(ring))
         else:
             r, jp = divmod(j - m - 1, q)
-            expected = SemidirectElement(DPElement.basis(ring, q - jp - 1, t_power=r),
-                                         Endo.zero(ring))
+            expected = SemidirectElement(DPElement.basis(ring, q - jp - 1, t_power=r), Endo(ring))
         assert current == expected, j
         elements[j] = current
     betas = [int(elements[i].bracket(e_n).proportional_to(elements[i + n]))

@@ -3,7 +3,9 @@
 A request is one fresh process, so every module it imports is paid for on
 every call.  These tests pin which layers a subcommand loads and that the
 names the command line resolves on first use can still be replaced on
-`maxclass.cli`, which is how a tracer wraps each layer call.
+`maxclass.cli`, which is how a tracer wraps each layer call.  The benchmark
+tracer, `perfbench/tracer.py`, runs here too, so a trim of the package that
+breaks a name it wraps fails in these tests and not only in the benchmark.
 """
 
 import ast
@@ -40,6 +42,25 @@ REQUESTS = {
     "search": ["search", "--p", "3", "--n", "2", "--depth", "10"],
     "construct": ["construct", "--p", "3", "--c", "2", "--n", "2", "--m", "1"],
 }
+
+
+# the package's modules, less __init__.py, whose names are strings
+SOURCES = sorted(path for path in Path(maxclass.__file__).parent.glob("*.py")
+                 if path.name != "__init__.py")
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+BUILD = REQUESTS["construct"]
+
+
+def named(paths):
+    """Every name and attribute the files refer to."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
 
 
 def run_footprint(argv):
@@ -126,6 +147,26 @@ class TestPatchedNames:
         with pytest.raises(RecursionError, match="deep"):
             cli.main(REQUESTS["search"])
 
+    # A report needs depth 19 > q = 9, so its last window, degrees 19 to 21,
+    # has no operator part; the build cut at depth 5 keeps degrees 5 to 7.
+    @pytest.mark.parametrize("argv, has_ops", [(BUILD + ["--report"], False),
+                                               (BUILD + ["--depth", "5"], True)],
+                             ids=["report", "depth-cut"])
+    def test_benchmark_tracer_matches_the_command_line(self, capsys, tmp_path, argv,
+                                                        has_ops):
+        trace_file = tmp_path / "trace.json"
+        traced = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"),
+                                 str(trace_file), *argv],
+                                capture_output=True, text=True, timeout=120)
+        assert traced.returncode == cli.main(argv) == cli.EXIT_OK, traced.stderr
+        assert traced.stdout == capsys.readouterr().out
+        trace = json.loads(trace_file.read_text())
+        assert trace["exit"] == 0
+        assert {"divided_powers.Endo.compose", "divided_powers.Endo.apply"} <= set(trace["timers"])
+        builds = [attrs for name, _, _, _, attrs in trace["spans"]
+                  if name == "exceptional.construct"]
+        assert builds and all((attrs["op_entries"] > 0) == has_ops for attrs in builds)
+
     def test_construction_error_from_a_fresh_process(self):
         # exceptional is first imported inside the handler, after main has
         # entered its try block
@@ -174,13 +215,16 @@ class TestNamespace:
 
     def test_every_export_has_a_caller(self):
         # a name only tests call belongs in tests/, not in the package
-        used = set()
-        for path in Path(maxclass.__file__).parent.glob("*.py"):
-            if path.name == "__init__.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-        assert set(maxclass._HOME) - used == AWAITING_CALLERS
+        assert set(maxclass._HOME) - named(SOURCES) == AWAITING_CALLERS
+
+    def test_every_public_method_has_a_caller(self):
+        # a method only tests call belongs in a tests-side subclass; the
+        # benchmark's callers count, since it times package methods
+        used = named(SOURCES + sorted(PERFBENCH.glob("*.py")))
+        uncalled = [f"{cls.name}.{node.name}" for path in SOURCES
+                    for cls in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_") and node.name not in used]
+        assert uncalled == []

@@ -28,8 +28,8 @@ homogeneous element of degree d in row form: the coefficient of its one
 module monomial, at x^((m - d) mod q), and a map from operator row to
 coefficient, the row's column being (row + d) mod q and its t-power
 (row + d) // q.  A product of two such operators has one term per row, so
-the row-form bracket iterates the operand with fewer rows and looks the
-other up by row: [e_i, e_n] costs e_n's few rows, not e_i's.  The family's
+the row-form bracket iterates the operand with fewer rows, by antisymmetry,
+and looks the other up by row: [e_i, e_n] costs e_n's few rows, not e_i's.  The family's
 generators are written in row form, and its construction runs on row forms
 alone: `RowElement.bracket` is the package's one semidirect bracket.
 """
@@ -195,68 +195,38 @@ class RowElement:
         op = {(row, (row + d) % q, (row + d) // q): c for row, c in self.rows.items()}
         return SemidirectElement(DPElement(self.ring, vec), Endo(self.ring, op))
 
-    def __bool__(self) -> bool:
-        return bool(self.coeff) or bool(self.rows)
-
     def bracket(self, other: "RowElement") -> "RowElement":
         """[(f, A), (g, B)] = (A g - B f, AB - BA), of degree a + b.
 
         Row k of AB is A[k] B[(k + a) mod q] and row k of BA is
         B[k] A[(k + b) mod q], so each product has one term per row of
-        either factor: the loop iterates the operator with fewer rows and
-        looks the other up by row.  The module monomial of degree a + b is
-        A's row (m - a - b) mod q applied to g, less B's applied to f.
+        either factor: the loop iterates A, or B through -[other, self]
+        when B has fewer rows, and looks the other up by row.  The module
+        monomial of degree a + b is A's row (m - a - b) mod q applied to g,
+        less B's applied to f.
         """
         if (self.ring is not other.ring and self.ring != other.ring) or self.m != other.m:
             raise ValueError("row forms from different rings or gradings")
         q, p = self.ring.q, self.ring.field.p
-        a, b = self.degree, other.degree
         A, B = self.rows, other.rows
+        if len(A) > len(B):
+            swapped = other.bracket(self)
+            return RowElement(self.ring, self.m, swapped.degree, -swapped.coeff % p,
+                              {k: p - r for k, r in swapped.rows.items()})
+        a, b = self.degree, other.degree
         i = (self.m - a - b) % q
         coeff = (A.get(i, 0) * other.coeff - B.get(i, 0) * self.coeff) % p
         out = {}
-        if len(A) <= len(B):
-            for k, x in A.items():
-                y = B.get((k + a) % q)
-                if y:
-                    out[k] = out.get(k, 0) + x * y
-                row = (k - b) % q
-                y = B.get(row)
-                if y:
-                    out[row] = out.get(row, 0) - y * x
-        else:
-            for k, y in B.items():
-                row = (k - a) % q
-                x = A.get(row)
-                if x:
-                    out[row] = out.get(row, 0) + x * y
-                x = A.get((k + b) % q)
-                if x:
-                    out[k] = out.get(k, 0) - y * x
+        for k, x in A.items():
+            y = B.get((k + a) % q)
+            if y:
+                out[k] = out.get(k, 0) + x * y
+            row = (k - b) % q
+            y = B.get(row)
+            if y:
+                out[row] = out.get(row, 0) - y * x
         rows = {k: r for k, c in out.items() if (r := c % p)}
         return RowElement(self.ring, self.m, a + b, coeff, rows)
-
-    def proportional_to(self, other: "RowElement") -> Optional[int]:
-        """The residue lam with self == lam * other, or None if there is
-        none.  The zero element is 0 * anything; a nonzero self has no
-        scalar against a zero other or one of another degree.  lam is read
-        from other's module coefficient, or from one of its rows when that
-        is 0; then every row must match."""
-        if not self:
-            return 0
-        if not other or self.degree != other.degree:
-            return None
-        p = self.ring.field.p
-        if other.coeff:
-            mine, ref = self.coeff, other.coeff
-        else:
-            row, ref = next(iter(other.rows.items()))
-            mine = self.rows.get(row, 0)
-        lam = mine * pow(ref, p - 2, p) % p
-        if self.coeff != lam * other.coeff % p:
-            return None
-        return lam if self.rows == {k: r for k, c in other.rows.items()
-                                    if (r := lam * c % p)} else None
 
 
 def make_generators(ring: DividedPowers, n: int, m: int) -> tuple[RowElement, RowElement]:

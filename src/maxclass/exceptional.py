@@ -7,8 +7,8 @@ For a prime power q = p^c and parameters 0 < m < n <= q, the pair
 
 inside the semidirect product of divided-power operators generates a graded
 Lie algebra of maximal class of type n.  This module constructs it to a
-requested depth, extracts its structure-constant sequence by exact
-proportionality, and checks everything against independent closed forms:
+requested depth, reads its structure constants off the module coefficients
+of [e_i, e_n], and checks everything against independent closed forms:
 piecewise formulas for the entries, a rational generating series, expected
 constituent lengths, and the subalgebra route that reaches the same algebra
 from the type-(m+1) member of the family.
@@ -116,9 +116,10 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     row forms (`RowElement`) from the generators on, where every closed form
     has module coefficient 1 and the row map {a: C(a, q - j)} up to degree
     q, none above; the closed form always has its module term, so the
-    comparison also fails whenever bracketing dies.  Then beta_i, i = j - n, is
-    the exact scalar with [e_i, e_n] = beta_i e_j; failure of
-    proportionality raises ConstructionError with the offending degree.
+    comparison also fails whenever bracketing dies.  Then beta_i, i = j - n,
+    defined by [e_i, e_n] = beta_i e_j, is the module coefficient of
+    [e_i, e_n], since e_j's is 1; the rows of [e_i, e_n] must be beta_i
+    times e_j's, or ConstructionError names the offending degree.
     Only e_(j-n), ..., e_j are kept, and `elements` is the last such window,
     degrees depth, ..., depth + n.  Refuses q above CONSTRUCT_MAX_Q and
     depth + n above CONSTRUCT_MAX_DEGREE.
@@ -147,11 +148,12 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
         window.append(current)
         i = j - n
         if i > n:   # the window is full: window[0] is e_i
-            lam = window[0].bracket(e_n).proportional_to(current)
-            if lam is None:
+            x = window[0].bracket(e_n)
+            beta = x.coeff
+            if x.rows != {k: r for k, c in current.rows.items() if (r := beta * c % p)}:
                 raise ConstructionError(
                     f"[e_{i}, e_{n}] is not a scalar multiple of e_{j}")
-            betas.append(lam)
+            betas.append(beta)
     return ConstructedAlgebra(params=params,
                               sequence=BetaSequence(params.field, n, betas),
                               elements={e.degree: e.to_element() for e in window})

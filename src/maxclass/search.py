@@ -67,13 +67,14 @@ def level_solutions(prev: list[int], low: list[int], col: list[int], n: int,
       row0[0] + 2 beta, and row0[0] is the alternating sum of prev.  That
       forces beta before any row is built.
     - Odd level (L even): u[0] + u[-1] = 0, so antisymmetry does not
-      involve beta.  beta = 0 is checked on row0.  The nonzero entries are
-      solved only when the caller asks for more, by one level_failure pass
-      on u, which finds the first nonzero slope v1.  If row0 passes, they
-      all pass when no slope is nonzero, and none does otherwise.  If row0
-      first fails a Jacobi triple with value v0, the triples before it have
-      v0 = 0, so only beta = -v0 / v1 can pass, and only when u's first
-      nonzero slope is at that triple; its row is then checked in full.
+      involve beta, and it holds because the levels below do (level_failure).
+      beta = 0 is checked on row0.  The nonzero entries are solved only when
+      the caller asks for more, by one level_failure pass on u, which finds
+      the first nonzero slope v1.  If row0 passes, they all pass when no
+      slope is nonzero, and none does otherwise.  If row0 first fails a
+      Jacobi triple with value v0, the triples before it have v0 = 0, so
+      only beta = -v0 / v1 can pass, and only when u's first nonzero slope
+      is at that triple; its row is then checked in full.
     A zero prev means a zero prefix.  Then row0 is zero and passes every
     check, as each residual has a factor from the row, and even levels
     force beta = 0; neither takes a row or a pass.
@@ -95,8 +96,6 @@ def level_solutions(prev: list[int], low: list[int], col: list[int], n: int,
         failure = level_failure(row, low, col, n, p)
         if failure is None:
             yield 0, row
-        elif failure["kind"] == "antisymmetry":
-            return
     slope = level_failure([p - 1, 1] * (L // 2), low, col, n, p)
     if failure is None:
         if slope is None:

@@ -49,6 +49,12 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             PrimeField(2)
 
+    def test_rejects_a_prime_above_the_bound(self):
+        # 10^9 + 7 is prime: the bound, not the primality test, refuses it
+        with pytest.raises(ValueError, match="^modulus 1000000007 exceeds the supported bound "
+                                             "1000000000$"):
+            PrimeField(10**9 + 7)
+
     def test_context_equality(self):
         assert PrimeField(5) == F5
         assert PrimeField(5) != F7

@@ -66,6 +66,14 @@ class TestConstruct:
         assert "first constituent length: 26" in out
         assert "mode=theorem" in out
 
+    def test_text_report_lines(self, capsys):
+        code, out, _ = run(capsys, "construct", "--p", "5", "--c", "2", "--n", "2",
+                           "--m", "1", "--report", "--format", "text")
+        assert code == EXIT_OK
+        assert out.splitlines()[-8:] == ["report: ok"] + [
+            f"  {key}_ok: True" for key in ("ordinary", "trailing", "closed_form", "genfunc",
+                                            "two_path", "jacobi", "ideal")]
+
     def test_output_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "construct", "--p", "3", "--c", "2",
                           "--n", "3", "--m", "2")
@@ -204,6 +212,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--betas", "", "--p", "3", "--n", "2")
         assert code == EXIT_OK
         assert json.loads(out)["depth"] == 2
+
+    def test_text_passing_jacobi_line(self, capsys):
+        code, out, _ = run(capsys, "verify", "--betas", "1,1,1,1,1,1", "--p", "3",
+                           "--n", "2", "--format", "text")
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "jacobi: ok (pairs=9 triples=4 depth=8)"
 
     def test_inline_betas_need_modulus_and_type(self, capsys):
         code, _, err = run(capsys, "verify", "--betas", "1,1")
@@ -386,6 +400,15 @@ class TestSearch:
         assert out.splitlines()[0] == "solutions: 9 nodes: 167"
         assert "1,1,1,1,1,1,1,1,1,1" in out
 
+    def test_text_truncated_solution_list(self, capsys):
+        code, out, _ = run(capsys, "search", "--p", "3", "--n", "2", "--depth", "12",
+                           "--max-solutions", "3", "--format", "text")
+        assert code == EXIT_CHECK_FAILED
+        assert out.splitlines() == ["solutions: 9 nodes: 167 (solution list truncated)",
+                                    "0,0,0,0,0,0,0,0,0,0",
+                                    "0,0,0,0,0,0,0,0,1,2",
+                                    "0,0,0,0,0,0,1,1,0,0"]
+
 
 class TestParser:
     def test_one_integer_grammar_and_one_subcommand_table(self):
@@ -416,6 +439,23 @@ class TestParser:
         assert captured.out == ""
         [line] = [line for line in captured.err.splitlines() if "error:" in line]
         assert f"error: argument {option}: not an integer: " in line
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--c", "1", "--n", "2", "--m", "1"],
+        ["verify", "--betas", "1", "--n", "2"],
+        ["classify", "--n", "3", "--k-max", "10"],
+        ["search", "--n", "2", "--depth", "5"]])
+    def test_every_subcommand_refuses_a_prime_above_the_bound(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--p", "1000000007")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: modulus 1000000007 exceeds the supported bound 1000000000\n"
+
+    def test_file_with_a_prime_above_the_bound_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"p": 1000000007, "n": 2, "depth": 3, "betas": [1]}))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: modulus 1000000007 exceeds the supported bound 1000000000\n"
 
     def test_key_error_is_not_a_usage_error(self, monkeypatch):
         # no handler raises one on bad input, so it is a bug and must show

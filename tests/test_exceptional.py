@@ -203,7 +203,17 @@ class TestConstruct:
             construct(ExceptionalParams(F5, 1, 2, 1))
 
     def test_non_proportional_bracket_raises(self, monkeypatch, capsys):
-        monkeypatch.setattr(RowElement, "proportional_to", lambda self, other: None)
+        # at q = 5, [e_3, e_2] = 0 e_5; one row added to it leaves the module
+        # coefficient 0, so the rows no longer match 0 times e_5's
+        bracket = RowElement.bracket
+
+        def tampered(self, other):
+            x = bracket(self, other)
+            if (self.degree, other.degree) == (3, 2):
+                x.rows = {**x.rows, 0: 1}
+            return x
+
+        monkeypatch.setattr(RowElement, "bracket", tampered)
         with pytest.raises(ConstructionError,
                            match=r"^\[e_3, e_2\] is not a scalar multiple of e_5$"):
             construct(ExceptionalParams(F5, 1, 2, 1))

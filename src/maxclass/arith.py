@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 # Largest modulus accepted: primality is decided by trial division to sqrt(p).
 MAX_PRIME = 10**9
@@ -60,28 +60,28 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
     return result % p
 
 
-def binom_column_mod_p(b: int, q: int, p: int) -> dict[int, int]:
-    """{a: C(a, b) mod p} over the a < q where the value is nonzero, for q a
-    power of p and 0 <= b < q.
+def binom_columns_mod_p(b: int, q: int, p: int) -> Iterator[dict[int, int]]:
+    """The columns {a: C(a, b') mod p} over the a < q where the value is
+    nonzero, for b' = b, b - 1, ..., 0 in turn; q is a power of p and
+    0 <= b < q.
 
-    By Lucas, C(a, b) is nonzero mod p exactly when every base-p digit of a
-    is at least the matching digit of b, and is then the product of the
-    digit binomials.  The column is built one digit at a time, low digit
-    first, so it costs one step per nonzero entry; keys come out ascending.
+    By Lucas, C(a' p + d, b' p + e) = C(a', b') C(d, e) with d, e < p, and
+    C(d, e) is nonzero mod p exactly when d >= e.  So each column is the
+    column of its high digits b' // p over q / p, every key a' spread to the
+    keys a' p + d with e <= d < p.  p consecutive b' share that high column,
+    so each digit level keeps one column and rebuilds it once per p columns
+    of the level below; a column costs about one step per nonzero entry.
+    Keys come out ascending.
     """
-    column = {0: 1}
-    place = 1
-    while place < q:
-        bd = b // place % p
-        wider, digit_binom = {}, 1
-        for d in range(bd, p):
-            if d > bd:   # C(d, bd) = C(d - 1, bd) d / (d - bd)
-                digit_binom = digit_binom * d * pow(d - bd, -1, p) % p
-            for a, v in column.items():
-                wider[a + d * place] = v * digit_binom % p
-        column = wider
-        place *= p
-    return column
+    if q == 1:
+        yield {0: 1}
+        return
+    top = b % p
+    for high in binom_columns_mod_p(b // p, q // p, p):
+        for e in range(top, -1, -1):
+            digit = [(d, math.comb(d, e) % p) for d in range(e, p)]
+            yield {a * p + d: v * w % p for a, v in high.items() for d, w in digit}
+        top = p - 1
 
 
 def x_minus_one_coeff(k: int, m: int, p: int) -> int:

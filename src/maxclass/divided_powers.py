@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .arith import PrimeField, binom_column_mod_p
+from .arith import PrimeField, binom_columns_mod_p
 
 
 class DividedPowers:
@@ -200,22 +200,21 @@ class RowElement:
 
         Row k of AB is A[k] B[(k + a) mod q] and row k of BA is
         B[k] A[(k + b) mod q], so each product has one term per row of
-        either factor: the loop iterates A, or B through -[other, self]
-        when B has fewer rows, and looks the other up by row.  The module
-        monomial of degree a + b is A's row (m - a - b) mod q applied to g,
-        less B's applied to f.
+        either factor: the loop iterates the factor with fewer rows and
+        looks the other up by row, swapping the operands, and the sign of
+        the operator part, when that is B.  The module monomial of degree
+        a + b is A's row (m - a - b) mod q applied to g, less B's applied
+        to f.
         """
         if (self.ring is not other.ring and self.ring != other.ring) or self.m != other.m:
             raise ValueError("row forms from different rings or gradings")
         q, p = self.ring.q, self.ring.field.p
-        A, B = self.rows, other.rows
-        if len(A) > len(B):
-            swapped = other.bracket(self)
-            return RowElement(self.ring, self.m, swapped.degree, -swapped.coeff % p,
-                              {k: p - r for k, r in swapped.rows.items()})
-        a, b = self.degree, other.degree
+        A, B, a, b = self.rows, other.rows, self.degree, other.degree
         i = (self.m - a - b) % q
         coeff = (A.get(i, 0) * other.coeff - B.get(i, 0) * self.coeff) % p
+        sign = 1
+        if len(A) > len(B):   # [B, A] = -[A, B]
+            A, B, a, b, sign = B, A, b, a, -1
         out = {}
         for k, x in A.items():
             y = B.get((k + a) % q)
@@ -225,7 +224,7 @@ class RowElement:
             y = B.get(row)
             if y:
                 out[row] = out.get(row, 0) - y * x
-        rows = {k: r for k, c in out.items() if (r := c % p)}
+        rows = {k: r for k, c in out.items() if (r := sign * c % p)}
         return RowElement(self.ring, self.m, a + b, coeff, rows)
 
 
@@ -241,5 +240,5 @@ def make_generators(ring: DividedPowers, n: int, m: int) -> tuple[RowElement, Ro
     if not (0 < m < n <= q):
         raise ValueError(f"need 0 < m < n <= q = {q}, got n={n}, m={m}")
     z = RowElement(ring, m, 1, 0, dict.fromkeys(range(q), p - 1))
-    e_n = RowElement(ring, m, n, 1, binom_column_mod_p(q - n, q, p))
+    e_n = RowElement(ring, m, n, 1, next(binom_columns_mod_p(q - n, q, p)))
     return z, e_n

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .arith import (ConstructionError, PrimeField, Record, binom_column_mod_p,
+from .arith import (ConstructionError, PrimeField, Record, binom_columns_mod_p,
                     x_minus_one_coeff)
 from .divided_powers import DividedPowers, make_generators
 from .sequences import (
@@ -116,9 +116,11 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     row forms (`RowElement`) from the generators on, where every closed form
     has module coefficient 1 and the row map {a: C(a, q - j)} up to degree
     q, none above; the closed form always has its module term, so the
-    comparison also fails whenever bracketing dies.  Then beta_i, i = j - n,
-    defined by [e_i, e_n] = beta_i e_j, is the module coefficient of
-    [e_i, e_n], since e_j's is 1; the rows of [e_i, e_n] must be beta_i
+    comparison also fails whenever bracketing dies.  The row maps come from
+    binom_columns_mod_p, which spreads each from the column of its high
+    base-p digits, never from the rows it is compared with.  Then beta_i,
+    i = j - n, defined by [e_i, e_n] = beta_i e_j, is the module coefficient
+    of [e_i, e_n], since e_j's is 1; the rows of [e_i, e_n] must be beta_i
     times e_j's, or ConstructionError names the offending degree.
     Only e_(j-n), ..., e_j are kept, and `elements` is the last such window,
     degrees depth, ..., depth + n.  Refuses q above CONSTRUCT_MAX_Q and
@@ -139,11 +141,11 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
                          f"above CONSTRUCT_MAX_DEGREE = {CONSTRUCT_MAX_DEGREE}")
     z, e_n = make_generators(DividedPowers(params.field, c), n, m)
     window = deque((e_n,), maxlen=n + 1)
+    columns = binom_columns_mod_p(q - n - 1, q, p)   # C(., q - j) for j = n + 1, ..., q
     betas = []
     for j in range(n + 1, depth + n + 1):
         current = window[-1].bracket(z)
-        if current.coeff != 1 or current.rows != (
-                binom_column_mod_p(q - j, q, p) if j <= q else {}):
+        if current.coeff != 1 or current.rows != (next(columns) if j <= q else {}):
             raise ConstructionError(f"element at degree {j} deviates from its closed form")
         window.append(current)
         i = j - n

@@ -5,35 +5,98 @@ make every coefficient of (X - 1)^k g(X) vanish in the window
 ceil((k + n)/2) <= j < k?  The window conditions are affine-linear in the
 coefficients of g, so classify_admissible_k row-reduces them over F_p per k
 and lists the affine solution space; the admissible k are then compared
-against a short menu of values tied to powers of p.
+against a short menu of values tied to powers of p.  The rows are read
+through the Lucas blocks of k: one new coefficient per row, at most one
+base-p digit product per p rows, and no row whose coefficients are all zero.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
+from typing import Iterator
 
 from .arith import PrimeField, Record, binom_mod_p, x_minus_one_coeff
 
 # Bound on p^(n-1) * k_max per call.  At k = q every one of the p^(n-1) monic
 # g survives, so this caps the size of the report, not its time: each k
-# solves a window of up to about k/2 rows, and in one process on a 2-core
-# Xeon, p = 3, n = 2 (cost 3 k_max) takes 6.3 s at k_max = 5,000 and 78 s at
-# 20,000, and does not finish in 120 s at 80,000, 5% of the budget.
+# solves a window of up to about k/2 rows, less the rows that are all zero.
+# In one process on a 2-core Xeon (Python 3.11), p = 3, n = 2 (cost 3 k_max)
+# takes 0.1 s at k_max = 5,000, 0.5 s at 20,000, 1.9 s at 80,000 and 44 s at
+# 1,666,666, the whole budget.  Eleven other (p, n) at the whole budget, p
+# from 5 to 4999, took 0.1 to 21 s.
 CLASSIFY_BUDGET = 5_000_000
+
+
+def _window_rows(p: int, k: int, n: int, j_lo: int, j_hi: int) -> Iterator[list[int]]:
+    """The rows ([X^(j-i)](X - 1)^k for 0 <= i < n), j_lo <= j < j_hi, that
+    are not all zero, in order of j.
+
+    Write k = k1 p + k0 and e = b p + r with 0 <= k0, r < p.  By Lucas, and
+    since p is odd so that (-1)^(k-e) = (-1)^(k1-b) (-1)^(k0-r),
+    [X^e](X - 1)^k = [X^r](X - 1)^k0 * [X^b](X - 1)^k1, for every integer e.
+    So a table of the low digit, filled in once per k as the rows reach it,
+    times one high-part coefficient per block of p consecutive e gives each
+    coefficient, and row j reads one new coefficient, sharing the other
+    n - 1 with row j - 1.  A zero coefficient has r > k0 or a high part of
+    0, and either way the rest of its block is zero too.  So once the newest
+    n coefficients are zero, the rows up to the next block with a nonzero
+    high part are all zero, and are skipped whole; the digits of k1 give
+    that block.
+    """
+    k1, k0 = divmod(k, p)
+    low: dict[int, int] = {}   # r -> [X^r](X - 1)^k0, as the rows reach r
+    window = deque([0] * n, maxlen=n)   # coefficients of X^e, X^(e-1), ...
+    zeros = n   # how many of the newest coefficients in window are zero
+    e = j_lo - n + 1
+    b, r = divmod(e, p)
+    high = x_minus_one_coeff(k1, b, p)
+    while e < j_hi:
+        c = low.get(r)
+        if c is None:
+            c = low[r] = x_minus_one_coeff(k0, r, p)
+        c = c * high % p
+        window.appendleft(c)
+        zeros = 0 if c else zeros + 1
+        if zeros < n:
+            if e >= j_lo:
+                yield list(window)
+            e, r = e + 1, r + 1
+            if r < p:
+                continue
+            b += 1
+        else:   # c = 0, so r > k0 or high = 0: the block is zero to its end
+            b = _next_lucas_block(b + 1, k1, p)
+            e = b * p
+        r = 0
+        high = x_minus_one_coeff(k1, b, p)
+
+
+def _next_lucas_block(b: int, k: int, p: int) -> int:
+    """The least b' >= b whose base-p digits are each at most k's, that is,
+    with C(k, b') != 0 mod p by Lucas; b itself once b > k."""
+    place = 1
+    while place <= b <= k:
+        if b // place % p > k // place % p:   # round b up past this digit
+            b = (b // (place * p) + 1) * place * p
+        place *= p
+    return b
 
 
 def window_solutions(p: int, k: int, n: int, j_lo: int, j_hi: int) -> list[tuple[int, ...]]:
     """All monic g of degree n - 1 with [X^j](X - 1)^k g(X) = 0 for j_lo <= j < j_hi.
 
-    Coefficient tuples, low degree first, sorted lexicographically.  Each row
-    is reduced against the pivots so far and kept in reduced echelon form; the
-    first row reducing to 0 = c with c != 0 ends the call, so an exponent with
-    no survivors rarely builds its whole window.
+    Coefficient tuples, low degree first, sorted lexicographically.  The
+    rows come from _window_rows, which reads one new coefficient per row and
+    leaves out the rows that are all zero, each of which would reduce to
+    0 = 0.  Each row is reduced against the pivots so far and kept in
+    reduced echelon form; the first row reducing to 0 = c with c != 0 ends
+    the call, so an exponent with no survivors rarely builds its whole
+    window.
     """
     m = n - 1  # unknowns g_0 .. g_(n-2); column m is the constant from g_(n-1) = 1
     pivots: dict[int, list[int]] = {}  # pivot column -> its row, scaled to 1 there
-    for j in range(j_lo, j_hi):
-        row = [x_minus_one_coeff(k, j - i, p) for i in range(n)]
+    for row in _window_rows(p, k, n, j_lo, j_hi):
         for col, prow in pivots.items():
             if c := row[col]:
                 row = [(a - c * b) % p for a, b in zip(row, prow)]

@@ -13,7 +13,7 @@ element to them.
 from typing import Optional
 
 from maxclass import divided_powers
-from maxclass.arith import ConstructionError, binom_column_mod_p, binom_mod_p
+from maxclass.arith import ConstructionError, binom_columns_mod_p, binom_mod_p
 from maxclass.divided_powers import DividedPowers, RowElement, make_generators
 from poly_helpers import FpPoly
 
@@ -68,7 +68,7 @@ class Endo(_Linear, divided_powers.Endo):
         x^(j) -> C(j+shift, shift) t^(t_power) x^(j+shift)."""
         if not (0 <= shift < ring.q):
             raise ValueError(f"shift must lie in [0, {ring.q})")
-        column = binom_column_mod_p(shift, ring.q, ring.field.p)
+        column = next(binom_columns_mod_p(shift, ring.q, ring.field.p))
         return cls(ring, {(a, a - shift, t_power): v for a, v in column.items()})
 
     @classmethod

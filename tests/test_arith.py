@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from maxclass.arith import (
     FieldMismatch,
     PrimeField,
-    binom_column_mod_p,
+    binom_columns_mod_p,
     binom_mod_p,
     signed_binom_row,
 )
@@ -108,11 +109,14 @@ class TestBinom:
     @pytest.mark.parametrize("p, c", [(2, 5), (3, 4), (5, 3), (7, 2)])
     def test_column_is_the_nonzero_part(self, p, c):
         q = p ** c
+        want = [{a: v for a in range(q) if (v := binom_mod_p(a, b, p))} for b in range(q)]
         for b in range(q):
-            want = {a: v for a in range(q) if (v := binom_mod_p(a, b, p))}
-            column = binom_column_mod_p(b, q, p)
-            assert column == want
+            column = next(binom_columns_mod_p(b, q, p))
+            assert column == want[b]
             assert list(column) == sorted(column)
+            # a run down from b crosses the block boundary below it
+            assert list(islice(binom_columns_mod_p(b, q, p), p + 1)) == want[b::-1][:p + 1]
+        assert list(binom_columns_mod_p(q - 1, q, p)) == want[::-1]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

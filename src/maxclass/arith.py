@@ -4,8 +4,9 @@ Scalars are plain ints, residues in [0, p), and polynomials are tuples of
 residues, low degree first.  Binomial coefficients are computed digit-wise
 in base p, and single coefficients of (X - 1)^k g(X) come from them.
 Record is the base of the package's result classes.  FpPoly keeps only
-its constructor and product, which perfbench/run.py times
-(arith.fppoly_mul_ns); no package code uses it.
+its constructor and product, and signed_binom_row its cached rows, because
+perfbench/run.py times them (arith.fppoly_mul_ns, arith.signed_binom_row_s);
+no package code uses either.
 """
 
 from __future__ import annotations
@@ -71,15 +72,20 @@ def binom_columns_mod_p(b: int, q: int, p: int) -> Iterator[dict[int, int]]:
     keys a' p + d with e <= d < p.  p consecutive b' share that high column,
     so each digit level keeps one column and rebuilds it once per p columns
     of the level below; a column costs about one step per nonzero entry.
+    The digit factors come from C(d, e) = C(d - 1, e) d / (d - e) with a
+    table of inverses mod p, so no binomial grows past a residue.
     Keys come out ascending.
     """
     if q == 1:
         yield {0: 1}
         return
+    inverse = [0] + [pow(k, -1, p) for k in range(1, p)]
     top = b % p
     for high in binom_columns_mod_p(b // p, q // p, p):
         for e in range(top, -1, -1):
-            digit = [(d, math.comb(d, e) % p) for d in range(e, p)]
+            digit = [(e, 1)]
+            for d in range(e + 1, p):
+                digit.append((d, digit[-1][1] * d * inverse[d - e] % p))
             yield {a * p + d: v * w % p for a, v in high.items() for d, w in digit}
         top = p - 1
 

@@ -30,7 +30,7 @@ from .sequences import (
     BetaSequence,
     RationalSeries,
     _sweep_count,
-    bracket_levels,
+    bracket_coeff,
     constituents,
     jacobi_verify,
     subalgebra_sequence,
@@ -39,11 +39,11 @@ from .sequences import (
 
 # Largest q = p^c that construct accepts.  z is built with q operator rows
 # before any check runs, so without a bound `--p 3 --c 20` would ask for
-# about 3.5e9 of them.  The build keeps n + 1
-# elements, each with at most q operator rows, but its time grows with the
-# rows of all elements up to degree q, about (p(p+1)/2)^c: 1.7e6 at
-# q = 3^8, and about q^2/2 = 5e7 at a prime q near the bound (q = 997 takes
-# 1.3 s on a 2-core Xeon).  The bound caps the generators, not that sum.
+# about 3.5e9 of them.  The build keeps n + 1 elements, each with at most q
+# operator rows, but its time grows with the rows of all elements up to
+# degree q, about (p(p+1)/2)^c: 1.7e6 at q = 3^8, and about q^2/2 = 5e7 at
+# a prime q near the bound (2-core Xeon, fresh processes: 0.7 s at q = 997,
+# 24 s at 4999, 97 s at 9973).  The bound caps the generators, not that sum.
 CONSTRUCT_MAX_Q = 10_000
 
 # Largest degree that construct builds.  The build keeps n + 1 elements
@@ -287,11 +287,11 @@ def abelian_ideal_check(params: ExceptionalParams, seq: BetaSequence) -> Abelian
       3. [e_i, e_q] = -e_(i+q) for i > q, so the complement degree q still
          acts transitively down the ideal.
 
-    One Pascal pass up to level D + n, the last the prefix determines,
-    reads two entries of each level s, gamma(q + 1, s - q - 1) and
-    gamma(s - q - 1, q + 1), and keeps no row.  That suffices, by the
-    recurrence gamma(a, b) = gamma(a, b + 1) + gamma(a + 1, b) that builds
-    the rows:
+    Each level s up to D + n, the last the prefix determines, is read at
+    two entries, gamma(q + 1, s - q - 1) and gamma(s - q - 1, q + 1), each
+    a bracket_coeff sum over the nonzero beta.  That suffices, by the
+    Pascal recurrence gamma(a, b) = gamma(a, b + 1) + gamma(a + 1, b),
+    which those sums satisfy:
       - pairs: if the pairs of level s - 1 vanish, then gamma(a, s - a) =
         -gamma(a + 1, s - a - 1) for q < a <= (s - 1)/2, so every pair of
         level s is +-gamma(q + 1, s - q - 1).  The first level with a
@@ -314,28 +314,23 @@ def abelian_ideal_check(params: ExceptionalParams, seq: BetaSequence) -> Abelian
                                 adjoint_window=(n, D - q - 1 + n), top_action_ok=True)
     if D + n >= 2 * q + 2:
         report.pairs_checked = _sweep_count(q + 1, D + n, (D + n) // 2 + 1)
-    adjoint = top = None
-    for s, row in bracket_levels(seq, D + n):
-        i = s - q - 1
-        if i < n:
-            continue
-        if s >= 2 * q + 2 and row[q + 1 - n]:
-            report.pairs_checked = s - 2 * q - 1
+    adjoint = None
+    for i in range(n, D + n - q):
+        if i > q and (v := bracket_coeff(seq, q + 1, i)):
+            report.pairs_checked = i - q
             report.pairs_ok = False
-            report.failure = {"kind": "pair", "indices": [q + 1, i], "value": row[q + 1 - n]}
+            report.failure = {"kind": "pair", "indices": [q + 1, i], "value": v}
             return report
         if adjoint is None:
             # i >= n > m, so the series' X^m term lies below the window
             want = x_minus_one_coeff(q - m, i - m, p)
-            if row[i - n] != want:
-                adjoint = {"kind": "adjoint_series", "index": i,
-                           "value": row[i - n], "expected": want}
-        if s == 2 * q + 1 and s <= D and row[q + 1 - n] != p - 1:
-            top = {"kind": "top_action", "index": q + 1, "value": row[q + 1 - n]}
+            if (v := bracket_coeff(seq, i, q + 1)) != want:
+                adjoint = {"kind": "adjoint_series", "index": i, "value": v, "expected": want}
     if adjoint is not None:
         report.adjoint_series_ok, report.failure = False, adjoint
-    elif top is not None:
-        report.top_action_ok, report.failure = False, top
+    elif 2 * q + 1 <= D and (v := bracket_coeff(seq, q + 1, q)) != p - 1:
+        report.top_action_ok = False
+        report.failure = {"kind": "top_action", "index": q + 1, "value": v}
     return report
 
 

@@ -7,19 +7,21 @@ iterated bracket of e_n with z gives
 
     [e_a, e_b] = sum_i (-1)^i C(b - n, i) beta_(a+i) e_(a+b),
 
-with beta_n read as 0.  bracket_coeff evaluates this sum for one entry;
-whole tables come level by level from the equivalent Pascal recurrence
-(pascal_row).  Everything here works with finite prefixes of the
-sequence: reads beyond the recorded depth are unknowns, never silent zeros.
+with beta_n read as 0.  bracket_coeff evaluates this sum for one entry,
+over the nonzero beta_i only; whole tables come level by level from the
+equivalent Pascal recurrence (pascal_row).  Everything here works with
+finite prefixes of the sequence: reads beyond the recorded depth are
+unknowns, never silent zeros.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Iterator, Optional, Sequence
 
-from .arith import PrimeField, Record, product_coeff_int, signed_binom_row, x_minus_one_coeff
+from .arith import PrimeField, Record, product_coeff_int, x_minus_one_coeff
 
 
 class DepthError(ValueError):
@@ -29,12 +31,13 @@ class DepthError(ValueError):
 class BetaSequence:
     """A finite prefix (beta_i) for n < i <= depth of a type-n sequence.
 
-    Entry i of the backing list holds beta_(n+1+i), an int reduced mod p.
+    Entry i of the backing list holds beta_(n+1+i), an int reduced mod p,
+    and support lists the indices i with beta_i != 0, in increasing order.
     Type-1 data, the sequence (alpha_i) of a type-1 algebra, is the case
     n = 1: project_type1 validates it and projects it to type n.
     """
 
-    __slots__ = ("field", "n", "betas")
+    __slots__ = ("field", "n", "betas", "support")
 
     def __init__(self, field: PrimeField, n: int, betas: Sequence[int]):
         if n < 1:
@@ -45,6 +48,7 @@ class BetaSequence:
         self.field = field
         self.n = n
         self.betas = tuple(b % field.p for b in betas)
+        self.support = tuple(i for i, b in enumerate(self.betas, n + 1) if b)
 
     @property
     def depth(self) -> int:
@@ -56,10 +60,7 @@ class BetaSequence:
         return self.betas[i - self.n - 1]
 
     def first_nonzero(self) -> Optional[int]:
-        for k, v in enumerate(self.betas):
-            if v:
-                return self.n + 1 + k
-        return None
+        return self.support[0] if self.support else None
 
     def normalize(self) -> "BetaSequence":
         """Rescale so the first nonzero entry becomes 1 (rescaling e_n scales
@@ -122,24 +123,20 @@ def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
     pascal_row, and the tests use this sum as their reference for it.
     Returns None when the value is not determined by the recorded prefix,
     which happens exactly when the window end a + b - n exceeds the depth
-    (that term always carries a unit binomial coefficient).  Interior terms
-    killed by a vanishing binomial are skipped.
+    (that term always carries a unit binomial coefficient).  Only the
+    nonzero beta_j of the window a <= j <= a + b - n are read, found in
+    seq.support by bisection, so a sparse prefix costs a few binomials.
     """
     n = seq.n
     if a < n or b < n:
         raise ValueError(f"bracket_coeff needs a, b >= n = {n}, got ({a}, {b})")
-    p = seq.field.p
-    row = signed_binom_row(b - n, p)
-    total = 0
-    for i, c in enumerate(row):
-        if c == 0:
-            continue
-        idx = a + i
-        if idx > seq.depth:
-            return None
-        if idx > n:  # beta_n is 0, by [e_n, e_n] = 0
-            total += c * seq.betas[idx - n - 1]
-    return total % p
+    h = b - n
+    if a + h > seq.depth:
+        return None
+    p, support = seq.field.p, seq.support
+    window = support[bisect_left(support, a):bisect_right(support, a + h)]
+    return sum(x_minus_one_coeff(h, h - j + a, p) * seq.betas[j - n - 1]
+               for j in window) % p
 
 
 def pascal_row(prev: list[int], beta: int, p: int) -> list[int]:
@@ -163,8 +160,9 @@ def bracket_levels(seq: BetaSequence, bound: int) -> Iterator[tuple[int, list[in
     """Yield (s, row) for 2n <= s <= bound, row[a - n] = gamma(a, s - a).
 
     Level s reads entries up to beta_(s-n), so every row is exact and bound
-    is at most depth + n (both callers stay within it).  Each
-    row is a fresh list, so callers keep only the levels they read.
+    is at most depth + n.  The package's one caller, jacobi_verify, stops
+    at the depth.  Each row is a fresh list, so callers keep only the
+    levels they read.
     """
     n, p = seq.n, seq.field.p
     row = [0]
@@ -369,7 +367,7 @@ def project_type1(alpha: BetaSequence, n: int) -> BetaSequence:
     """
     if alpha.n != 1:
         raise ValueError(f"projection needs a type-1 sequence, got type {alpha.n}")
-    nz = [k + 2 for k, v in enumerate(alpha.betas) if v]
+    nz = alpha.support
     for a, b in zip(nz, nz[1:]):
         if b == a + 1:
             raise ValueError(f"consecutive entries alpha_{a}, alpha_{b} are both nonzero")

@@ -2,8 +2,29 @@
 
 from typing import Optional
 
-from maxclass.arith import Record
+from maxclass.arith import Record, signed_binom_row
 from maxclass.sequences import BetaSequence, bracket_coeff, bracket_levels
+
+
+def reference_bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
+    """bracket_coeff as a walk along the whole signed-binomial row of b - n:
+    every window entry is read, and the first nonzero term past the depth
+    gives None."""
+    n = seq.n
+    if a < n or b < n:
+        raise ValueError(f"bracket_coeff needs a, b >= n = {n}, got ({a}, {b})")
+    p = seq.field.p
+    row = signed_binom_row(b - n, p)
+    total = 0
+    for i, c in enumerate(row):
+        if c == 0:
+            continue
+        idx = a + i
+        if idx > seq.depth:
+            return None
+        if idx > n:  # beta_n is 0, by [e_n, e_n] = 0
+            total += c * seq.betas[idx - n - 1]
+    return total % p
 
 
 def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[int]:

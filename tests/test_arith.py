@@ -106,7 +106,8 @@ class TestBinom:
         assert binom_mod_p(4, 2, 5) == 1  # 6 mod 5
         assert binom_mod_p(3, 5, 7) == 0  # lower index exceeds upper
 
-    @pytest.mark.parametrize("p, c", [(2, 5), (3, 4), (5, 3), (7, 2)])
+    # c = 1 builds every column from the digit rows alone
+    @pytest.mark.parametrize("p, c", [(2, 5), (3, 4), (5, 3), (7, 2), (31, 1), (101, 1)])
     def test_column_is_the_nonzero_part(self, p, c):
         q = p ** c
         want = [{a: v for a in range(q) if (v := binom_mod_p(a, b, p))} for b in range(q)]

@@ -322,7 +322,8 @@ class TestAbelianIdeal:
 
     def test_memory_is_a_level_not_a_table(self):
         # the pair block up to level D + n = 2193 holds 135,056
-        # coefficients; the check keeps one level at a time
+        # coefficients; the check reads two single entries per level and
+        # keeps none of them
         params = ExceptionalParams(F3, 6, 2, 1)
         D = params.default_depth
         seq = BetaSequence(F3, 2, closed_form_betas(params, D))

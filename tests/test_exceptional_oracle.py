@@ -1,10 +1,13 @@
 """Fast paths of `exceptional` against the loops they replaced.
 
-`abelian_ideal_check` reads its coefficients from one Pascal pass,
-`eih_residual` and `project_type1` from `bracket_coeff`, and
-`signed_binom_row` from `x_minus_one_coeff`.  The references below are
+`abelian_ideal_check` reads two coefficients per level, in order of the
+level, `eih_residual` and `project_type1` read theirs from `bracket_coeff`,
+and `signed_binom_row` from `x_minus_one_coeff`.  The references below are
 the earlier loops, each coefficient a signed-binomial window over the
-prefix; both sides must agree exactly, witnesses included.
+prefix; both sides must agree exactly, witnesses included.  The abelian
+reference reads every pair of the ideal, not one per level, and takes its
+values from `bracket_coeff`, which test_bracket_coeff_oracle checks
+against the signed-row walk.
 
 `construct` brackets on row forms, compares each degree with the closed
 form's nonzero entries, read off the Lucas support, and keeps the last

@@ -74,12 +74,14 @@ class TestBetaSequence:
             BetaSequence(F5, 0, [1])
 
     def test_normalize(self):
-        seq = BetaSequence(F5, 2, [0, 3, 1])
+        seq = BetaSequence(F5, 2, [0, 3, 1, 5])
+        assert seq.support == (4, 5)   # 5 is 0 mod 5
         assert seq.first_nonzero() == 4 and seq.beta(4) == 3
         norm = seq.normalize()
         assert norm.beta(norm.first_nonzero()) == 1
-        assert norm.betas == (0, 1, 2)  # scaled by 3^(-1) = 2
+        assert norm.betas == (0, 1, 2, 0)  # scaled by 3^(-1) = 2
         zero = BetaSequence(F5, 2, [0] * (9 - 2))
+        assert zero.support == ()
         assert zero.first_nonzero() is None and zero.normalize() == zero
 
     def test_truncate(self):

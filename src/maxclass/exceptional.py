@@ -190,14 +190,6 @@ def _require_two_constituent_room(params: ExceptionalParams) -> None:
             f"q={params.q}, m={params.m}")
 
 
-def _require_two_constituent_depth(params: ExceptionalParams, depth: int) -> None:
-    _require_two_constituent_room(params)
-    need = sum(expected_lengths(params, 2))
-    if depth < need:
-        raise ValueError(f"report needs depth at least {need} to hold two complete "
-                         f"constituents, got {depth}")
-
-
 def closed_form_betas(params: ExceptionalParams, depth: int) -> list[int]:
     """Piecewise formula for the entries beta_(n+1), ..., beta_depth.
 
@@ -387,8 +379,11 @@ def exceptional_report(params: ExceptionalParams, seq: BetaSequence,
     if jacobi_cap is not None and jacobi_cap < params.n:
         raise ValueError(f"jacobi depth must be at least n = {params.n}, got {jacobi_cap}")
     _require_member(params, seq)
-    D = seq.depth
-    _require_two_constituent_depth(params, D)
+    _require_two_constituent_room(params)
+    D, need = seq.depth, sum(expected_lengths(params, 2))
+    if D < need:
+        raise ValueError(f"report needs depth at least {need} to hold two complete "
+                         f"constituents, got {D}")
     rep = constituents(seq)
     count = len(rep.constituents)
     ordinary_ok = all(c.ordinary for c in rep.constituents[1:]) and count > 1

@@ -32,6 +32,7 @@ rejects it.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, Optional, Sequence
 
 from .arith import PrimeField, Record
@@ -39,7 +40,9 @@ from .sequences import BetaSequence, level_failure, pascal_row
 
 # Largest depth that search_sequences accepts.  Nothing is allocated up front;
 # the bound caps the rows of a branch, one per level reached (level s has
-# s - 2n + 1 entries), far above the deepest searches run (2100; 5000 planned).
+# s - 2n + 1 entries).  The walk itself takes one stack frame per level, so
+# until it keeps an explicit stack, a branch of more than about 1,000 levels
+# (the interpreter's default recursion limit) is refused with a ValueError.
 SEARCH_MAX_DEPTH = 100_000
 
 
@@ -123,8 +126,8 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     e_n).  budget caps the number of assignments tried; on exhaustion the
     report carries exhausted=True and whatever was found so far.  Solutions
     appear in lexicographic order; at most max_solutions are stored, all
-    are counted.  Negative limits and depths above SEARCH_MAX_DEPTH are
-    refused.
+    are counted.  Negative limits, depths above SEARCH_MAX_DEPTH and walks
+    that reach the recursion limit are refused with a ValueError.
     """
     if n < 1:
         raise ValueError(f"type must be a positive integer, got {n}")
@@ -147,8 +150,8 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     # Stacks along the current branch, pushed before each recursive call and
     # popped after it.  At level s, rows holds the rows of levels n + 1 ..
     # s - 1 (as pascal_row; those below 2n are empty), so rows[-1] is level
-    # s - 1 and rows[-n] level s - n; col[j] = gamma(n, n + j).
-    betas: list[int] = []
+    # s - 1 and rows[-n] level s - n; col[j] = gamma(n, n + j).  Level i + n
+    # ends in beta_i, so the branch's entries are the last ones of rows[n:].
     rows: list[list[int]] = [[]] * (n - 1) + [[0]]
     col = [0]
     full_range = range(p)
@@ -158,7 +161,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
         if idx > depth:
             report.solution_count += 1
             if len(report.solutions) < max_solutions:
-                report.solutions.append(tuple(betas))
+                report.solutions.append(tuple(row[-1] for row in rows[n:]))
             else:
                 report.truncated_solutions = True
             return
@@ -183,13 +186,15 @@ def search_sequences(field: PrimeField, n: int, depth: int,
                 continue
             if idx > report.deepest:
                 report.deepest = idx
-            betas.append(value)
             rows.append(row)
             col.append(row[0])
             extend(idx + 1, has_nonzero or value != 0)
-            betas.pop()
             rows.pop()
             col.pop()
 
-    extend(n + 1, False)
+    try:
+        extend(n + 1, False)
+    except RecursionError:
+        raise ValueError(f"refusing search: depth {depth} needs a stack frame per "
+                         f"level, past the recursion limit {sys.getrecursionlimit()}") from None
     return report

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .arith import PrimeField, Record, product_coeff_int, x_minus_one_coeff
 
@@ -156,22 +156,6 @@ def pascal_row(prev: list[int], beta: int, p: int) -> list[int]:
     return row
 
 
-def bracket_levels(seq: BetaSequence, bound: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (s, row) for 2n <= s <= bound, row[a - n] = gamma(a, s - a).
-
-    Level s reads entries up to beta_(s-n), so every row is exact and bound
-    is at most depth + n.  The package's one caller, jacobi_verify, stops
-    at the depth.  Each row is a fresh list, so callers keep only the
-    levels they read.
-    """
-    n, p = seq.n, seq.field.p
-    row = [0]
-    for s in range(2 * n, bound + 1):
-        if s > 2 * n:
-            row = pascal_row(row, seq.betas[s - 2 * n - 1], p)
-        yield s, row
-
-
 def level_failure(row: list[int], low: list[int], col: list[int],
                   n: int, p: int) -> Optional[dict]:
     """First bracket-axiom violation on one level, given that antisymmetry
@@ -241,18 +225,21 @@ def jacobi_verify(seq: BetaSequence) -> JacobiReport:
     in this order, so it stops at the same witness; only triples_checked on
     passing prefixes differs.
 
-    The levels are streamed through level_failure, keeping rows s - n .. s
-    and the column gamma(n, .): O(n depth) memory.  A first failing level s
-    fails at (n, s - n), the first failing pair in the order above.  The
-    smallest Jacobi witness (b, c) over all levels is kept, and the counts
-    are the witness's positions in the sweep order.
+    Each level is stepped by pascal_row and checked by level_failure,
+    keeping rows s - n .. s and the column gamma(n, .): O(n depth) memory.
+    A first failing level s fails at (n, s - n), the first failing pair in
+    the order above.  The smallest Jacobi witness (b, c) over all levels is
+    kept, and the counts are the witness's positions in the sweep order.
     """
     D = seq.depth
-    n, p = seq.n, seq.field.p
+    n, p, betas = seq.n, seq.field.p, seq.betas
     report = JacobiReport(depth=D)
-    ring: deque[list[int]] = deque(maxlen=n + 1)
-    col: list[int] = []
-    for s, row in bracket_levels(seq, D):
+    # level 2n has r = 0 and no triples, so the sweep starts above it
+    row = [0]
+    ring = deque((row,), maxlen=n + 1)
+    col = [0]
+    for s in range(2 * n + 1, D + 1):
+        row = pascal_row(row, betas[s - 2 * n - 1], p)
         ring.append(row)
         failure = level_failure(row, ring[0], col, n, p)
         col.append(row[0])
@@ -463,7 +450,7 @@ def bridge_check(seq: BetaSequence) -> Optional[BridgeReport]:
         return None
     first, second = rep.constituents[:2]
     ell, ell2, n = first.length, second.length, seq.n
-    g = first_constituent_poly(seq)
+    g = tuple(reversed(first.entries[-n:]))
     k = ell - n + 1
     p = seq.field.p
     failures = []

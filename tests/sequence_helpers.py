@@ -3,7 +3,7 @@
 from typing import Optional
 
 from maxclass.arith import Record, signed_binom_row
-from maxclass.sequences import BetaSequence, bracket_coeff, bracket_levels
+from maxclass.sequences import BetaSequence, bracket_coeff, pascal_row
 
 
 def reference_bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
@@ -76,10 +76,11 @@ def constituents_via_lcs(seq: BetaSequence) -> LcsReport:
     # The terms are nested: e_d lies in terms 0 .. ranks[d - n - 1], and e_s
     # joins term r + 1 iff [e_d, e_(s-d)] != 0 for some e_d of term r, s - d > n.
     ranks = [0] * (min(D, 2 * n) - n)
-    for s, row in bracket_levels(seq, D):
-        if s > 2 * n:
-            ranks.append(1 + max((r for r, g in zip(ranks, row[1:s - 2 * n]) if g),
-                                 default=-1))
+    row = [0]
+    for s in range(2 * n + 1, D + 1):
+        row = pascal_row(row, seq.betas[s - 2 * n - 1], seq.field.p)
+        ranks.append(1 + max((r for r, g in zip(ranks, row[1:s - 2 * n]) if g),
+                             default=-1))
     counts = [ranks.count(r) for r in range(max(ranks, default=-1) + 1)]
     # at depth n there are no entries, so no term at all
     if len(counts) <= 1:

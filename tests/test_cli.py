@@ -385,6 +385,18 @@ class TestSearch:
             "solutions: 1 nodes: 11 (budget exhausted)"
         assert proc.stderr == ""
 
+    def test_walk_past_the_recursion_limit_is_one_line(self):
+        # the walk takes one stack frame per level, so at the default limit
+        # a branch of 1,198 levels is refused in one line, not a traceback
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxclass", "search", "--p", "5", "--n", "2",
+             "--depth", "1200", "--budget", "2000"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "depth 1200" in proc.stderr and "recursion limit 1000" in proc.stderr
+
     @pytest.mark.parametrize("limit", ["--budget", "--max-solutions"])
     def test_negative_limit_is_usage_error(self, capsys, limit):
         code, out, err = run(capsys, "search", "--p", "3", "--n", "2",

@@ -18,8 +18,8 @@ from maxclass.sequences import (
     BetaSequence,
     JacobiReport,
     bracket_coeff,
-    bracket_levels,
     jacobi_verify,
+    pascal_row,
 )
 
 from paper_helpers import theorem_parameter_grid
@@ -31,7 +31,11 @@ F3 = PrimeField(3)
 
 def gamma_rows(seq, bound):
     """rows[s][a - n] = gamma(a, s - a) for 2n <= s <= bound (empty below 2n)."""
-    return [[]] * (2 * seq.n) + [row for _, row in bracket_levels(seq, bound)]
+    n, p = seq.n, seq.field.p
+    rows = [[]] * (2 * n) + [[0]]
+    for s in range(2 * n + 1, bound + 1):
+        rows.append(pascal_row(rows[-1], seq.betas[s - 2 * n - 1], p))
+    return rows[:bound + 1]
 
 
 def binomial_gamma_table(seq, bound):

@@ -183,6 +183,15 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def residues(betas: Iterable[int], p: int) -> tuple[int, ...]:
+    """The entries of a sequence prefix reduced mod p; any entry that is not
+    an int (a bool, a float, a string) is refused."""
+    betas = tuple(betas)
+    if not all(type(b) is int for b in betas):
+        raise ValueError("entries of betas must be integers")
+    return tuple(b % p for b in betas)
+
+
 class FpPoly:
     """Univariate polynomial over F_p, stored dense, low degree first and
     normalized (no trailing zero coefficients).  Only the product is kept:

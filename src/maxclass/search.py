@@ -1,18 +1,19 @@
 """Depth-first enumeration of admissible structure-constant prefixes.
 
 Entries beta_(n+1), ..., beta_depth are assigned one index at a time.
-Assigning beta_i completes the bracket level s = i + n: writing gamma(a, b)
-for the coefficient of [e_a, e_b], its row follows from the row of level
-s - 1 by sequences.pascal_row, seeded with gamma(s - n, n) = beta_(s - n),
-and sequences.level_failure checks it, the same per-level check that
-jacobi_verify runs.  That check reads one antisymmetry pair per level and
-the Jacobi triples (e_n, e_b, e_c) with n + b + c = s; both suffice because
-every lower level on the branch already passed.  The branch is cut on the
-first violation.
+Assigning beta_i completes the bracket level s = i + n.  Writing gamma(a, b)
+for the coefficient of [e_a, e_b], the level is checked at the pair
+(n, s - n) by levels.pair_residual and, once that holds, built from level
+s - 1 by levels.level_row and checked at its Jacobi triples (e_n, e_b, e_c),
+n + b + c = s, by levels.level_failure: the same per-level checks that
+jacobi_verify runs.  They suffice because every lower level on the branch
+already passed, which also makes every kept level antisymmetric, so a row
+keeps only its left part (see levels).  The branch is cut on the first
+violation.
 
 An index is solved for its entry, not tried once per candidate.  Every
-residual of the level is linear in its row, and pascal_row(prev, beta) =
-pascal_row(prev, 0) + beta u with u[k] = (-1)^(s - k), so each residual is
+residual of the level is linear in its row, and level_row(prev, beta) =
+level_row(prev, 0) + beta u with u[k] = (-1)^(k + 1), so each residual is
 v0 + beta v1 and the admissible entries are none, one, or all of F_p
 (level_solutions).  Whatever p is, an index costs at most one row and one
 residual pass, for beta = 0 at odd levels and for the forced entry at even
@@ -35,14 +36,15 @@ from __future__ import annotations
 import sys
 from typing import Iterator, Optional, Sequence
 
-from .arith import PrimeField, Record
-from .sequences import BetaSequence, level_failure, pascal_row
+from .arith import PrimeField, Record, residues
+from .levels import level_failure, level_row, pair_residual, row_size
 
 # Largest depth that search_sequences accepts.  Nothing is allocated up front;
-# the bound caps the rows of a branch, one per level reached (level s has
-# s - 2n + 1 entries).  The walk itself takes one stack frame per level, so
-# until it keeps an explicit stack, a branch of more than about 1,000 levels
-# (the interpreter's default recursion limit) is refused with a ValueError.
+# the bound caps the rows of a branch, one per level reached: level s keeps
+# about (s - n) / 2 entries, so a branch holds about (depth - n)^2 / 4.  The
+# walk itself takes one stack frame per level, so until it keeps an explicit
+# stack, a branch of more than about 1,000 levels (the interpreter's default
+# recursion limit) is refused with a ValueError.
 SEARCH_MAX_DEPTH = 100_000
 
 
@@ -58,19 +60,18 @@ class SearchReport(Record):
         return not self.exhausted and not self.truncated_solutions
 
 
-def level_solutions(prev: list[int], low: list[int], col: list[int], n: int,
+def level_solutions(prev: list[int], low: list[int], col: list[int], s: int, n: int,
                     p: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (beta, pascal_row(prev, beta, p)) for every beta, in increasing
-    order, whose row passes level_failure(row, low, col, n, p).
+    """Yield (beta, level_row(prev, beta, s, n, p)) for every beta, in
+    increasing order, for which level s passes pair_residual and
+    level_failure(row, low, col, s, n, p).
 
-    With L = len(prev) + 1, pascal_row(prev, beta) = row0 + beta u, where
-    row0 = pascal_row(prev, 0) and u[k] = (-1)^(L - 1 - k).  Each residual
-    is v0 + beta v1, with v0 its value on row0 and v1 its value on u.
-    - Even level (L odd): u[0] = u[-1] = 1, so the antisymmetry residual is
-      row0[0] + 2 beta, and row0[0] is the alternating sum of prev.  That
-      forces beta before any row is built.
-    - Odd level (L even): u[0] + u[-1] = 0, so antisymmetry does not
-      involve beta, and it holds because the levels below do (level_failure).
+    level_row(prev, beta) = row0 + beta u, where row0 = level_row(prev, 0)
+    and u[k] = (-1)^(k + 1).  Each Jacobi residual is v0 + beta v1, with v0
+    its value on row0 and v1 its value on u.
+    - Even level: the pair residual is pair_residual(prev, 0) + 2 beta.
+      That forces beta before any row is built.
+    - Odd level: the pair residual is 0, because the levels below hold.
       beta = 0 is checked on row0.  The nonzero entries are solved only when
       the caller asks for more, by one level_failure pass on u, which finds
       the first nonzero slope v1.  If row0 passes, they all pass when no
@@ -82,32 +83,33 @@ def level_solutions(prev: list[int], low: list[int], col: list[int], n: int,
     check, as each residual has a factor from the row, and even levels
     force beta = 0; neither takes a row or a pass.
     """
-    L = len(prev) + 1
     if not any(prev):
+        row = [0] * row_size(s, n)
         failure = None
-        yield 0, [0] * L
-        if L % 2:
+        yield 0, row
+        if s % 2 == 0:
             return
-    elif L % 2:
-        beta = (sum(prev[1::2]) - sum(prev[::2])) * ((p + 1) // 2) % p
-        row = pascal_row(prev, beta, p)
-        if level_failure(row, low, col, n, p) is None:
+    elif s % 2 == 0:
+        beta = -pair_residual(prev, 0, s, n, p) * ((p + 1) // 2) % p
+        row = level_row(prev, beta, s, n, p)
+        if level_failure(row, low, col, s, n, p) is None:
             yield beta, row
         return
     else:
-        row = pascal_row(prev, 0, p)
-        failure = level_failure(row, low, col, n, p)
+        row = level_row(prev, 0, s, n, p)
+        failure = level_failure(row, low, col, s, n, p)
         if failure is None:
             yield 0, row
-    slope = level_failure([p - 1, 1] * (L // 2), low, col, n, p)
+    # u, twice as long as a row; level_failure reads only the row's part
+    slope = level_failure([p - 1, 1] * len(row), low, col, s, n, p)
     if failure is None:
         if slope is None:
             for beta in range(1, p):
-                yield beta, pascal_row(prev, beta, p)
+                yield beta, level_row(prev, beta, s, n, p)
     elif slope is not None and slope["indices"] == failure["indices"]:
         beta = -failure["value"] * pow(slope["value"], p - 2, p) % p
-        row = pascal_row(prev, beta, p)
-        if level_failure(row, low, col, n, p) is None:
+        row = level_row(prev, beta, s, n, p)
+        if level_failure(row, low, col, s, n, p) is None:
             yield beta, row
 
 
@@ -140,7 +142,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
         raise ValueError(f"budget and max_solutions must be nonnegative, "
                          f"got {budget} and {max_solutions}")
     p = field.p
-    seed_vals = BetaSequence(field, n, seed or []).betas
+    seed_vals = residues(seed or [], p)
     if n + len(seed_vals) > depth:
         raise ValueError(
             f"seed depth {n + len(seed_vals)} exceeds search depth {depth}")
@@ -148,10 +150,10 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     report = SearchReport(p=p, n=n, depth=depth, seed_depth=n + len(seed_vals),
                           normalized=normalize, budget=budget, deepest=n)
     # Stacks along the current branch, pushed before each recursive call and
-    # popped after it.  At level s, rows holds the rows of levels n + 1 ..
-    # s - 1 (as pascal_row; those below 2n are empty), so rows[-1] is level
-    # s - 1 and rows[-n] level s - n; col[j] = gamma(n, n + j).  Level i + n
-    # ends in beta_i, so the branch's entries are the last ones of rows[n:].
+    # popped after it.  At level s, rows holds the left parts of levels
+    # n + 1 .. s - 1 (as levels.level_row; those below 2n are empty), so
+    # rows[-1] is level s - 1 and rows[-n] level s - n; col[j] = gamma(n,
+    # n + j) = -beta_(n+j), so the branch's entries are read off col[1:].
     rows: list[list[int]] = [[]] * (n - 1) + [[0]]
     col = [0]
     full_range = range(p)
@@ -161,7 +163,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
         if idx > depth:
             report.solution_count += 1
             if len(report.solutions) < max_solutions:
-                report.solutions.append(tuple(row[-1] for row in rows[n:]))
+                report.solutions.append(tuple(-g % p for g in col[1:]))
             else:
                 report.truncated_solutions = True
             return
@@ -170,7 +172,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
             candidates = (seed_vals[idx - n - 1],)
         else:
             candidates = norm_range if normalize and not has_nonzero else full_range
-        solved = level_solutions(prev, low, col, n, p)
+        solved = level_solutions(prev, low, col, idx + n, n, p)
         # the next admissible entry not below the candidate; p when none is left
         beta, row = -1, None
         for value in candidates:

@@ -8,10 +8,10 @@ iterated bracket of e_n with z gives
     [e_a, e_b] = sum_i (-1)^i C(b - n, i) beta_(a+i) e_(a+b),
 
 with beta_n read as 0.  bracket_coeff evaluates this sum for one entry,
-over the nonzero beta_i only; whole tables come level by level from the
-equivalent Pascal recurrence (pascal_row).  Everything here works with
-finite prefixes of the sequence: reads beyond the recorded depth are
-unknowns, never silent zeros.
+over the nonzero beta_i only; jacobi_verify steps the table level by level
+through the equivalent Pascal recurrence, keeping the left part of each
+level (maxclass.levels).  Everything here works with finite prefixes of the
+sequence: reads beyond the recorded depth are unknowns, never silent zeros.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Optional, Sequence
 
-from .arith import PrimeField, Record, product_coeff_int, x_minus_one_coeff
+from .arith import PrimeField, Record, product_coeff_int, residues, x_minus_one_coeff
+from .levels import level_failure, level_row, pair_residual
 
 
 class DepthError(ValueError):
@@ -42,12 +43,9 @@ class BetaSequence:
     def __init__(self, field: PrimeField, n: int, betas: Sequence[int]):
         if n < 1:
             raise ValueError(f"type must be a positive integer, got {n}")
-        betas = tuple(betas)
-        if not all(type(b) is int for b in betas):
-            raise ValueError("entries of betas must be integers")
         self.field = field
         self.n = n
-        self.betas = tuple(b % field.p for b in betas)
+        self.betas = residues(betas, field.p)
         self.support = tuple(i for i, b in enumerate(self.betas, n + 1) if b)
 
     @property
@@ -119,8 +117,9 @@ class BetaSequence:
 def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
     """Coefficient of e_(a+b) in [e_a, e_b], for a, b >= n.
 
-    The per-entry form of the bracket table: whole tables come from
-    pascal_row, and the tests use this sum as their reference for it.
+    The per-entry form of the bracket table: whole levels come from
+    levels.level_row, and the tests use this sum as their reference for the
+    Pascal rows.
     Returns None when the value is not determined by the recorded prefix,
     which happens exactly when the window end a + b - n exceeds the depth
     (that term always carries a unit binomial coefficient).  Only the
@@ -137,56 +136,6 @@ def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
     window = support[bisect_left(support, a):bisect_right(support, a + h)]
     return sum(x_minus_one_coeff(h, h - j + a, p) * seq.betas[j - n - 1]
                for j in window) % p
-
-
-def pascal_row(prev: list[int], beta: int, p: int) -> list[int]:
-    """The bracket coefficients of level s from those of level s - 1.
-
-    Entry a - n of the row for level s is gamma(a, s - a), a = n .. s - n.
-    The last entry is gamma(s - n, n) = beta_(s-n); the others follow right
-    to left from gamma(a, b) = gamma(a, b - 1) - gamma(a + 1, b - 1), which
-    is Jacobi on (e_a, e_(b-1), z).  The level-2n row is [0].
-    """
-    row = [beta]
-    right = beta
-    for g in reversed(prev):
-        right = (g - right) % p
-        row.append(right)
-    row.reverse()
-    return row
-
-
-def level_failure(row: list[int], low: list[int], col: list[int],
-                  n: int, p: int) -> Optional[dict]:
-    """First bracket-axiom violation on one level, given that antisymmetry
-    holds on the levels below it: None, or a failure dict as in JacobiReport.
-
-    row is level s, low is level s - n, and col[j] = gamma(n, n + j), the
-    first entry of level 2n + j, for the levels up to s - n.
-
-    Antisymmetry needs one pair per level.  Write A(a, b) = gamma(a, b) +
-    gamma(b, a); the Pascal recurrence gamma(a, b) = gamma(a, b + 1) +
-    gamma(a + 1, b) gives A(a, b) = A(a, b + 1) + A(a + 1, b).  If level
-    s - 1 holds, the defects of level s alternate in sign along the row, so
-    they are all +-A(n, s - n), and A(a, b) = A(b, a) makes them vanish when
-    s is odd.  So the pair (n, s - n) fails whenever any pair of the level
-    does.  Jacobi is checked on the triples (e_n, e_b, e_c) of the level, in
-    order of b (see jacobi_verify).
-
-    This is the one copy of the residual formulas.  Each residual is linear
-    in row, as low and col come from lower levels, so search.level_solutions
-    also runs it on the slope vector of a level to solve for its new entry.
-    """
-    s = len(row) + 2 * n - 1
-    r = (row[0] + row[-1]) % p
-    if r:
-        return {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
-    for b in range(n, (s - n) // 2 + 1):
-        c = s - n - b
-        v = (low[b - n] * row[0] - col[b - n] * row[b] + col[c - n] * row[c]) % p
-        if v:
-            return {"kind": "jacobi", "indices": [n, b, c], "value": v}
-    return None
 
 
 def _sweep_count(n: int, top: int, a: int) -> int:
@@ -225,31 +174,35 @@ def jacobi_verify(seq: BetaSequence) -> JacobiReport:
     in this order, so it stops at the same witness; only triples_checked on
     passing prefixes differs.
 
-    Each level is stepped by pascal_row and checked by level_failure,
-    keeping rows s - n .. s and the column gamma(n, .): O(n depth) memory.
-    A first failing level s fails at (n, s - n), the first failing pair in
-    the order above.  The smallest Jacobi witness (b, c) over all levels is
-    kept, and the counts are the witness's positions in the sweep order.
+    Each level s is checked at the pair (n, s - n) by levels.pair_residual,
+    which holds for the whole level when it holds there, so a first failing
+    level fails at that pair, the first failing pair in the order above.
+    Otherwise the level is stepped by levels.level_row and its triples
+    checked by levels.level_failure, keeping the left parts of levels
+    s - n .. s and the column gamma(n, .): O(n depth) memory.  The smallest
+    Jacobi witness (b, c) over all levels is kept, and the counts are the
+    witness's positions in the sweep order.
     """
     D = seq.depth
     n, p, betas = seq.n, seq.field.p, seq.betas
     report = JacobiReport(depth=D)
-    # level 2n has r = 0 and no triples, so the sweep starts above it
+    # level 2n has no residual and no triples, so the sweep starts above it
     row = [0]
     ring = deque((row,), maxlen=n + 1)
     col = [0]
     for s in range(2 * n + 1, D + 1):
-        row = pascal_row(row, betas[s - 2 * n - 1], p)
-        ring.append(row)
-        failure = level_failure(row, ring[0], col, n, p)
-        col.append(row[0])
-        if failure is None:
-            continue
-        if failure["kind"] == "antisymmetry":
+        beta = betas[s - 2 * n - 1]
+        r = pair_residual(row, beta, s, n, p)
+        if r:
             report.pairs_checked = s - 2 * n + 1
-            report.failure = failure
+            report.failure = {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
             return report
-        if report.failure is None or failure["indices"] < report.failure["indices"]:
+        row = level_row(row, beta, s, n, p)
+        ring.append(row)
+        failure = level_failure(row, ring[0], col, s, n, p)
+        col.append(row[0])
+        if failure is not None and (report.failure is None
+                                    or failure["indices"] < report.failure["indices"]):
             report.failure = failure
     report.pairs_checked = _sweep_count(n, D, D // 2 + 1)
     if report.failure is None:

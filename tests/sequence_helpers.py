@@ -1,9 +1,10 @@
 """Sequence checks the tests use but the package does not run."""
 
+import random
 from typing import Optional
 
 from maxclass.arith import Record, signed_binom_row
-from maxclass.sequences import BetaSequence, bracket_coeff, pascal_row
+from maxclass.sequences import BetaSequence, bracket_coeff
 
 
 def reference_bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
@@ -25,6 +26,76 @@ def reference_bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
         if idx > n:  # beta_n is 0, by [e_n, e_n] = 0
             total += c * seq.betas[idx - n - 1]
     return total % p
+
+
+def pascal_row(prev: list[int], beta: int, p: int) -> list[int]:
+    """The bracket coefficients of level s from those of level s - 1: the
+    full-row reference for levels.level_row.
+
+    Entry a - n of the row for level s is gamma(a, s - a), a = n .. s - n.
+    The last entry is gamma(s - n, n) = beta_(s-n); the others follow right
+    to left from gamma(a, b) = gamma(a, b - 1) - gamma(a + 1, b - 1), which
+    is Jacobi on (e_a, e_(b-1), z).  The level-2n row is [0].
+    """
+    row = [beta]
+    right = beta
+    for g in reversed(prev):
+        right = (g - right) % p
+        row.append(right)
+    row.reverse()
+    return row
+
+
+def level_failure(row: list[int], low: list[int], col: list[int],
+                  n: int, p: int) -> Optional[dict]:
+    """First bracket-axiom violation on one level, given that antisymmetry
+    holds on the levels below it: None, or a failure dict as in JacobiReport.
+
+    row is level s, low is level s - n, and col[j] = gamma(n, n + j), the
+    first entry of level 2n + j, for the levels up to s - n.
+
+    Antisymmetry needs one pair per level.  Write A(a, b) = gamma(a, b) +
+    gamma(b, a); the Pascal recurrence gamma(a, b) = gamma(a, b + 1) +
+    gamma(a + 1, b) gives A(a, b) = A(a, b + 1) + A(a + 1, b).  If level
+    s - 1 holds, the defects of level s alternate in sign along the row, so
+    they are all +-A(n, s - n), and A(a, b) = A(b, a) makes them vanish when
+    s is odd.  So the pair (n, s - n) fails whenever any pair of the level
+    does.  Jacobi is checked on the triples (e_n, e_b, e_c) of the level, in
+    order of b (see jacobi_verify).
+
+    The full-row reference for levels.pair_residual and levels.level_failure,
+    which read only the left part of each level.
+    """
+    s = len(row) + 2 * n - 1
+    r = (row[0] + row[-1]) % p
+    if r:
+        return {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
+    for b in range(n, (s - n) // 2 + 1):
+        c = s - n - b
+        v = (low[b - n] * row[0] - col[b - n] * row[b] + col[c - n] * row[c]) % p
+        if v:
+            return {"kind": "jacobi", "indices": [n, b, c], "value": v}
+    return None
+
+
+def left_size(s: int, n: int) -> int:
+    """Entries of the left part of level s, as maxclass.levels keeps it."""
+    return min((s - n) // 2, s - 2 * n) + 1
+
+
+def completed(left: list[int], t: int, n: int, p: int) -> list[int]:
+    """The full level t, by antisymmetry, of a row holding at least its left
+    part; [] below level 2n."""
+    size = max(0, t - 2 * n + 1)
+    return [left[k] if k < len(left) else -left[size - 1 - k] % p for k in range(size)]
+
+
+def random_antisymmetric(rng: random.Random, t: int, n: int, p: int,
+                         density: float = 1.0) -> list[int]:
+    """A random antisymmetric full level t, t >= 2n: its diagonal is 0."""
+    size = t - 2 * n + 1
+    half = [rng.randrange(p) if rng.random() < density else 0 for _ in range(size // 2)]
+    return half + [0] * (size % 2) + [-v % p for v in reversed(half)]
 
 
 def eih_residual(seq: BetaSequence, i: int, h: int) -> Optional[int]:

@@ -1,10 +1,13 @@
 """The bracket-axiom check against the exhaustive sweep it replaced.
 
-`jacobi_verify` builds its coefficient table with the Pascal recurrence and
+`jacobi_verify` checks one antisymmetry pair per level, keeps only the left
+part of each level's coefficients, built by the Pascal recurrence, and
 checks Jacobi only on triples (e_n, e_b, e_c).  The reference below is the
-full O(D^3) sweep over every triple a <= b <= c, on a table expanded entry
-by entry from signed binomial rows.  Both must name the same first
-violation after the same number of pairs, on every prefix tried.
+full O(D^3) sweep over every pair and every triple a <= b <= c, on a table
+expanded entry by entry from signed binomial rows.  Both must name the same
+first violation after the same number of pairs, on every prefix tried.
+The full Pascal rows of `sequence_helpers.pascal_row` are checked against
+the same table.
 """
 
 import itertools
@@ -14,15 +17,10 @@ import pytest
 
 from maxclass.arith import PrimeField, signed_binom_row
 from maxclass.exceptional import closed_form_betas
-from maxclass.sequences import (
-    BetaSequence,
-    JacobiReport,
-    bracket_coeff,
-    jacobi_verify,
-    pascal_row,
-)
+from maxclass.sequences import BetaSequence, JacobiReport, bracket_coeff, jacobi_verify
 
 from paper_helpers import theorem_parameter_grid
+from sequence_helpers import pascal_row
 from test_acceptance import FAMILY_PRIMES
 from test_sequences import periodic_fixture
 

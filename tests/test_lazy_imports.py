@@ -83,18 +83,19 @@ class TestFootprint:
 
     def test_verify_skips_construction_and_search(self):
         loaded = footprint(REQUESTS["verify"])
-        assert "maxclass.sequences" in loaded
+        assert {"maxclass.sequences", "maxclass.levels"} <= loaded
         assert not loaded & {"maxclass.exceptional", "maxclass.divided_powers",
                              "maxclass.search"}
 
     def test_search_skips_construction(self):
-        loaded = footprint(REQUESTS["search"])
-        assert "maxclass.search" in loaded
-        assert not loaded & {"maxclass.exceptional", "maxclass.divided_powers"}
+        # and the sequence layer: the search's checks are all in levels
+        assert footprint(REQUESTS["search"]) == {
+            "maxclass", "maxclass.arith", "maxclass.cli", "maxclass.levels",
+            "maxclass.search"}
 
     def test_construct_loads_the_operator_layers(self):
         assert {"maxclass.exceptional", "maxclass.divided_powers",
-                "maxclass.sequences"} <= footprint(REQUESTS["construct"])
+                "maxclass.sequences", "maxclass.levels"} <= footprint(REQUESTS["construct"])
 
     @pytest.mark.parametrize("command", sorted(REQUESTS))
     def test_no_subcommand_loads_dataclasses(self, command):

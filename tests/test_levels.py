@@ -1,0 +1,48 @@
+"""The left-part level engine against the full Pascal rows.
+
+`maxclass.levels` keeps only the left part of each antisymmetric level.
+On random antisymmetric levels s - 1, for every level s from 2n + 1 on,
+including those below 3n where a level has no Jacobi triple, its pair
+residual, row and Jacobi check must agree with `pascal_row` and the
+full-row `level_failure` of `sequence_helpers`.
+"""
+
+import random
+
+import pytest
+
+from maxclass.levels import level_failure, level_row, pair_residual
+from sequence_helpers import completed, left_size, pascal_row, random_antisymmetric
+from sequence_helpers import level_failure as full_level_failure
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_left_parts_agree_with_full_rows(p):
+    rng = random.Random(20261019 + p)
+    kinds = set()
+    for n in range(1, 6):
+        for s in range(2 * n + 1, 2 * n + 41):
+            for density in (1.0, 0.3):
+                full_prev = random_antisymmetric(rng, s - 1, n, p, density)
+                prev = full_prev[:left_size(s - 1, n)]
+                assert completed(prev, s - 1, n, p) == full_prev
+                # low and col as the levels below would give them
+                low = random_antisymmetric(rng, s - n, n, p, density) if s >= 3 * n else []
+                col = [rng.randrange(p) if rng.random() < density else 0
+                       for _ in range(max(1, s - 3 * n + 1))]
+                for beta in range(p):
+                    full = pascal_row(full_prev, beta, p)
+                    r = pair_residual(prev, beta, s, n, p)
+                    assert r == (full[0] + full[-1]) % p
+                    if s % 2:
+                        assert r == 0
+                    if r:
+                        continue
+                    row = level_row(prev, beta, s, n, p)
+                    assert len(row) == left_size(s, n)
+                    assert completed(row, s, n, p) == full
+                    failure = level_failure(row, low[:left_size(s - n, n)], col, s, n, p)
+                    assert failure == full_level_failure(full, low, col, n, p)
+                    kinds.add(failure and failure["indices"][1] == n)
+    # levels pass, and fail at the first triple and at later ones
+    assert kinds == {None, True, False}

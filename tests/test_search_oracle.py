@@ -1,13 +1,14 @@
 """The solving search against the search that tries every candidate.
 
 `reference_search` is the earlier `search_sequences`: at every index it
-builds a full row for each candidate and runs `level_failure` on it, then
-recurses.  The search under test solves each level for its entry instead,
-and must give the same report, field for field: solutions in the same
-order, and the same `nodes`, `deepest` and budget cut point.
+builds a full row for each candidate and runs the full-row `level_failure`
+of `sequence_helpers` on it, then recurses.  The search under test solves
+each level for its entry on left parts of rows instead, and must give the
+same report, field for field: solutions in the same order, and the same
+`nodes`, `deepest` and budget cut point.
 
-The kernel tests compare `level_solutions` with trying every entry, at the
-level states the searches reach and at random ones.
+The kernel tests compare `level_solutions` with trying every entry on the
+completed rows, at the level states the searches reach and at random ones.
 """
 
 import random
@@ -17,7 +18,9 @@ import pytest
 from maxclass import search
 from maxclass.arith import PrimeField
 from maxclass.search import SearchReport, level_solutions, search_sequences
-from maxclass.sequences import BetaSequence, level_failure, pascal_row
+from maxclass.sequences import BetaSequence
+from sequence_helpers import (completed, left_size, level_failure, pascal_row,
+                              random_antisymmetric)
 
 PRIMES = [3, 5, 7, 11, 13, 31, 101]
 TYPES = range(1, 6)
@@ -131,13 +134,13 @@ def test_reports_match_the_reference(p):
 
 
 def level_states(kwargs, monkeypatch):
-    """The (prev, low, col, n, p) of every level the search solves on the run."""
+    """The (prev, low, col, s, n, p) of every level the search solves on the run."""
     states = []
     real = search.level_solutions
 
-    def recording(prev, low, col, n, p):
-        states.append((prev, low, list(col), n, p))
-        return real(prev, low, col, n, p)
+    def recording(prev, low, col, s, n, p):
+        states.append((prev, low, list(col), s, n, p))
+        return real(prev, low, col, s, n, p)
 
     with monkeypatch.context() as m:
         m.setattr(search, "level_solutions", recording)
@@ -145,12 +148,15 @@ def level_states(kwargs, monkeypatch):
     return states
 
 
-def assert_solves(prev, low, col, n, p):
-    tried = [beta for beta in range(p)
-             if level_failure(pascal_row(prev, beta, p), low, col, n, p) is None]
-    solved = list(level_solutions(prev, low, col, n, p))
-    assert [beta for beta, _ in solved] == tried, (prev, low, col, n, p)
-    assert all(row == pascal_row(prev, beta, p) for beta, row in solved)
+def assert_solves(prev, low, col, s, n, p):
+    full_prev, full_low = completed(prev, s - 1, n, p), completed(low, s - n, n, p)
+    tried = []
+    for beta in range(p):
+        row = pascal_row(full_prev, beta, p)
+        if level_failure(row, full_low, col, n, p) is None:
+            tried.append((beta, row[:left_size(s, n)]))
+    solved = list(level_solutions(prev, low, col, s, n, p))
+    assert solved == tried, (prev, low, col, s, n, p)
     return len(tried)
 
 
@@ -173,9 +179,11 @@ def test_level_solutions_on_random_states():
     for _ in range(3000):
         p = rng.choice((3, 5, 7, 11))
         n = rng.randrange(1, 5)
-        length = rng.randrange(1, 30)   # of the row being solved
-        # low and col are as long as level_failure can read
-        prev = [rng.randrange(p) for _ in range(length - 1)]
+        s = 2 * n + rng.randrange(1, 29)   # the level being solved
+        length = s - 2 * n + 1             # of its full row
+        # prev is the left part of an antisymmetric level, the only kind a
+        # walk keeps; low and col are as long as level_failure can read
+        prev = random_antisymmetric(rng, s - 1, n, p)[:left_size(s - 1, n)]
         low = [rng.randrange(p) for _ in range(max(0, length - n))]
         col = [rng.randrange(p) for _ in range(max(1, length - n))]
         if rng.random() < 0.5:
@@ -184,5 +192,5 @@ def test_level_solutions_on_random_states():
             col = [v if rng.random() < 0.2 else 0 for v in col]
         if rng.random() < 0.1:
             prev = [0] * len(prev)
-        sizes.add(min(assert_solves(prev, low, col, n, p), 2))
+        sizes.add(min(assert_solves(prev, low, col, s, n, p), 2))
     assert sizes == {0, 1, 2}

@@ -11,7 +11,6 @@ no package code uses either.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -40,25 +39,48 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def binom_mod_p(a: int, b: int, p: int) -> int:
-    """C(a, b) mod p via the base-p digit product.
+# p -> ([k! mod p], [(k!)^-1 mod p]), k = 0, 1, .., grown in place to k = d by
+# _factorials(d, p): binom_mod_p grows it only below TABLE_LIMIT, as p may be up
+# to MAX_PRIME, and binom_columns_mod_p, whose digit rows have p entries, to p - 1.
+_FACTORIALS: dict[int, tuple[list[int], list[int]]] = {}
+TABLE_LIMIT = 1 << 15
 
-    Returns 0 whenever b > a.  Each digit factor is a binomial of arguments
-    below p, so intermediate values stay tiny.
-    """
+
+def _factorials(d: int, p: int) -> tuple[list[int], list[int]]:
+    fact, inv = _FACTORIALS.setdefault(p, ([1], [1]))
+    for k in range(len(fact), d + 1):
+        fact.append(fact[-1] * k % p)
+        inv.append(inv[-1] * pow(k, -1, p) % p)
+    return fact, inv
+
+
+def binom_mod_p(a: int, b: int, p: int) -> int:
+    """C(a, b) mod p via the base-p digit product, 0 whenever b > a.  Each
+    digit factor C(d, e), d < p, is d! / (e! (d - e)!) from the table of p,
+    or for d >= TABLE_LIMIT min(e, d - e) factors over their factorial."""
     if a < 0 or b < 0:
         raise ValueError(f"binomial arguments must be nonnegative, got ({a}, {b})")
     if b > a:
         return 0
     result = 1
+    fact, inv = _FACTORIALS.get(p, ((), ()))
     while b > 0:
         ad, bd = a % p, b % p
         if bd > ad:
             return 0
-        result = result * math.comb(ad, bd) % p
+        try:
+            result = result * fact[ad] * inv[bd] * inv[ad - bd] % p
+        except IndexError:      # the table of p stops short of ad
+            if ad < TABLE_LIMIT:
+                fact, inv = _factorials(ad, p)
+                continue
+            num = den = 1
+            for i in range(min(bd, ad - bd)):
+                num, den = num * (ad - i) % p, den * (i + 1) % p
+            result = result * num * pow(den, -1, p) % p
         a //= p
         b //= p
-    return result % p
+    return result
 
 
 def binom_columns_mod_p(b: int, q: int, p: int) -> Iterator[dict[int, int]]:
@@ -71,21 +93,17 @@ def binom_columns_mod_p(b: int, q: int, p: int) -> Iterator[dict[int, int]]:
     column of its high digits b' // p over q / p, every key a' spread to the
     keys a' p + d with e <= d < p.  p consecutive b' share that high column,
     so each digit level keeps one column and rebuilds it once per p columns
-    of the level below; a column costs about one step per nonzero entry.
-    The digit factors come from C(d, e) = C(d - 1, e) d / (d - e) with a
-    table of inverses mod p, so no binomial grows past a residue.
-    Keys come out ascending.
+    of the level below; a column costs about one step per nonzero entry, its
+    digit factors read from the factorial table of p.  Keys come out ascending.
     """
     if q == 1:
         yield {0: 1}
         return
-    inverse = [0] + [pow(k, -1, p) for k in range(1, p)]
+    fact, inv = _factorials(p - 1, p)
     top = b % p
     for high in binom_columns_mod_p(b // p, q // p, p):
         for e in range(top, -1, -1):
-            digit = [(e, 1)]
-            for d in range(e + 1, p):
-                digit.append((d, digit[-1][1] * d * inverse[d - e] % p))
+            digit = [(d, fact[d] * inv[e] * inv[d - e] % p) for d in range(e, p)]
             yield {a * p + d: v * w % p for a, v in high.items() for d, w in digit}
         top = p - 1
 

@@ -301,11 +301,9 @@ def abelian_ideal_check(params: ExceptionalParams, seq: BetaSequence) -> Abelian
     _require_member(params, seq)
     q, n, m, p = params.q, params.n, params.m, params.p
     D = seq.depth
-    report = AbelianIdealReport(depth=D, pairs_checked=0, pairs_ok=True,
-                                adjoint_series_ok=True,
+    report = AbelianIdealReport(depth=D, pairs_ok=True, adjoint_series_ok=True,
+                                pairs_checked=_sweep_count(q + 1, D + n, (D + n) // 2 + 1),
                                 adjoint_window=(n, D - q - 1 + n), top_action_ok=True)
-    if D + n >= 2 * q + 2:
-        report.pairs_checked = _sweep_count(q + 1, D + n, (D + n) // 2 + 1)
     adjoint = None
     for i in range(n, D + n - q):
         if i > q and (v := bracket_coeff(seq, q + 1, i)):

@@ -16,12 +16,13 @@ row is [0].
 
 For each level, pair_residual checks the pair (n, s - n) from the row
 below, level_row builds the new row, and level_failure checks its Jacobi
-triples.
+triples; check_level runs the three for a given beta_(s-n), and
+level_solutions solves a level for the entries that pass them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 
 def row_size(s: int, n: int) -> int:
@@ -77,7 +78,7 @@ def level_failure(row: list[int], low: list[int], col: list[int],
     pair_residual; the triple then reads gamma(c + n, b) as -row[b - n].
 
     This is the one copy of the Jacobi residual.  It is linear in row, as low
-    and col come from lower levels, so search.level_solutions also runs it
+    and col come from lower levels, so level_solutions also runs it
     on the slope vector of a level to solve for its new entry.
     """
     top = s - 3 * n
@@ -87,3 +88,70 @@ def level_failure(row: list[int], low: list[int], col: list[int],
         if v:
             return {"kind": "jacobi", "indices": [n, j + n, s - 2 * n - j], "value": v}
     return None
+
+
+def check_level(prev: list[int], low: list[int], col: list[int], beta: int, s: int,
+                n: int, p: int) -> tuple[Optional[dict], Optional[list[int]]]:
+    """(failure, row) of level s for beta = beta_(s-n), with prev and low the
+    left parts of levels s - 1 and s - n and col as in level_failure.  A
+    nonzero pair_residual gives the antisymmetry failure at (n, s - n) and
+    row None; otherwise row is level_row's and failure level_failure's."""
+    r = pair_residual(prev, beta, s, n, p)
+    if r:
+        return {"kind": "antisymmetry", "indices": [n, s - n], "value": r}, None
+    row = level_row(prev, beta, s, n, p)
+    return level_failure(row, low, col, s, n, p), row
+
+
+def level_solutions(prev: list[int], low: list[int], col: list[int], s: int, n: int,
+                    p: int) -> Iterator[tuple[int, list[int]]]:
+    """Yield (beta, row) for every beta, in increasing order, for which
+    check_level(prev, low, col, beta, s, n, p) gives no failure, and its row.
+
+    The entry is solved for, not tried: level_row(prev, beta) = row0 + beta u,
+    with row0 = level_row(prev, 0) and u[k] = (-1)^(k + 1), so each residual,
+    linear in the row, is v0 + beta v1, with v0 its value on row0 and v1 on
+    u, and the admissible entries are none, one, or all of F_p.
+    - Even level: the pair residual is pair_residual(prev, 0) + 2 beta.
+      That forces beta before any row is built.
+    - Odd level: the pair residual is 0, because the levels below hold.
+      beta = 0 is checked on row0.  The nonzero entries are solved only when
+      the caller asks for more, by one level_failure pass on u, which finds
+      the first nonzero slope v1.  If row0 passes, they all pass when no
+      slope is nonzero, and none does otherwise.  If row0 first fails a
+      Jacobi triple with value v0, the triples before it have v0 = 0, so
+      only beta = -v0 / v1 can pass, and only when u's first nonzero slope
+      is at that triple; its row is then checked in full.
+    A zero prev means a zero prefix.  Then row0 is zero and passes every
+    check, as each residual has a factor from the row, and even levels
+    force beta = 0; neither takes a row or a pass.  So a level costs at most
+    one row and one pass, and past beta = 0 one pass on u and a row for each
+    admissible nonzero entry.
+    """
+    if not any(prev):
+        row = [0] * row_size(s, n)
+        failure = None
+        yield 0, row
+        if s % 2 == 0:
+            return
+    elif s % 2 == 0:
+        beta = -pair_residual(prev, 0, s, n, p) * ((p + 1) // 2) % p
+        row = level_row(prev, beta, s, n, p)
+        if level_failure(row, low, col, s, n, p) is None:
+            yield beta, row
+        return
+    else:
+        failure, row = check_level(prev, low, col, 0, s, n, p)
+        if failure is None:
+            yield 0, row
+    # u, twice as long as a row; level_failure reads only the row's part
+    slope = level_failure([p - 1, 1] * len(row), low, col, s, n, p)
+    if failure is None:
+        if slope is None:
+            for beta in range(1, p):
+                yield beta, level_row(prev, beta, s, n, p)
+    elif slope is not None and slope["indices"] == failure["indices"]:
+        beta = -failure["value"] * pow(slope["value"], p - 2, p) % p
+        failure, row = check_level(prev, low, col, beta, s, n, p)
+        if failure is None:
+            yield beta, row

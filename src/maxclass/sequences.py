@@ -9,9 +9,9 @@ iterated bracket of e_n with z gives
 
 with beta_n read as 0.  bracket_coeff evaluates this sum for one entry,
 over the nonzero beta_i only; jacobi_verify steps the table level by level
-through the equivalent Pascal recurrence, keeping the left part of each
-level (maxclass.levels).  Everything here works with finite prefixes of the
-sequence: reads beyond the recorded depth are unknowns, never silent zeros.
+through the equivalent Pascal recurrence (levels.check_level).  Everything
+here works with finite prefixes of the sequence: reads beyond the recorded
+depth are unknowns, never silent zeros.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 from .arith import PrimeField, Record, product_coeff_int, residues, x_minus_one_coeff
-from .levels import level_failure, level_row, pair_residual
+from .levels import check_level
 
 
 class DepthError(ValueError):
@@ -118,7 +118,7 @@ def bracket_coeff(seq: BetaSequence, a: int, b: int) -> Optional[int]:
     """Coefficient of e_(a+b) in [e_a, e_b], for a, b >= n.
 
     The per-entry form of the bracket table: whole levels come from
-    levels.level_row, and the tests use this sum as their reference for the
+    maxclass.levels, and the tests use this sum as their reference for the
     Pascal rows.
     Returns None when the value is not determined by the recorded prefix,
     which happens exactly when the window end a + b - n exceeds the depth
@@ -174,33 +174,28 @@ def jacobi_verify(seq: BetaSequence) -> JacobiReport:
     in this order, so it stops at the same witness; only triples_checked on
     passing prefixes differs.
 
-    Each level s is checked at the pair (n, s - n) by levels.pair_residual,
-    which holds for the whole level when it holds there, so a first failing
-    level fails at that pair, the first failing pair in the order above.
-    Otherwise the level is stepped by levels.level_row and its triples
-    checked by levels.level_failure, keeping the left parts of levels
-    s - n .. s and the column gamma(n, .): O(n depth) memory.  The smallest
-    Jacobi witness (b, c) over all levels is kept, and the counts are the
-    witness's positions in the sweep order.
+    Each level s is stepped by levels.check_level, which checks the pair
+    (n, s - n) first: that pair holds for the whole level when it holds, so
+    a first failing level fails there, the first failing pair in the order
+    above.  Otherwise it builds the level's left part and checks its
+    triples.  The ring keeps the left parts of levels s - n .. s - 1, and
+    the column gamma(n, n + j) = -beta_(n+j) is read off the sequence: O(n
+    depth) memory.  The smallest Jacobi witness (b, c) over all levels is
+    kept, and the counts are the witness's positions in the sweep order.
     """
     D = seq.depth
     n, p, betas = seq.n, seq.field.p, seq.betas
     report = JacobiReport(depth=D)
     # level 2n has no residual and no triples, so the sweep starts above it
-    row = [0]
-    ring = deque((row,), maxlen=n + 1)
-    col = [0]
+    ring = deque(([0],), maxlen=n)
+    col = [0] + [-b % p for b in betas]
     for s in range(2 * n + 1, D + 1):
-        beta = betas[s - 2 * n - 1]
-        r = pair_residual(row, beta, s, n, p)
-        if r:
+        failure, row = check_level(ring[-1], ring[0], col, betas[s - 2 * n - 1], s, n, p)
+        if row is None:
             report.pairs_checked = s - 2 * n + 1
-            report.failure = {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
+            report.failure = failure
             return report
-        row = level_row(row, beta, s, n, p)
         ring.append(row)
-        failure = level_failure(row, ring[0], col, s, n, p)
-        col.append(row[0])
         if failure is not None and (report.failure is None
                                     or failure["indices"] < report.failure["indices"]):
             report.failure = failure

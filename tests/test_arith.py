@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxclass.arith import (
+    _FACTORIALS,
+    TABLE_LIMIT,
     FieldMismatch,
     PrimeField,
     binom_columns_mod_p,
@@ -132,13 +134,25 @@ class TestBinom:
             for b in range(401):
                 assert binom_mod_p(a, b, p) == math.comb(a, b) % p
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("p", [3, 5, 7, 1999, 10007])
     def test_factorial_oracle_sampled_to_2000(self, p):
         rng = random.Random(20260823 + p)
         for _ in range(5000):
             a = rng.randrange(2001)
             b = rng.randrange(2001)
             assert binom_mod_p(a, b, p) == (math.comb(a, b) % p if b <= a else 0)
+
+    def test_digits_past_the_table_limit(self):
+        # p may be as large as MAX_PRIME: a digit d >= TABLE_LIMIT is multiplied
+        # out from min(e, d - e) factors, and the table of p stays below the limit
+        p, rng = 999999937, random.Random(20261020)
+        assert binom_mod_p(10**8, 1, p) == 10**8
+        assert binom_mod_p(10**8, 10**8 - 2, p) == math.comb(10**8, 2) % p
+        assert binom_mod_p(TABLE_LIMIT + 5, 3, p) == math.comb(TABLE_LIMIT + 5, 3) % p
+        for _ in range(300):
+            a, k = rng.randrange(TABLE_LIMIT, 3 * p), rng.randrange(40)
+            assert binom_mod_p(a, rng.choice((k, a - k)), p) == math.comb(a, k) % p
+        assert len(_FACTORIALS[p][0]) <= TABLE_LIMIT
 
     def test_signed_row(self):
         # (-1)^i C(4, i) mod 5: 1, -4, 6, -4, 1

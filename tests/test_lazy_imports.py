@@ -219,6 +219,19 @@ class TestNamespace:
         # a name only tests call belongs in tests/, not in the package
         assert set(maxclass._HOME) - named(SOURCES) == AWAITING_CALLERS
 
+    def test_only_levels_steps_a_level(self):
+        # the row format lives in maxclass.levels: no other module names its
+        # helpers, and the two sweeps import one entry point each
+        helpers = {"level_row", "pair_residual", "level_failure", "row_size"}
+        others = [path for path in SOURCES if path.name != "levels.py"]
+        assert named(others) & helpers == set()
+        imported = {path.stem: {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                                if isinstance(node, ast.ImportFrom) and node.module == "levels"
+                                for alias in node.names}
+                    for path in others}
+        assert {stem: names for stem, names in imported.items() if names} == {
+            "search": {"level_solutions"}, "sequences": {"check_level"}}
+
     def test_every_public_method_has_a_caller(self):
         # a method only tests call belongs in a tests-side subclass; the
         # benchmark's callers count, since it times package methods

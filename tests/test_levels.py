@@ -3,15 +3,16 @@
 `maxclass.levels` keeps only the left part of each antisymmetric level.
 On random antisymmetric levels s - 1, for every level s from 2n + 1 on,
 including those below 3n where a level has no Jacobi triple, its pair
-residual, row and Jacobi check must agree with `pascal_row` and the
-full-row `level_failure` of `sequence_helpers`.
+residual, row and Jacobi check, and `check_level`, which runs the three,
+must agree with `pascal_row` and the full-row `level_failure` of
+`sequence_helpers`.
 """
 
 import random
 
 import pytest
 
-from maxclass.levels import level_failure, level_row, pair_residual
+from maxclass.levels import check_level, level_failure, level_row, pair_residual
 from sequence_helpers import completed, left_size, pascal_row, random_antisymmetric
 from sequence_helpers import level_failure as full_level_failure
 
@@ -30,19 +31,24 @@ def test_left_parts_agree_with_full_rows(p):
                 low = random_antisymmetric(rng, s - n, n, p, density) if s >= 3 * n else []
                 col = [rng.randrange(p) if rng.random() < density else 0
                        for _ in range(max(1, s - 3 * n + 1))]
+                left_low = low[:left_size(s - n, n)]
                 for beta in range(p):
                     full = pascal_row(full_prev, beta, p)
                     r = pair_residual(prev, beta, s, n, p)
                     assert r == (full[0] + full[-1]) % p
                     if s % 2:
                         assert r == 0
+                    checked = check_level(prev, left_low, col, beta, s, n, p)
                     if r:
+                        assert checked == ({"kind": "antisymmetry", "indices": [n, s - n],
+                                            "value": r}, None)
                         continue
                     row = level_row(prev, beta, s, n, p)
                     assert len(row) == left_size(s, n)
                     assert completed(row, s, n, p) == full
-                    failure = level_failure(row, low[:left_size(s - n, n)], col, s, n, p)
+                    failure = level_failure(row, left_low, col, s, n, p)
                     assert failure == full_level_failure(full, low, col, n, p)
+                    assert checked == (failure, row)
                     kinds.add(failure and failure["indices"][1] == n)
     # levels pass, and fail at the first triple and at later ones
     assert kinds == {None, True, False}

@@ -1,19 +1,20 @@
 """Depth-first enumeration of admissible structure-constant prefixes.
 
 Entries beta_(n+1), ..., beta_depth are assigned one index at a time.
-Assigning beta_i completes the bracket level s = i + n, and
-levels.level_solutions gives the entries for which that level passes the
-checks jacobi_verify runs on it: the pair (n, s - n) and the Jacobi triples
-(e_n, e_b, e_c), n + b + c = s.  They suffice because every lower level on
-the branch already passed, which also makes every kept level antisymmetric,
-so a row keeps only its left part (see levels).  The branch is cut on the
-first violation; prefixes surviving to full depth are emitted, and they pass
+Assigning beta_i completes the bracket level s = i + n, and a levels.Walk
+solves that level for the entries that pass the checks jacobi_verify runs
+on it: the pair (n, s - n) and the Jacobi triples (e_n, e_b, e_c),
+n + b + c = s.  They suffice because every lower level on the branch
+already passed, which also makes every kept level antisymmetric, so a row
+keeps only its left part (see levels).  The branch is cut on the first
+violation; prefixes surviving to full depth are emitted, and they pass
 jacobi_verify by construction.
 
 Each index is solved for its entries, not tried once per candidate (see
-level_solutions).  Rejected candidates still count as nodes, in their usual
-order, so `nodes`, `deepest` and the budget cut do not depend on the solve.
-A seeded index is solved the same way, with its seed as the one candidate.
+levels.level_solutions).  Rejected candidates still count as nodes, in their
+usual order, so `nodes`, `deepest` and the budget cut do not depend on the
+solve.  A seeded index is solved the same way, with its seed as the one
+candidate.
 
 Odd first-constituent lengths die immediately: placing the first nonzero entry
 at index c with c + n even makes the diagonal coefficient gamma(a, a) at
@@ -27,14 +28,14 @@ import sys
 from typing import Optional, Sequence
 
 from .arith import PrimeField, Record, residues
-from .levels import level_solutions
+from .levels import Walk
 
 # Largest depth that search_sequences accepts.  Nothing is allocated up front;
-# the bound caps the rows of a branch, one per level reached: level s keeps
-# about (s - n) / 2 entries, so a branch holds about (depth - n)^2 / 4.  The
-# walk itself takes one stack frame per level, so until it keeps an explicit
-# stack, a branch of more than about 1,000 levels (the interpreter's default
-# recursion limit) is refused with a ValueError.
+# the bound caps the rows of a branch, one per level reached (n in the walk,
+# the rest in the frames that pushed them), about (s - n) / 2 entries at level
+# s, so about (depth - n)^2 / 4 in all.  Each level takes one stack frame, so
+# until the walk keeps an explicit stack, a branch past about 1,000 levels
+# (the interpreter's default recursion limit) is refused with a ValueError.
 SEARCH_MAX_DEPTH = 100_000
 
 
@@ -86,13 +87,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
 
     report = SearchReport(p=p, n=n, depth=depth, seed_depth=n + len(seed_vals),
                           normalized=normalize, budget=budget, deepest=n)
-    # Stacks along the current branch, pushed before each recursive call and
-    # popped after it.  At level s, rows holds the left parts of levels
-    # n + 1 .. s - 1 (as levels.level_solutions; those below 2n are empty), so
-    # rows[-1] is level s - 1 and rows[-n] level s - n; col[j] = gamma(n,
-    # n + j) = -beta_(n+j), so the branch's entries are read off col[1:].
-    rows: list[list[int]] = [[]] * (n - 1) + [[0]]
-    col = [0]
+    walk = Walk(n, p)
     full_range = range(p)
     norm_range = (0, 1)
 
@@ -100,16 +95,15 @@ def search_sequences(field: PrimeField, n: int, depth: int,
         if idx > depth:
             report.solution_count += 1
             if len(report.solutions) < max_solutions:
-                report.solutions.append(tuple(-g % p for g in col[1:]))
+                report.solutions.append(tuple(-g % p for g in walk.col[1:]))
             else:
                 report.truncated_solutions = True
             return
-        prev, low = rows[-1], rows[-n]
         if idx <= report.seed_depth:
             candidates = (seed_vals[idx - n - 1],)
         else:
             candidates = norm_range if normalize and not has_nonzero else full_range
-        solved = level_solutions(prev, low, col, idx + n, n, p)
+        solved = walk.solutions()
         # the next admissible entry not below the candidate; p when none is left
         beta, row = -1, None
         for value in candidates:
@@ -125,11 +119,9 @@ def search_sequences(field: PrimeField, n: int, depth: int,
                 continue
             if idx > report.deepest:
                 report.deepest = idx
-            rows.append(row)
-            col.append(row[0])
+            dropped = walk.push(row)
             extend(idx + 1, has_nonzero or value != 0)
-            rows.pop()
-            col.pop()
+            walk.pop(dropped)
 
     try:
         extend(n + 1, False)

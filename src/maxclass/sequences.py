@@ -9,7 +9,7 @@ iterated bracket of e_n with z gives
 
 with beta_n read as 0.  bracket_coeff evaluates this sum for one entry,
 over the nonzero beta_i only; jacobi_verify steps the table level by level
-through the equivalent Pascal recurrence (levels.check_level).  Everything
+through the equivalent Pascal recurrence (levels.Walk).  Everything
 here works with finite prefixes of the sequence: reads beyond the recorded
 depth are unknowns, never silent zeros.
 """
@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from collections import deque
 from typing import Optional, Sequence
 
 from .arith import PrimeField, Record, product_coeff_int, residues, x_minus_one_coeff
-from .levels import check_level
+from .levels import Walk
 
 
 class DepthError(ValueError):
@@ -174,28 +173,23 @@ def jacobi_verify(seq: BetaSequence) -> JacobiReport:
     in this order, so it stops at the same witness; only triples_checked on
     passing prefixes differs.
 
-    Each level s is stepped by levels.check_level, which checks the pair
-    (n, s - n) first: that pair holds for the whole level when it holds, so
-    a first failing level fails there, the first failing pair in the order
-    above.  Otherwise it builds the level's left part and checks its
-    triples.  The ring keeps the left parts of levels s - n .. s - 1, and
-    the column gamma(n, n + j) = -beta_(n+j) is read off the sequence: O(n
-    depth) memory.  The smallest Jacobi witness (b, c) over all levels is
-    kept, and the counts are the witness's positions in the sweep order.
+    Each level s is stepped by a levels.Walk, which checks the pair (n, s -
+    n) first: that pair holds for the whole level when it holds, so a first
+    failing level fails there, the first failing pair in the order above.
+    Otherwise it builds the level's left part and checks its triples.  The
+    smallest Jacobi witness (b, c) over all levels is kept, and the counts
+    are the witness's positions in the sweep order.
     """
     D = seq.depth
     n, p, betas = seq.n, seq.field.p, seq.betas
     report = JacobiReport(depth=D)
     # level 2n has no residual and no triples, so the sweep starts above it
-    ring = deque(([0],), maxlen=n)
-    col = [0] + [-b % p for b in betas]
+    walk = Walk(n, p)
     for s in range(2 * n + 1, D + 1):
-        failure, row = check_level(ring[-1], ring[0], col, betas[s - 2 * n - 1], s, n, p)
-        if row is None:
-            report.pairs_checked = s - 2 * n + 1
-            report.failure = failure
+        failure = walk.check(betas[s - 2 * n - 1])
+        if failure is not None and failure["kind"] == "antisymmetry":
+            report.pairs_checked, report.failure = s - 2 * n + 1, failure
             return report
-        ring.append(row)
         if failure is not None and (report.failure is None
                                     or failure["indices"] < report.failure["indices"]):
             report.failure = failure

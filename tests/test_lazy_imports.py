@@ -221,8 +221,9 @@ class TestNamespace:
 
     def test_only_levels_steps_a_level(self):
         # the row format lives in maxclass.levels: no other module names its
-        # helpers, and the two sweeps import one entry point each
-        helpers = {"level_row", "pair_residual", "level_failure", "row_size"}
+        # level functions, and the two sweeps import only its walk container
+        helpers = {"level_row", "pair_residual", "level_failure", "row_size", "check_level",
+                   "level_solutions"}
         others = [path for path in SOURCES if path.name != "levels.py"]
         assert named(others) & helpers == set()
         imported = {path.stem: {alias.name for node in ast.walk(ast.parse(path.read_text()))
@@ -230,7 +231,7 @@ class TestNamespace:
                                 for alias in node.names}
                     for path in others}
         assert {stem: names for stem, names in imported.items() if names} == {
-            "search": {"level_solutions"}, "sequences": {"check_level"}}
+            "search": {"Walk"}, "sequences": {"Walk"}}
 
     def test_every_public_method_has_a_caller(self):
         # a method only tests call belongs in a tests-side subclass; the

@@ -5,14 +5,15 @@ On random antisymmetric levels s - 1, for every level s from 2n + 1 on,
 including those below 3n where a level has no Jacobi triple, its pair
 residual, row and Jacobi check, and `check_level`, which runs the three,
 must agree with `pascal_row` and the full-row `level_failure` of
-`sequence_helpers`.
+`sequence_helpers`.  A `Walk` pops back to the ring and column it held
+before each push.
 """
 
 import random
 
 import pytest
 
-from maxclass.levels import check_level, level_failure, level_row, pair_residual
+from maxclass.levels import Walk, check_level, level_failure, level_row, pair_residual
 from sequence_helpers import completed, left_size, pascal_row, random_antisymmetric
 from sequence_helpers import level_failure as full_level_failure
 
@@ -52,3 +53,40 @@ def test_left_parts_agree_with_full_rows(p):
                     kinds.add(failure and failure["indices"][1] == n)
     # levels pass, and fail at the first triple and at later ones
     assert kinds == {None, True, False}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_walk_pop_undoes_push(n, p):
+    # a depth-first walk to level 2n + 40, in random order, pushing the rows
+    # level_solutions yields: each pop must restore the ring and the column
+    rng = random.Random(1000 * n + p)
+    walk = Walk(n, p)
+    filling = set()
+
+    def descend() -> bool:
+        s = 2 * n + len(walk.col)
+        if s > 2 * n + 40:
+            return True
+        solutions = list(walk.solutions())
+        rng.shuffle(solutions)
+        for beta, row in solutions:
+            ring, col = list(walk.ring), list(walk.col)
+            dropped = walk.push(row)
+            assert list(walk.ring) == (ring + [row])[-n:] and walk.col == col + [-beta % p]
+            if s < 3 * n:
+                assert dropped is None
+            else:
+                # the level s - n leaves; for n = 1 that is the level just below
+                assert dropped is ring[0] and len(dropped) == left_size(s - n, n)
+            filling.add(dropped is None)
+            reached = descend()
+            walk.pop(dropped)
+            assert list(walk.ring) == ring and walk.col == col
+            if reached:
+                return True
+        return False
+
+    assert descend()
+    assert (list(walk.ring), walk.col) == ([[0]], [0])
+    assert filling == ({False} if n == 1 else {True, False})

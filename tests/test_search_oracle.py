@@ -15,9 +15,10 @@ import random
 
 import pytest
 
-from maxclass import search
+from maxclass import levels
 from maxclass.arith import PrimeField
-from maxclass.search import SearchReport, level_solutions, search_sequences
+from maxclass.levels import level_solutions
+from maxclass.search import SearchReport, search_sequences
 from maxclass.sequences import BetaSequence
 from sequence_helpers import (completed, left_size, level_failure, pascal_row,
                               random_antisymmetric)
@@ -136,14 +137,14 @@ def test_reports_match_the_reference(p):
 def level_states(kwargs, monkeypatch):
     """The (prev, low, col, s, n, p) of every level the search solves on the run."""
     states = []
-    real = search.level_solutions
+    real = levels.level_solutions
 
     def recording(prev, low, col, s, n, p):
         states.append((prev, low, list(col), s, n, p))
         return real(prev, low, col, s, n, p)
 
     with monkeypatch.context() as m:
-        m.setattr(search, "level_solutions", recording)
+        m.setattr(levels, "level_solutions", recording)
         search_sequences(**kwargs)
     return states
 

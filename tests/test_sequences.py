@@ -217,6 +217,19 @@ class TestJacobiVerify:
         assert report.ok
         assert peak < 256 * 1024
 
+    def test_huge_type_reserves_no_rows(self):
+        # no level closes within depth n + 2, and the walk's ring of n rows
+        # fills as levels close: nothing is allocated for n = 10^9 up front
+        seq = BetaSequence(F3, 10**9, [1, 0])
+        tracemalloc.start()
+        try:
+            report = jacobi_verify(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 64 * 1024
+
 
 class TestConstituents:
     def test_all_zero_metabelian(self):

@@ -17,12 +17,11 @@ row is [0].
 For each level, pair_residual checks the pair (n, s - n) from the row
 below, level_row builds the new row, and level_failure checks its Jacobi
 triples; check_level runs the three for a given beta_(s-n), level_solutions
-solves a level for the entries that pass them, and Walk steps both sweeps.
+solves a level for every passing entry, and Walk, a list of rows, steps both.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, Optional
 
 
@@ -159,41 +158,40 @@ def level_solutions(prev: list[int], low: list[int], col: list[int], s: int, n: 
 
 
 class Walk:
-    """A walk up the levels from 2n: ring holds the left parts of the last n
-    levels stepped, from the level-2n row [0] on, and col[j] = gamma(n, n + j)
-    = -beta_(n+j).  The next level is s = 2n + len(col); ring[-1] is level
-    s - 1 and, from s = 3n on (no triple reads it below), ring[0] level s - n."""
+    """A walk up the levels from 2n: rows holds the left parts of the levels
+    stepped from the level-2n row [0] on (check keeps the last n, as that walk
+    never steps back), and col[j] = gamma(n, n + j) = -beta_(n+j).  The next
+    level is s = 2n + len(col); rows[-1] is level s - 1 and, from s = 3n on
+    (no triple reads it below), rows[-n] level s - n."""
 
-    __slots__ = ("n", "p", "ring", "col")
+    __slots__ = ("n", "p", "rows", "col")
 
     def __init__(self, n: int, p: int):
         self.n, self.p = n, p
-        self.ring, self.col = deque(([0],), maxlen=n), [0]
+        self.rows, self.col = [[0]], [0]
 
     def check(self, beta: int) -> Optional[dict]:
         """check_level's failure at the next level; steps unless it is antisymmetry."""
-        failure, row = check_level(self.ring[-1], self.ring[0], self.col, beta,
-                                   2 * self.n + len(self.col), self.n, self.p)
+        rows, col, n = self.rows, self.col, self.n
+        low = rows[-n] if len(rows) > n else rows[0]
+        failure, row = check_level(rows[-1], low, col, beta, 2 * n + len(col), n, self.p)
         if row is not None:
             self.push(row)
+            if len(rows) > n:
+                del rows[0]
         return failure
 
     def solutions(self) -> Iterator[tuple[int, list[int]]]:
         """level_solutions at the next level."""
-        return level_solutions(self.ring[-1], self.ring[0], self.col,
-                               2 * self.n + len(self.col), self.n, self.p)
+        rows, col, n = self.rows, self.col, self.n
+        low = rows[-n] if len(rows) > n else rows[0]
+        return level_solutions(rows[-1], low, col, 2 * n + len(col), n, self.p)
 
-    def push(self, row: list[int]) -> Optional[list[int]]:
-        """Step to row's level; returns the row it drops (None while filling), for pop."""
-        ring = self.ring
-        dropped = ring[0] if len(ring) == self.n else None
-        ring.append(row)
+    def push(self, row: list[int]) -> None:
+        """Step to row's level."""
+        self.rows.append(row)
         self.col.append(row[0])
-        return dropped
 
-    def pop(self, dropped: Optional[list[int]]) -> None:
-        ring = self.ring
-        ring.pop()
+    def pop(self) -> None:
+        self.rows.pop()
         self.col.pop()
-        if dropped is not None:
-            ring.appendleft(dropped)

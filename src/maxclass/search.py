@@ -31,11 +31,11 @@ from .arith import PrimeField, Record, residues
 from .levels import Walk
 
 # Largest depth that search_sequences accepts.  Nothing is allocated up front;
-# the bound caps the rows of a branch, one per level reached (n in the walk,
-# the rest in the frames that pushed them), about (s - n) / 2 entries at level
-# s, so about (depth - n)^2 / 4 in all.  Each level takes one stack frame, so
-# until the walk keeps an explicit stack, a branch past about 1,000 levels
-# (the interpreter's default recursion limit) is refused with a ValueError.
+# the bound caps the rows of a branch, all held in the walk, one per level
+# reached, about (s - n) / 2 entries at level s, so about (depth - n)^2 / 4 in
+# all.  Each level takes one stack frame, so until the walk keeps an explicit
+# stack, a branch past about 1,000 levels (the interpreter's default recursion
+# limit) is refused with a ValueError.
 SEARCH_MAX_DEPTH = 100_000
 
 
@@ -119,9 +119,9 @@ def search_sequences(field: PrimeField, n: int, depth: int,
                 continue
             if idx > report.deepest:
                 report.deepest = idx
-            dropped = walk.push(row)
+            walk.push(row)
             extend(idx + 1, has_nonzero or value != 0)
-            walk.pop(dropped)
+            walk.pop()
 
     try:
         extend(n + 1, False)

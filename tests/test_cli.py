@@ -219,6 +219,13 @@ class TestVerify:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "jacobi: ok (pairs=9 triples=4 depth=8)"
 
+    def test_type_past_a_c_size_passes(self, capsys):
+        # n = 2^63 overflows any container sized by n; no level closes here
+        code, out, err = run(capsys, "verify", "--p", "3", "--n", str(2**63), "--betas", "1")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["jacobi"] == {"depth": 2**63 + 1, "failure": None, "ok": True,
+                                             "pairs_checked": 0, "triples_checked": 0}
+
     def test_inline_betas_need_modulus_and_type(self, capsys):
         code, _, err = run(capsys, "verify", "--betas", "1,1")
         assert code == EXIT_USAGE

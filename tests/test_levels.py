@@ -5,14 +5,16 @@ On random antisymmetric levels s - 1, for every level s from 2n + 1 on,
 including those below 3n where a level has no Jacobi triple, its pair
 residual, row and Jacobi check, and `check_level`, which runs the three,
 must agree with `pascal_row` and the full-row `level_failure` of
-`sequence_helpers`.  A `Walk` pops back to the ring and column it held
-before each push.
+`sequence_helpers`.  A `Walk` pops back to the rows and column it held
+before each push, and its `check` keeps only the last n rows.
 """
 
 import random
 
 import pytest
 
+from maxclass.arith import PrimeField
+from maxclass.exceptional import ExceptionalParams, closed_form_betas
 from maxclass.levels import Walk, check_level, level_failure, level_row, pair_residual
 from sequence_helpers import completed, left_size, pascal_row, random_antisymmetric
 from sequence_helpers import level_failure as full_level_failure
@@ -59,10 +61,9 @@ def test_left_parts_agree_with_full_rows(p):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_walk_pop_undoes_push(n, p):
     # a depth-first walk to level 2n + 40, in random order, pushing the rows
-    # level_solutions yields: each pop must restore the ring and the column
+    # level_solutions yields: each pop must restore the rows and the column
     rng = random.Random(1000 * n + p)
     walk = Walk(n, p)
-    filling = set()
 
     def descend() -> bool:
         s = 2 * n + len(walk.col)
@@ -71,22 +72,29 @@ def test_walk_pop_undoes_push(n, p):
         solutions = list(walk.solutions())
         rng.shuffle(solutions)
         for beta, row in solutions:
-            ring, col = list(walk.ring), list(walk.col)
-            dropped = walk.push(row)
-            assert list(walk.ring) == (ring + [row])[-n:] and walk.col == col + [-beta % p]
-            if s < 3 * n:
-                assert dropped is None
-            else:
-                # the level s - n leaves; for n = 1 that is the level just below
-                assert dropped is ring[0] and len(dropped) == left_size(s - n, n)
-            filling.add(dropped is None)
+            rows, col = list(walk.rows), list(walk.col)
+            walk.push(row)
+            assert walk.rows == rows + [row] and walk.rows[-1] is row
+            assert walk.col == col + [-beta % p]
             reached = descend()
-            walk.pop(dropped)
-            assert list(walk.ring) == ring and walk.col == col
+            walk.pop()
+            assert walk.rows == rows and walk.col == col
             if reached:
                 return True
         return False
 
     assert descend()
-    assert (list(walk.ring), walk.col) == ([[0]], [0])
-    assert filling == ({False} if n == 1 else {True, False})
+    assert (walk.rows, walk.col) == ([[0]], [0])
+
+
+@pytest.mark.parametrize("p, c, n, m", [(3, 3, 2, 1), (5, 2, 4, 1), (7, 2, 3, 2)])
+def test_check_keeps_n_rows(p, c, n, m):
+    # along a family prefix to depth 3q every level passes, and check keeps
+    # the last n rows: after level s, min(n, s - 2n + 1) of them
+    q = p ** c
+    betas = closed_form_betas(ExceptionalParams(PrimeField(p), c, n, m), 3 * q)
+    walk = Walk(n, p)
+    for s in range(2 * n + 1, 3 * q + 1):
+        assert walk.check(betas[s - 2 * n - 1]) is None
+        assert len(walk.rows) == min(n, s - 2 * n + 1)
+        assert len(walk.rows[-1]) == left_size(s, n)

@@ -217,10 +217,12 @@ class TestJacobiVerify:
         assert report.ok
         assert peak < 256 * 1024
 
-    def test_huge_type_reserves_no_rows(self):
-        # no level closes within depth n + 2, and the walk's ring of n rows
-        # fills as levels close: nothing is allocated for n = 10^9 up front
-        seq = BetaSequence(F3, 10**9, [1, 0])
+    # 2^63 and up do not fit a C size: no walk container may be sized by n
+    @pytest.mark.parametrize("n", [10**9, 2**63, 10**20])
+    def test_huge_type_reserves_no_rows(self, n):
+        # no level closes within depth n + 2, and the walk's list of rows
+        # grows as levels close: nothing is allocated for a huge n up front
+        seq = BetaSequence(F3, n, [1, 0])
         tracemalloc.start()
         try:
             report = jacobi_verify(seq)

@@ -3,10 +3,10 @@
 Scalars are plain ints, residues in [0, p), and polynomials are tuples of
 residues, low degree first.  Binomial coefficients are computed digit-wise
 in base p, and single coefficients of (X - 1)^k g(X) come from them.
-Record is the base of the package's result classes.  FpPoly keeps only
-its constructor and product, and signed_binom_row its cached rows, because
-perfbench/run.py times them (arith.fppoly_mul_ns, arith.signed_binom_row_s);
-no package code uses either.
+signed_binom_row reads whole rows of (X - 1)^h, for the ordinary-constituent
+and classify structure checks.  Record is the base of the result classes.
+FpPoly keeps only its constructor and product, because perfbench/run.py
+times it (arith.fppoly_mul_ns); no package code uses it.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ def _is_prime(n: int) -> bool:
 
 
 # p -> ([k! mod p], [(k!)^-1 mod p]), k = 0, 1, .., grown in place to k = d by
-# _factorials(d, p): binom_mod_p grows it only below TABLE_LIMIT, as p may be up
-# to MAX_PRIME, and binom_columns_mod_p, whose digit rows have p entries, to p - 1.
+# _factorials(d, p).  A reader of whole digit rows (binom_columns_mod_p,
+# signed_binom_row) grows it to the largest digit it reads; a single binomial
+# grows it only below TABLE_LIMIT, as p may be up to MAX_PRIME.
 _FACTORIALS: dict[int, tuple[list[int], list[int]]] = {}
 TABLE_LIMIT = 1 << 15
 
@@ -127,7 +128,9 @@ def product_coeff_int(g_coeffs: Iterable[int], k: int, j: int, p: int) -> int:
 @lru_cache(maxsize=None)
 def signed_binom_row(h: int, p: int) -> tuple[int, ...]:
     """Row ((-1)^i C(h, i) mod p for 0 <= i <= h), cached: the coefficients
-    of (X - 1)^h from the top down."""
+    of (X - 1)^h from the top down.  No digit exceeds min(h, p - 1), so the
+    factorial table grows to that first, never past the length of the row."""
+    _factorials(min(h, p - 1), p)
     return tuple(x_minus_one_coeff(h, h - i, p) for i in range(h + 1))
 
 

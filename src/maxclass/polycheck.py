@@ -16,7 +16,7 @@ from collections import deque
 from itertools import product
 from typing import Iterator
 
-from .arith import PrimeField, Record, binom_mod_p, x_minus_one_coeff
+from .arith import PrimeField, Record, binom_mod_p, signed_binom_row, x_minus_one_coeff
 
 # Bound on p^(n-1) * k_max per call.  At k = q every one of the p^(n-1) monic
 # g survives, so this caps the size of the report, not its time: each k
@@ -188,7 +188,7 @@ def _check_structure(report: ClassifyReport) -> None:
     - k = q + k0, 0 < k0 < n -> X^k0 divides g
     """
     n, p = report.n, report.field.p
-    want = tuple(x_minus_one_coeff(n - 1, j, p) for j in range(n))
+    want = signed_binom_row(n - 1, p)[::-1]
     for k, gs in sorted(report.survivors.items()):
         for q in powers_of(p, 2 * k + n, above=p):
             if k == 2 * q - n + 1 and gs != [want]:

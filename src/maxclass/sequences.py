@@ -20,7 +20,8 @@ import json
 from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
 
-from .arith import PrimeField, Record, product_coeff_int, residues, x_minus_one_coeff
+from .arith import (PrimeField, Record, product_coeff_int, residues, signed_binom_row,
+                    x_minus_one_coeff)
 from .levels import Walk
 
 
@@ -224,9 +225,9 @@ class ConstituentReport(Record):
 
 def _is_ordinary(entries: list[int], n: int, p: int) -> bool:
     """Entries (lam_(j-m+1), ..., lam_j) with lam_(j-i) = (-1)^i C(n-1, i) lam_j."""
-    last = entries[-1]
-    return all(e == x_minus_one_coeff(n - 1, n - 1 - i, p) * last % p
-               for i, e in enumerate(reversed(entries)))
+    last, tail = entries[-1], entries[:-n - 1:-1]
+    return (not any(entries[:-n])
+            and all(e == c * last % p for e, c in zip(tail, signed_binom_row(n - 1, p))))
 
 
 def constituents(seq: BetaSequence) -> ConstituentReport:

@@ -1,6 +1,7 @@
 """Tests for the command line front end."""
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -251,6 +252,24 @@ class TestVerify:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: modulus 1000000000000000003 exceeds")
         assert proc.stderr.count("\n") == 1
+
+    def test_binomial_row_past_the_table_limit(self, tmp_path):
+        # one ordinary constituent of type 33,000 at a prime above 2^15: its
+        # check reads a whole row of (X - 1)^32999, whose digits pass TABLE_LIMIT
+        n, p = 33000, 999999937
+        binoms = [1]
+        for i in range(n - 1):
+            binoms.append(binoms[-1] * (n - 1 - i) // (i + 1))
+        betas = [(-1) ** i * binoms[i] % p for i in range(n - 1, -1, -1)]
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"p": p, "n": n, "depth": 2 * n, "betas": betas}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxclass", "verify", "--file", str(path)],
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["constituents"]["constituents"][0]["ordinary"] is True
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+            "c35a9d748daaf65f47db34a580f695610c5f5e4dbf8b08add6937718566d2f82"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "--file", "/does/not/exist.json")

@@ -5,7 +5,9 @@ constituent's trailing index off its entries.  The reference below is the
 earlier version: the first constituent handled on its own, then a loop for
 the later ones, each trailing index found by a second scan of the prefix.
 The two must agree on `to_dict()` exactly, violations and incomplete tails
-included.
+included.  The reference decides ordinariness with the per-entry formula
+`_is_ordinary` used before it read the cached row `signed_binom_row`; the
+two ordinariness checks are compared directly as well.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from maxclass.arith import PrimeField
+from maxclass.arith import PrimeField, x_minus_one_coeff
 from maxclass.exceptional import ExceptionalParams, closed_form_betas
 from maxclass.sequences import (
     BetaSequence,
@@ -25,6 +27,13 @@ from maxclass.sequences import (
 )
 
 from paper_helpers import theorem_parameter_grid
+
+
+def reference_is_ordinary(entries: list[int], n: int, p: int) -> bool:
+    """Entries (lam_(j-m+1), ..., lam_j) with lam_(j-i) = (-1)^i C(n-1, i) lam_j."""
+    last = entries[-1]
+    return all(e == x_minus_one_coeff(n - 1, n - 1 - i, p) * last % p
+               for i, e in enumerate(reversed(entries)))
 
 
 def reference_constituents(seq: BetaSequence) -> ConstituentReport:
@@ -55,7 +64,7 @@ def reference_constituents(seq: BetaSequence) -> ConstituentReport:
     trailing = max(i for i in range(n + 1, ell + 1) if seq.beta(i))
     report.constituents.append(Constituent(
         start=n + 1, length=ell, leading=c, trailing=trailing, entries=entries,
-        ordinary=_is_ordinary(entries, n, seq.field.p) if entries else None))
+        ordinary=reference_is_ordinary(entries, n, seq.field.p) if entries else None))
     j = ell
     while True:
         lead = None
@@ -80,7 +89,7 @@ def reference_constituents(seq: BetaSequence) -> ConstituentReport:
         trailing = max(i for i in range(j + 1, end + 1) if seq.beta(i))
         report.constituents.append(Constituent(
             start=j + 1, length=m, leading=lead, trailing=trailing, entries=entries,
-            ordinary=_is_ordinary(entries, n, seq.field.p)))
+            ordinary=reference_is_ordinary(entries, n, seq.field.p)))
         if m > ell:
             report.violations.append(f"length_exceeds_first:{len(report.constituents)}")
         if 2 * m < ell:
@@ -158,3 +167,27 @@ def test_random_prefixes():
                  for _ in range(depth - n)]
         check(BetaSequence(PrimeField(p), n, betas), seen)
     assert set(seen) == ALL_KINDS
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 1000003])
+def test_is_ordinary_matches_the_per_entry_formula(p):
+    # lam times the row of (X - 1)^(n - 1), led by up to 2n + 1 zeros, each
+    # also with one entry moved, and random entries, of lengths 1 .. 3n + 1
+    rng, outcomes = random.Random(p), Counter()
+    for n in range(1, 13):
+        row = [x_minus_one_coeff(n - 1, i, p) for i in range(n)]
+        for length in range(1, 3 * n + 2):
+            lam = rng.randrange(1, p)
+            shaped = ([0] * max(0, length - n) + [c * lam % p for c in row])[-length:]
+            assert reference_is_ordinary(shaped, n, p)
+            cases = [shaped, [rng.randrange(p) for _ in range(length)],
+                     [0] * (length - 1) + [rng.randrange(1, p)]]
+            for k in range(length):
+                moved = list(shaped)
+                moved[k] = (moved[k] + rng.randrange(1, p)) % p
+                cases.append(moved)
+            for entries in cases:
+                got = _is_ordinary(entries, n, p)
+                assert got == reference_is_ordinary(entries, n, p), (entries, n, p)
+                outcomes[got] += 1
+    assert outcomes[True] >= sum(3 * n + 1 for n in range(1, 13)) and outcomes[False]

@@ -16,8 +16,8 @@ row is [0].
 
 For each level, pair_residual checks the pair (n, s - n) from the row
 below, level_row builds the new row, and level_failure checks its Jacobi
-triples; check_level runs the three for a given beta_(s-n), level_solutions
-solves a level for every passing entry, and Walk, a list of rows, steps both.
+triples; level_solutions solves a level for every passing entry, and Walk,
+a list of rows, steps a given or a solved entry and owns the zero prefix.
 """
 
 from __future__ import annotations
@@ -90,23 +90,10 @@ def level_failure(row: list[int], low: list[int], col: list[int],
     return None
 
 
-def check_level(prev: list[int], low: list[int], col: list[int], beta: int, s: int,
-                n: int, p: int) -> tuple[Optional[dict], Optional[list[int]]]:
-    """(failure, row) of level s for beta = beta_(s-n), with prev and low the
-    left parts of levels s - 1 and s - n and col as in level_failure.  A
-    nonzero pair_residual gives the antisymmetry failure at (n, s - n) and
-    row None; otherwise row is level_row's and failure level_failure's."""
-    r = pair_residual(prev, beta, s, n, p)
-    if r:
-        return {"kind": "antisymmetry", "indices": [n, s - n], "value": r}, None
-    row = level_row(prev, beta, s, n, p)
-    return level_failure(row, low, col, s, n, p), row
-
-
 def level_solutions(prev: list[int], low: list[int], col: list[int], s: int, n: int,
                     p: int) -> Iterator[tuple[int, list[int]]]:
-    """Yield (beta, row) for every beta, in increasing order, for which
-    check_level(prev, low, col, beta, s, n, p) gives no failure, and its row.
+    """Yield (beta, row) for every beta, in increasing order, for which level s
+    passes pair_residual and level_failure (prev, low, col as in both), and its row.
 
     The entry is solved for, not tried: level_row(prev, beta) = row0 + beta u,
     with row0 = level_row(prev, 0) and u[k] = (-1)^(k + 1), so each residual,
@@ -122,28 +109,15 @@ def level_solutions(prev: list[int], low: list[int], col: list[int], s: int, n: 
       Jacobi triple with value v0, the triples before it have v0 = 0, so
       only beta = -v0 / v1 can pass, and only when u's first nonzero slope
       is at that triple; its row is then checked in full.
-    A zero prev means a zero prefix.  Then row0 is zero and passes every
-    check, as each residual has a factor from the row, and even levels
-    force beta = 0; neither takes a row or a pass.  So a level costs at most
-    one row and one pass, and past beta = 0 one pass on u and a row for each
-    admissible nonzero entry.
     """
-    if not any(prev):
-        row = [0] * row_size(s, n)
-        failure = None
-        yield 0, row
-        if s % 2 == 0:
-            return
-    elif s % 2 == 0:
-        beta = -pair_residual(prev, 0, s, n, p) * ((p + 1) // 2) % p
-        row = level_row(prev, beta, s, n, p)
-        if level_failure(row, low, col, s, n, p) is None:
-            yield beta, row
+    # 0 on odd levels, where the pair residual is 0
+    beta = -pair_residual(prev, 0, s, n, p) * ((p + 1) // 2) % p
+    row = level_row(prev, beta, s, n, p)
+    failure = level_failure(row, low, col, s, n, p)
+    if failure is None:
+        yield beta, row
+    if s % 2 == 0:
         return
-    else:
-        failure, row = check_level(prev, low, col, 0, s, n, p)
-        if failure is None:
-            yield 0, row
     # u, twice as long as a row; level_failure reads only the row's part
     slope = level_failure([p - 1, 1] * len(row), low, col, s, n, p)
     if failure is None:
@@ -152,40 +126,66 @@ def level_solutions(prev: list[int], low: list[int], col: list[int], s: int, n: 
                 yield beta, level_row(prev, beta, s, n, p)
     elif slope is not None and slope["indices"] == failure["indices"]:
         beta = -failure["value"] * pow(slope["value"], p - 2, p) % p
-        failure, row = check_level(prev, low, col, beta, s, n, p)
-        if failure is None:
+        row = level_row(prev, beta, s, n, p)
+        if level_failure(row, low, col, s, n, p) is None:
             yield beta, row
 
 
 class Walk:
     """A walk up the levels from 2n: rows holds the left parts of the levels
-    stepped from the level-2n row [0] on (check keeps the last n, as that walk
+    stepped from the level-2n row on (check keeps the last n, as that walk
     never steps back), and col[j] = gamma(n, n + j) = -beta_(n+j).  The next
     level is s = 2n + len(col); rows[-1] is level s - 1 and, from s = 3n on
-    (no triple reads it below), rows[-n] level s - n."""
+    (no triple reads it below), rows[-n] level s - n.
 
-    __slots__ = ("n", "p", "rows", "col")
+    On a zero prefix every level is zero and passes every check (even levels
+    force beta = 0, odd ones admit all): such levels build no row and share
+    one, zero, the level-2n row grown in place to each level's size, as its
+    readers read prefixes.  rows[-1] is zero exactly on a zero prefix, since
+    level_row builds a new list and the levels below a zero level are zero.
+    """
+
+    __slots__ = ("n", "p", "rows", "col", "zero")
 
     def __init__(self, n: int, p: int):
         self.n, self.p = n, p
-        self.rows, self.col = [[0]], [0]
+        self.zero = [0]
+        self.rows, self.col = [self.zero], [0]
+
+    def _grow(self, s: int) -> None:
+        """Grow zero to the left part of level s, at most one entry past level s - 1's."""
+        if len(self.zero) < row_size(s, self.n):
+            self.zero.append(0)
 
     def check(self, beta: int) -> Optional[dict]:
-        """check_level's failure at the next level; steps unless it is antisymmetry."""
-        rows, col, n = self.rows, self.col, self.n
-        low = rows[-n] if len(rows) > n else rows[0]
-        failure, row = check_level(rows[-1], low, col, beta, 2 * n + len(col), n, self.p)
-        if row is not None:
-            self.push(row)
-            if len(rows) > n:
-                del rows[0]
+        """pair_residual's failure at the next level for beta, or level_failure's on its step."""
+        rows, col, n, p = self.rows, self.col, self.n, self.p
+        s = 2 * n + len(col)
+        prev = rows[-1]
+        if prev is self.zero and not beta:
+            self._grow(s)
+            failure, row = None, prev
+        else:
+            r = pair_residual(prev, beta, s, n, p)
+            if r:
+                return {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
+            row = level_row(prev, beta, s, n, p)
+            failure = level_failure(row, rows[-n] if len(rows) > n else rows[0], col, s, n, p)
+        self.push(row)
+        if len(rows) > n:
+            del rows[0]
         return failure
 
     def solutions(self) -> Iterator[tuple[int, list[int]]]:
-        """level_solutions at the next level."""
-        rows, col, n = self.rows, self.col, self.n
-        low = rows[-n] if len(rows) > n else rows[0]
-        return level_solutions(rows[-1], low, col, 2 * n + len(col), n, self.p)
+        """level_solutions at the next level; on a zero level, zero for beta = 0
+        and, at odd s, the rows of beta = 1 .. p - 1, built as they are asked for."""
+        rows, col, n, p, zero = self.rows, self.col, self.n, self.p, self.zero
+        s = 2 * n + len(col)
+        if rows[-1] is zero:
+            self._grow(s)
+            return ((beta, level_row(zero, beta, s, n, p) if beta else zero)
+                    for beta in range(p if s % 2 else 1))
+        return level_solutions(rows[-1], rows[-n] if len(rows) > n else rows[0], col, s, n, p)
 
     def push(self, row: list[int]) -> None:
         """Step to row's level."""

@@ -91,7 +91,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     full_range = range(p)
     norm_range = (0, 1)
 
-    def extend(idx: int, has_nonzero: bool) -> None:
+    def extend(idx: int) -> None:
         if idx > depth:
             report.solution_count += 1
             if len(report.solutions) < max_solutions:
@@ -102,7 +102,7 @@ def search_sequences(field: PrimeField, n: int, depth: int,
         if idx <= report.seed_depth:
             candidates = (seed_vals[idx - n - 1],)
         else:
-            candidates = norm_range if normalize and not has_nonzero else full_range
+            candidates = norm_range if normalize and walk.rows[-1] is walk.zero else full_range
         solved = walk.solutions()
         # the next admissible entry not below the candidate; p when none is left
         beta, row = -1, None
@@ -120,11 +120,11 @@ def search_sequences(field: PrimeField, n: int, depth: int,
             if idx > report.deepest:
                 report.deepest = idx
             walk.push(row)
-            extend(idx + 1, has_nonzero or value != 0)
+            extend(idx + 1)
             walk.pop()
 
     try:
-        extend(n + 1, False)
+        extend(n + 1)
     except RecursionError:
         raise ValueError(f"refusing search: depth {depth} needs a stack frame per "
                          f"level, past the recursion limit {sys.getrecursionlimit()}") from None

@@ -222,8 +222,7 @@ class TestNamespace:
     def test_only_levels_steps_a_level(self):
         # the row format lives in maxclass.levels: no other module names its
         # level functions, and the two sweeps import only its walk container
-        helpers = {"level_row", "pair_residual", "level_failure", "row_size", "check_level",
-                   "level_solutions"}
+        helpers = {"level_row", "pair_residual", "level_failure", "row_size", "level_solutions"}
         others = [path for path in SOURCES if path.name != "levels.py"]
         assert named(others) & helpers == set()
         imported = {path.stem: {alias.name for node in ast.walk(ast.parse(path.read_text()))

@@ -3,10 +3,12 @@
 `maxclass.levels` keeps only the left part of each antisymmetric level.
 On random antisymmetric levels s - 1, for every level s from 2n + 1 on,
 including those below 3n where a level has no Jacobi triple, its pair
-residual, row and Jacobi check, and `check_level`, which runs the three,
-must agree with `pascal_row` and the full-row `level_failure` of
-`sequence_helpers`.  A `Walk` pops back to the rows and column it held
-before each push, and its `check` keeps only the last n rows.
+residual, row and Jacobi check must agree with `pascal_row` and the
+full-row `level_failure` of `sequence_helpers`.  A `Walk` pops back to the
+rows and column it held before each push, and its `check` keeps only the
+last n rows.  On a zero prefix the walk steps its levels on one shared zero
+row, and `level_solutions` and the three checks, run on explicit zero rows,
+are its oracle.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 
 from maxclass.arith import PrimeField
 from maxclass.exceptional import ExceptionalParams, closed_form_betas
-from maxclass.levels import Walk, check_level, level_failure, level_row, pair_residual
+from maxclass.levels import Walk, level_failure, level_row, level_solutions, pair_residual
 from sequence_helpers import completed, left_size, pascal_row, random_antisymmetric
 from sequence_helpers import level_failure as full_level_failure
 
@@ -41,17 +43,13 @@ def test_left_parts_agree_with_full_rows(p):
                     assert r == (full[0] + full[-1]) % p
                     if s % 2:
                         assert r == 0
-                    checked = check_level(prev, left_low, col, beta, s, n, p)
                     if r:
-                        assert checked == ({"kind": "antisymmetry", "indices": [n, s - n],
-                                            "value": r}, None)
                         continue
                     row = level_row(prev, beta, s, n, p)
                     assert len(row) == left_size(s, n)
                     assert completed(row, s, n, p) == full
                     failure = level_failure(row, left_low, col, s, n, p)
                     assert failure == full_level_failure(full, low, col, n, p)
-                    assert checked == (failure, row)
                     kinds.add(failure and failure["indices"][1] == n)
     # levels pass, and fail at the first triple and at later ones
     assert kinds == {None, True, False}
@@ -61,7 +59,8 @@ def test_left_parts_agree_with_full_rows(p):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_walk_pop_undoes_push(n, p):
     # a depth-first walk to level 2n + 40, in random order, pushing the rows
-    # level_solutions yields: each pop must restore the rows and the column
+    # the walk's solutions yield: each pop must restore the rows and the
+    # column, and a zero level's row for beta = 0 is the shared zero row
     rng = random.Random(1000 * n + p)
     walk = Walk(n, p)
 
@@ -73,6 +72,8 @@ def test_walk_pop_undoes_push(n, p):
         rng.shuffle(solutions)
         for beta, row in solutions:
             rows, col = list(walk.rows), list(walk.col)
+            if beta == 0 and not any(col):
+                assert row is walk.zero
             walk.push(row)
             assert walk.rows == rows + [row] and walk.rows[-1] is row
             assert walk.col == col + [-beta % p]
@@ -84,7 +85,40 @@ def test_walk_pop_undoes_push(n, p):
         return False
 
     assert descend()
-    assert (walk.rows, walk.col) == ([[0]], [0])
+    assert walk.rows == [walk.zero] and walk.col == [0] and not any(walk.zero)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_zero_prefix_agrees_with_the_solver(n, p):
+    # a walk fed only zeros steps each level without the solver or the
+    # checks; they, run on explicit zero rows of the exact left-part sizes,
+    # must give the same entries, rows (on their left part) and failures
+    def zero_walk(s):
+        walk = Walk(n, p)
+        while 2 * n + len(walk.col) < s:
+            assert walk.check(0) is None and walk.rows[-1] is walk.zero
+        return walk
+
+    walk = zero_walk(2 * n + 1)
+    for s in range(2 * n + 1, 2 * n + 41):
+        prev, low = [0] * left_size(s - 1, n), [0] * max(0, left_size(s - n, n))
+        col, size = [0] * (s - 2 * n), left_size(s, n)
+        solved = [(beta, row[:size]) for beta, row in walk.solutions()]
+        assert solved == list(level_solutions(prev, low, col, s, n, p)), (s, solved)
+        for beta in range(p):
+            stepped = zero_walk(s)
+            failure = stepped.check(beta)
+            r = pair_residual(prev, beta, s, n, p)
+            if r:
+                assert failure == {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
+                assert len(stepped.col) == s - 2 * n
+                continue
+            row = level_row(prev, beta, s, n, p)
+            assert failure == level_failure(row, low, col, s, n, p)
+            assert stepped.rows[-1][:size] == row and stepped.col[-1] == row[0]
+        assert walk.check(0) is None and walk.rows[-1] is walk.zero
+        assert walk.rows[-1][:size] == [0] * size
 
 
 @pytest.mark.parametrize("p, c, n, m", [(3, 3, 2, 1), (5, 2, 4, 1), (7, 2, 3, 2)])

@@ -217,6 +217,20 @@ class TestJacobiVerify:
         assert report.ok
         assert peak < 256 * 1024
 
+    def test_zero_prefix_keeps_one_row(self):
+        # the zero levels of a prefix share one row: n rows of zeros to
+        # depth 4n would hold about 10.5 MB at n = 1000
+        seq = BetaSequence(F3, 1000, [0] * 3000)
+        tracemalloc.start()
+        try:
+            report = jacobi_verify(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert (report.pairs_checked, report.triples_checked) == (1_002_001, 251_001)
+        assert peak < 256 * 1024
+
     # 2^63 and up do not fit a C size: no walk container may be sized by n
     @pytest.mark.parametrize("n", [10**9, 2**63, 10**20])
     def test_huge_type_reserves_no_rows(self, n):

@@ -17,7 +17,8 @@ row is [0].
 For each level, pair_residual checks the pair (n, s - n) from the row
 below, level_row builds the new row, and level_failure checks its Jacobi
 triples; level_solutions solves a level for every passing entry, and Walk,
-a list of rows, steps a given or a solved entry and owns the zero prefix.
+a list of rows, steps a given or a solved entry and owns the zero prefix:
+check stores a zero level as its column entry alone.
 """
 
 from __future__ import annotations
@@ -132,17 +133,18 @@ def level_solutions(prev: list[int], low: list[int], col: list[int], s: int, n: 
 
 
 class Walk:
-    """A walk up the levels from 2n: rows holds the left parts of the levels
-    stepped from the level-2n row on (check keeps the last n, as that walk
-    never steps back), and col[j] = gamma(n, n + j) = -beta_(n+j).  The next
-    level is s = 2n + len(col); rows[-1] is level s - 1 and, from s = 3n on
-    (no triple reads it below), rows[-n] level s - n.
+    """A walk up the levels from 2n: rows holds left parts of the levels
+    stepped, from the level-2n row on, and col[j] = gamma(n, n + j) =
+    -beta_(n+j).  The next level is s = 2n + len(col); rows[-1] is level s - 1.
 
     On a zero prefix every level is zero and passes every check (even levels
-    force beta = 0, odd ones admit all): such levels build no row and share
-    one, zero, the level-2n row grown in place to each level's size, as its
-    readers read prefixes.  rows[-1] is zero exactly on a zero prefix, since
-    level_row builds a new list and the levels below a zero level are zero.
+    force beta = 0, odd ones admit all); they build no row and share one,
+    zero, the level-2n row grown in place to each level's size, as readers
+    read prefixes.  rows[-1] is zero exactly on a zero prefix, as level_row
+    builds a new list and the levels below a zero level are zero.  push
+    stores zero for a zero level; check, which never steps back, stores none
+    and keeps the last n rows.  So level s - n, read from s = 3n on, is
+    rows[-n] if len(rows) > n, else rows[0]: zero, or rows[-n] if n are held.
     """
 
     __slots__ = ("n", "p", "rows", "col", "zero")
@@ -164,13 +166,13 @@ class Walk:
         prev = rows[-1]
         if prev is self.zero and not beta:
             self._grow(s)
-            failure, row = None, prev
-        else:
-            r = pair_residual(prev, beta, s, n, p)
-            if r:
-                return {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
-            row = level_row(prev, beta, s, n, p)
-            failure = level_failure(row, rows[-n] if len(rows) > n else rows[0], col, s, n, p)
+            col.append(0)
+            return None
+        r = pair_residual(prev, beta, s, n, p)
+        if r:
+            return {"kind": "antisymmetry", "indices": [n, s - n], "value": r}
+        row = level_row(prev, beta, s, n, p)
+        failure = level_failure(row, rows[-n] if len(rows) > n else rows[0], col, s, n, p)
         self.push(row)
         if len(rows) > n:
             del rows[0]

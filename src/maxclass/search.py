@@ -30,13 +30,11 @@ from typing import Optional, Sequence
 from .arith import PrimeField, Record, residues
 from .levels import Walk
 
-# Largest depth that search_sequences accepts.  Nothing is allocated up front;
-# the bound caps the rows of a branch, all held in the walk, one per level
-# reached, about (s - n) / 2 entries at level s, so about (depth - n)^2 / 4 in
-# all.  Each level takes one stack frame, so until the walk keeps an explicit
-# stack, a branch past about 1,000 levels (the interpreter's default recursion
-# limit) is refused with a ValueError.
-SEARCH_MAX_DEPTH = 100_000
+# Most levels, depth - n, that search_sequences walks.  A branch holds a row
+# per level, the L-th at most L + 1 entries long, whatever n is.  Each level
+# takes a stack frame, so until the walk keeps an explicit stack, a branch past
+# about 1,000 levels (the default recursion limit) is refused with a ValueError.
+SEARCH_MAX_LEVELS = 100_000
 
 
 class SearchReport(Record):
@@ -66,16 +64,16 @@ def search_sequences(field: PrimeField, n: int, depth: int,
     e_n).  budget caps the number of assignments tried; on exhaustion the
     report carries exhausted=True and whatever was found so far.  Solutions
     appear in lexicographic order; at most max_solutions are stored, all
-    are counted.  Negative limits, depths above SEARCH_MAX_DEPTH and walks
-    that reach the recursion limit are refused with a ValueError.
+    are counted.  Negative limits, over SEARCH_MAX_LEVELS levels (depth - n)
+    and walks that reach the recursion limit are refused with a ValueError.
     """
     if n < 1:
         raise ValueError(f"type must be a positive integer, got {n}")
     if depth < n + 1:
         raise ValueError(f"depth {depth} leaves no entries to assign")
-    if depth > SEARCH_MAX_DEPTH:
-        raise ValueError(f"refusing search: depth {depth} exceeds "
-                         f"SEARCH_MAX_DEPTH = {SEARCH_MAX_DEPTH}")
+    if depth - n > SEARCH_MAX_LEVELS:
+        raise ValueError(f"refusing search: depth {depth} walks {depth - n} levels, "
+                         f"above SEARCH_MAX_LEVELS = {SEARCH_MAX_LEVELS}")
     if budget < 0 or max_solutions < 0:
         raise ValueError(f"budget and max_solutions must be nonnegative, "
                          f"got {budget} and {max_solutions}")

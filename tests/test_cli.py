@@ -13,7 +13,7 @@ import pytest
 from maxclass import cli
 from maxclass.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 from maxclass.exceptional import CONSTRUCT_MAX_DEGREE, CONSTRUCT_MAX_Q
-from maxclass.search import SEARCH_MAX_DEPTH
+from maxclass.search import SEARCH_MAX_LEVELS
 from maxclass.sequences import BetaSequence
 from maxclass.arith import PrimeField
 
@@ -387,12 +387,19 @@ class TestSearch:
 
     def test_depth_above_bound_is_usage_error(self, capsys):
         # refused before the search starts
-        assert SEARCH_MAX_DEPTH >= 5000
+        assert SEARCH_MAX_LEVELS >= 5000
         code, out, err = run(capsys, "search", "--p", "3", "--n", "2",
                              "--depth", "100000000", "--budget", "1")
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.count("\n") == 1 and "SEARCH_MAX_DEPTH" in err
+        assert err.count("\n") == 1 and "SEARCH_MAX_LEVELS" in err
+
+    def test_type_past_a_c_size_searches(self, capsys):
+        # the bound counts levels, 12 here, so n = 2^63 searches as it verifies
+        code, out, err = run(capsys, "search", "--p", "3", "--n", str(2**63),
+                             "--depth", str(2**63 + 12))
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["deepest"] == 2**63 + 12
 
     def test_large_prime_allocates_no_candidate_list(self):
         # a list of all p candidates would need tens of GB at this prime;

@@ -8,7 +8,8 @@ full-row `level_failure` of `sequence_helpers`.  A `Walk` pops back to the
 rows and column it held before each push, and its `check` keeps only the
 last n rows.  On a zero prefix the walk steps its levels on one shared zero
 row, and `level_solutions` and the three checks, run on explicit zero rows,
-are its oracle.
+are its oracle; there `check` stores no row, only a column entry, whatever
+n is.
 """
 
 import random
@@ -124,11 +125,22 @@ def test_zero_prefix_agrees_with_the_solver(n, p):
 @pytest.mark.parametrize("p, c, n, m", [(3, 3, 2, 1), (5, 2, 4, 1), (7, 2, 3, 2)])
 def test_check_keeps_n_rows(p, c, n, m):
     # along a family prefix to depth 3q every level passes, and check keeps
-    # the last n rows: after level s, min(n, s - 2n + 1) of them
+    # the last n rows: the zero row and, past the zero prefix, one per level
     q = p ** c
     betas = closed_form_betas(ExceptionalParams(PrimeField(p), c, n, m), 3 * q)
     walk = Walk(n, p)
+    stored = 0
     for s in range(2 * n + 1, 3 * q + 1):
         assert walk.check(betas[s - 2 * n - 1]) is None
-        assert len(walk.rows) == min(n, s - 2 * n + 1)
+        stored += any(betas[:s - 2 * n])
+        assert len(walk.rows) == min(n, stored + 1)
         assert len(walk.rows[-1]) == left_size(s, n)
+
+
+@pytest.mark.parametrize("n", [1, 4, 10**6])
+def test_check_stores_no_zero_level(n):
+    # a zero level costs check one column entry, whatever n is
+    walk = Walk(n, 3)
+    for _ in range(60):
+        assert walk.check(0) is None
+    assert walk.rows == [walk.zero] and len(walk.col) == 61

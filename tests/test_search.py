@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from maxclass.arith import PrimeField
 from maxclass.exceptional import ExceptionalParams, closed_form_betas
-from maxclass.search import SEARCH_MAX_DEPTH, SearchReport, search_sequences
+from maxclass.search import SEARCH_MAX_LEVELS, SearchReport, search_sequences
 from maxclass.sequences import (
     BetaSequence,
     bracket_coeff,
@@ -95,9 +95,10 @@ class TestValidation:
             search_sequences(F3, 2, 2)
 
     def test_rejects_depth_above_bound(self):
-        with pytest.raises(ValueError, match="SEARCH_MAX_DEPTH"):
-            search_sequences(F3, 2, SEARCH_MAX_DEPTH + 1, budget=1)
-        report = search_sequences(F3, 2, SEARCH_MAX_DEPTH, budget=1)
+        # the bound counts levels, depth - n
+        with pytest.raises(ValueError, match="SEARCH_MAX_LEVELS"):
+            search_sequences(F3, 2, 3 + SEARCH_MAX_LEVELS, budget=1)
+        report = search_sequences(F3, 2, 2 + SEARCH_MAX_LEVELS, budget=1)
         assert report.exhausted and report.nodes == 2
 
     def test_rejects_seed_deeper_than_target(self):
@@ -227,6 +228,15 @@ class TestDepthSteps:
         assert report.solution_count == 318
         assert report.exhausted
         assert report.deepest == 2100
+
+    def test_type_past_the_levels_does_not_matter(self):
+        # with fewer levels than n, no row, residual or triple depends on n
+        base = search_sequences(F3, 13, 25)
+        for n in (10**6, 2**63):
+            report = search_sequences(F3, n, n + 12)
+            assert (report.solutions, report.solution_count, report.nodes) == \
+                (base.solutions, base.solution_count, base.nodes)
+            assert report.deepest - n == base.deepest - 13
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(st.sampled_from([3, 5]), st.integers(1, 3), st.integers(4, 16),

@@ -49,13 +49,13 @@ CONSTRUCT_MAX_Q = 10_000
 # Largest degree that construct builds.  The build keeps n + 1 elements
 # whatever the depth, but each degree is one bracket step and one residue of
 # the sequence: q = 3 builds 60,000 degrees in 0.4 s on a 2-core Xeon, so
-# `--depth 10000000` would take about a minute before any check ran, and the
-# report's checks grow with the depth too.  Depths above
-# CONSTRUCT_MAX_DEGREE - n are refused.  The default depth 3q + 2n reaches
-# degree 3q + 3n <= 6q, so every member under CONSTRUCT_MAX_Q may run at
-# it.  The bound is on the top degree, not the depth, because the two-path
-# check builds the type-(m+1) member n - m - 1 deeper, to the same top
-# degree.
+# `--depth 10000000` would take about a minute before any check ran; the
+# report's checks are linear in the depth, a whole q = 3 report 1.0-1.2 s at
+# the bound.  Depths above CONSTRUCT_MAX_DEGREE - n are refused.  The default
+# depth 3q + 2n reaches degree 3q + 3n <= 6q, so every member under
+# CONSTRUCT_MAX_Q may run at it.  The bound is on the top degree, not the
+# depth, because the two-path check builds the type-(m+1) member n - m - 1
+# deeper, to the same top degree.
 CONSTRUCT_MAX_DEGREE = 6 * CONSTRUCT_MAX_Q
 
 
@@ -272,27 +272,28 @@ def abelian_ideal_check(params: ExceptionalParams, seq: BetaSequence) -> Abelian
     """For the n = m + 1 member with sequence seq: the span of e_i for i > q
     is an abelian ideal (an ideal automatically, by grading).
 
-    Three independent confirmations:
+    Three confirmations:
       1. every bracket coefficient gamma(i, j) with i, j > q vanishes;
       2. the adjoint action of e_(q+1) in series form equals
          X^m (X-1)^(q-m) + X^m, whose coefficients vanish past degree q;
       3. [e_i, e_q] = -e_(i+q) for i > q, so the complement degree q still
          acts transitively down the ideal.
 
-    Each level s up to D + n, the last the prefix determines, is read at
-    two entries, gamma(q + 1, s - q - 1) and gamma(s - q - 1, q + 1), each
-    a bracket_coeff sum over the nonzero beta.  That suffices, by the
-    Pascal recurrence gamma(a, b) = gamma(a, b + 1) + gamma(a + 1, b),
-    which those sums satisfy:
+    Each level s up to D + n, the last the prefix determines, is read at one
+    entry, c(i) = gamma(i, q + 1) for i = s - q - 1, a bracket_coeff sum over
+    the nonzero beta.  Those sums satisfy the Pascal recurrence gamma(a, b) =
+    gamma(a, b + 1) + gamma(a + 1, b), so gamma(a, b + t) =
+    sum_k (-1)^k C(t, k) gamma(a + k, b), and that suffices:
       - pairs: if the pairs of level s - 1 vanish, then gamma(a, s - a) =
-        -gamma(a + 1, s - a - 1) for q < a <= (s - 1)/2, so every pair of
-        level s is +-gamma(q + 1, s - q - 1).  The first level with a
-        nonzero pair fails at (q + 1, s - q - 1), which is the first failing
-        pair in order of i, then j; pairs_checked counts the pairs
-        q < i <= j, i + j <= D + n in that order, up to the witness;
+        -gamma(a + 1, s - a - 1) for q < a <= (s - 1)/2, so the first failing
+        pair in order of i, then j, is the first nonzero gamma(q + 1, i).  At
+        a = b = q + 1 the identity makes that (q + 1, i0), i0 the least i > q
+        with c(i) != 0, of value (-1)^(i0 - q - 1) c(i0).  pairs_checked
+        counts the pairs q < i <= j, i + j <= D + n in that order, up to it;
       - top action: once the adjoint series holds, gamma(i, q + 1) = 0 for
         q < i <= D + n - q - 1, so gamma(i, q) = gamma(i + 1, q), and every
         [e_i, e_q] with q < i <= D - q has the coefficient gamma(q + 1, q).
+    Past q the series expects 0: a nonzero c(i) there is the pair failure.
     Failures are reported in the order pairs, adjoint series, top action.
     Refuses a sequence over another field or of another type.
     """
@@ -306,16 +307,14 @@ def abelian_ideal_check(params: ExceptionalParams, seq: BetaSequence) -> Abelian
                                 adjoint_window=(n, D - q - 1 + n), top_action_ok=True)
     adjoint = None
     for i in range(n, D + n - q):
-        if i > q and (v := bracket_coeff(seq, q + 1, i)):
-            report.pairs_checked = i - q
-            report.pairs_ok = False
-            report.failure = {"kind": "pair", "indices": [q + 1, i], "value": v}
+        if (v := bracket_coeff(seq, i, q + 1)) and i > q:
+            report.pairs_checked, report.pairs_ok = i - q, False
+            report.failure = {"kind": "pair", "indices": [q + 1, i],
+                              "value": v if (i - q) % 2 else p - v}
             return report
-        if adjoint is None:
-            # i >= n > m, so the series' X^m term lies below the window
-            want = x_minus_one_coeff(q - m, i - m, p)
-            if (v := bracket_coeff(seq, i, q + 1)) != want:
-                adjoint = {"kind": "adjoint_series", "index": i, "value": v, "expected": want}
+        # i >= n > m, so the series' X^m term lies below the window
+        if adjoint is None and v != (want := x_minus_one_coeff(q - m, i - m, p)):
+            adjoint = {"kind": "adjoint_series", "index": i, "value": v, "expected": want}
     if adjoint is not None:
         report.adjoint_series_ok, report.failure = False, adjoint
     elif 2 * q + 1 <= D and (v := bracket_coeff(seq, q + 1, q)) != p - 1:

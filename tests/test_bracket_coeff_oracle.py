@@ -6,14 +6,15 @@ alone.  The reference, reference_bracket_coeff, walks the whole row
 ((-1)^i C(b - n, i)) and returns None at the first nonzero term past the
 depth.  Both must agree on every pair (a, b) whose window ends at most one
 past the depth, so each a meets the None boundary at window ends depth
-and depth + 1.
+and depth + 1.  Last, the sums themselves must satisfy the shift identity
+that lets abelian_ideal_check read every pair of the ideal off one column.
 """
 
 import random
 
 import pytest
 
-from maxclass.arith import PrimeField
+from maxclass.arith import PrimeField, binom_mod_p
 from maxclass.exceptional import closed_form_betas
 from maxclass.sequences import BetaSequence, bracket_coeff
 
@@ -85,3 +86,26 @@ def test_family_and_single_entry_perturbations():
             assert_agrees(BetaSequence(seq.field, seq.n, betas))
     assert members == 1 + 1 + 6 + 6   # n <= 4 on q = 9, 27, 25, 49
 
+
+def test_shift_identity():
+    # gamma(a, b + t) = sum_k (-1)^k C(t, k) gamma(a + k, b): the Pascal
+    # recurrence t times over, for every prefix, valid or not.  Both sides
+    # end their windows at a + b + t - n, so they are undetermined together
+    rng = random.Random(36)
+    nones = 0
+    for _ in range(400):
+        p, n = rng.choice((3, 5, 7)), rng.randrange(1, 5)
+        seq = random_prefix(rng, p, n, rng.choice((1.0, 0.5, 0.1)))
+        top = seq.depth + n + 1   # a + b + t <= top: windows end by depth + 1
+        a = rng.randrange(n, top - n + 1)
+        b = rng.randrange(n, top - a + 1)
+        t = rng.randrange(0, top - a - b + 1)
+        left = bracket_coeff(seq, a, b + t)
+        terms = [bracket_coeff(seq, a + k, b) for k in range(t + 1)]
+        assert (left is None) == (None in terms), (seq.to_dict(), a, b, t)
+        if left is None:
+            nones += 1
+            continue
+        right = sum((-1) ** k * binom_mod_p(t, k, p) * g for k, g in enumerate(terms)) % p
+        assert left == right, (seq.to_dict(), a, b, t)
+    assert 0 < nones < 400

@@ -124,6 +124,18 @@ class TestConstruct:
         report = json.loads(out)["report"]
         assert report["depth"] == 1033 and report["ideal_ok"] is True
 
+    def test_deep_report_at_small_q(self):
+        # q = 3 to depth 30,000 within 20 s: the ideal check reads one
+        # coefficient per level, so the report is linear in the depth
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxclass", "construct", "--p", "3", "--c", "1",
+             "--n", "2", "--m", "1", "--depth", "30000", "--report"],
+            capture_output=True, text=True, timeout=20)
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["report"]["ideal_ok"] is True
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+            "c9f7a51108144f5a063f5033d7776cb840918f3210134bbff9547e1c0160b2c6"
+
     def test_bad_shape(self, capsys):
         code, _, err = run(capsys, "construct", "--p", "3", "--c", "1",
                            "--n", "2", "--m", "2")

@@ -1,7 +1,8 @@
 """Fast paths of `exceptional` against the loops they replaced.
 
-`abelian_ideal_check` reads two coefficients per level, in order of the
-level, `eih_residual` and `project_type1` read theirs from `bracket_coeff`,
+`abelian_ideal_check` reads one coefficient per level, in order of the
+level, gamma(i, q + 1), and takes each pair witness from that column;
+`eih_residual` and `project_type1` read theirs from `bracket_coeff`,
 and `signed_binom_row` from `x_minus_one_coeff`.  The references below are
 the earlier loops, each coefficient a signed-binomial window over the
 prefix; both sides must agree exactly, witnesses included.  The abelian
@@ -268,6 +269,27 @@ class TestAbelianIdealOracle:
             new, ref = _both(params, shifted.truncate(depth))
             assert new == ref
             assert new["ok"] == (depth <= 2 * q)
+
+    def test_agrees_on_long_pair_windows(self, algebra_cache):
+        # at q = 3 and 5 a depth of 120 opens pair windows far past 3q + 2n,
+        # and the witness sign (-1)^(i - q - 1) meets both parities
+        rng = random.Random(36)
+        parities = set()
+        for p in (3, 5):
+            params = ExceptionalParams(PrimeField(p), 1, 2, 1)
+            full = algebra_cache(p, 1, 2, 1, depth=120).sequence
+            cases = [full]
+            for _ in range(PERTURBATIONS):
+                betas = list(full.betas)
+                k = rng.randrange(len(betas))
+                betas[k] = (betas[k] + rng.randrange(1, p)) % p
+                cases.append(BetaSequence(params.field, 2, betas))
+            for seq in cases:
+                new, ref = _both(params, seq)
+                assert new == ref, (params.to_dict(), seq.to_dict())
+                if new["failure"] and new["failure"]["kind"] == "pair":
+                    parities.add((new["failure"]["indices"][1] - params.q - 1) % 2)
+        assert parities == {0, 1}
 
 
 def _random_sequence(rng, p, n, depth, density):

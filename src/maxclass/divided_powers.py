@@ -31,7 +31,10 @@ coefficient, the row's column being (row + d) mod q and its t-power
 the row-form bracket iterates the operand with fewer rows, by antisymmetry,
 and looks the other up by row: [e_i, e_n] costs e_n's few rows, not e_i's.  The family's
 generators are written in row form, and its construction runs on row forms
-alone: `RowElement.bracket` is the package's one semidirect bracket.
+alone.  `RowElement.bracket` is the package's one general semidirect
+bracket; ad z, for the z of `make_generators`, also has a row rule,
+`bracket_with_z`, one pass over the other operand's rows, which the tests
+check against the bracket.
 """
 
 from __future__ import annotations
@@ -242,3 +245,22 @@ def make_generators(ring: DividedPowers, n: int, m: int) -> tuple[RowElement, Ro
     z = RowElement(ring, m, 1, 0, dict.fromkeys(range(q), p - 1))
     e_n = RowElement(ring, m, n, 1, next(binom_columns_mod_p(q - n, q, p)))
     return z, e_n
+
+
+def bracket_with_z(e: RowElement) -> RowElement:
+    """[e, z] for the z of `make_generators`, by its row rule: module
+    coefficient e's, and row k e's row (k + 1) mod q less its row k, mod p.
+
+    Write A for e's rows and a for its degree.  z has q rows, so
+    `RowElement.bracket(e, z)` iterates A without swapping; it adds
+    A[k] z[(k + a) mod q] = -A[k] at row k and -z[(k - 1) mod q] A[k] =
+    +A[k] at row (k - 1) mod q, and its module coefficient is
+    A.get(i) * 0 - (p - 1) * coeff = coeff.  On the family this is Pascal's
+    rule C(k + 1, N) - C(k, N) = C(k, N - 1).
+    """
+    q, p = e.ring.q, e.ring.field.p
+    out = {(k - 1) % q: x for k, x in e.rows.items()}
+    for k, x in e.rows.items():
+        out[k] = out.get(k, 0) - x
+    rows = {k: r for k, c in out.items() if (r := c % p)}
+    return RowElement(e.ring, e.m, e.degree + 1, e.coeff % p, rows)

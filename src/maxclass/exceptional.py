@@ -25,7 +25,7 @@ from typing import Optional
 
 from .arith import (ConstructionError, PrimeField, Record, binom_columns_mod_p,
                     x_minus_one_coeff)
-from .divided_powers import DividedPowers, make_generators
+from .divided_powers import DividedPowers, bracket_with_z, make_generators
 from .sequences import (
     BetaSequence,
     RationalSeries,
@@ -42,16 +42,18 @@ from .sequences import (
 # about 3.5e9 of them.  The build keeps n + 1 elements, each with at most q
 # operator rows, but its time grows with the rows of all elements up to
 # degree q, about (p(p+1)/2)^c: 1.7e6 at q = 3^8, and about q^2/2 = 5e7 at
-# a prime q near the bound (2-core Xeon, fresh processes: 0.7 s at q = 997,
-# 24 s at 4999, 97 s at 9973).  The bound caps the generators, not that sum.
+# a prime q near the bound (shared 2-core Xeon, fresh processes: 0.5 s at
+# q = 997, 1.5-1.9 s at 1999; at 4999 and 9973 about 17 s and 68 s, the
+# earlier 24 s and 97 s scaled by the per-row ratio 0.70 measured at 1999).
+# The bound caps the generators, not that sum.
 CONSTRUCT_MAX_Q = 10_000
 
 # Largest degree that construct builds.  The build keeps n + 1 elements
-# whatever the depth, but each degree is one bracket step and one residue of
-# the sequence: q = 3 builds 60,000 degrees in 0.4 s on a 2-core Xeon, so
-# `--depth 10000000` would take about a minute before any check ran; the
-# report's checks are linear in the depth, a whole q = 3 report 1.0-1.2 s at
-# the bound.  Depths above CONSTRUCT_MAX_DEGREE - n are refused.  The default
+# whatever the depth, but each degree is one ad z step and one residue of
+# the sequence: q = 3 builds 60,000 degrees in 0.7-0.8 s as a fresh process
+# on a shared 2-core Xeon, so `--depth 10000000` would take about two
+# minutes before any check ran; the report's checks are linear in the
+# depth, a whole q = 3 report 1.0-1.2 s at the bound.  Depths above CONSTRUCT_MAX_DEGREE - n are refused.  The default
 # depth 3q + 2n reaches degree 3q + 3n <= 6q, so every member under
 # CONSTRUCT_MAX_Q may run at it.  The bound is on the top degree, not the
 # depth, because the two-path check builds the type-(m+1) member n - m - 1
@@ -106,8 +108,11 @@ class ConstructedAlgebra(Record):
 
 
 def construct(params: ExceptionalParams, depth: Optional[int] = None) -> ConstructedAlgebra:
-    """Build the algebra by iterated bracketing with z and read off the
-    sequence, in one pass over the degrees.
+    """Build the algebra by iterating ad z and read off the sequence, in
+    one pass over the degrees.  Each step applies ad z by its row rule,
+    `bracket_with_z`, when z is exactly the generator of `make_generators`,
+    and otherwise brackets with z by `RowElement.bracket`; the choice is
+    made once per build.
 
     Each degree j is compared with its closed form: up to degree q + m,
     x^(q+m-j) with t times multiplication by x^(q-j), whose entries are the
@@ -121,7 +126,8 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     base-p digits, never from the rows it is compared with.  Then beta_i,
     i = j - n, defined by [e_i, e_n] = beta_i e_j, is the module coefficient
     of [e_i, e_n], since e_j's is 1; the rows of [e_i, e_n] must be beta_i
-    times e_j's, or ConstructionError names the offending degree.
+    times e_j's, none when beta_i = 0, or ConstructionError names the
+    offending degree.
     Only e_(j-n), ..., e_j are kept, and `elements` is the last such window,
     degrees depth, ..., depth + n.  Refuses q above CONSTRUCT_MAX_Q and
     depth + n above CONSTRUCT_MAX_DEGREE.
@@ -139,12 +145,20 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
     if depth + n > CONSTRUCT_MAX_DEGREE:
         raise ValueError(f"refusing construct: depth {depth} builds to degree {depth + n}, "
                          f"above CONSTRUCT_MAX_DEGREE = {CONSTRUCT_MAX_DEGREE}")
-    z, e_n = make_generators(DividedPowers(params.field, c), n, m)
+    ring = DividedPowers(params.field, c)
+    z, e_n = make_generators(ring, n, m)
+    # ad z by its row rule when z is the generator, else by the bracket
+    if (z.degree, z.coeff, z.m, z.ring) == (1, 0, m, ring) \
+            and z.rows == dict.fromkeys(range(q), p - 1):
+        step = bracket_with_z
+    else:
+        def step(e):
+            return e.bracket(z)
     window = deque((e_n,), maxlen=n + 1)
     columns = binom_columns_mod_p(q - n - 1, q, p)   # C(., q - j) for j = n + 1, ..., q
     betas = []
     for j in range(n + 1, depth + n + 1):
-        current = window[-1].bracket(z)
+        current = step(window[-1])
         if current.coeff != 1 or current.rows != (next(columns) if j <= q else {}):
             raise ConstructionError(f"element at degree {j} deviates from its closed form")
         window.append(current)
@@ -152,7 +166,7 @@ def construct(params: ExceptionalParams, depth: Optional[int] = None) -> Constru
         if i > n:   # the window is full: window[0] is e_i
             x = window[0].bracket(e_n)
             beta = x.coeff
-            if x.rows != {k: r for k, c in current.rows.items() if (r := beta * c % p)}:
+            if x.rows != ({k: beta * c % p for k, c in current.rows.items()} if beta else {}):
                 raise ConstructionError(
                     f"[e_{i}, e_{n}] is not a scalar multiple of e_{j}")
             betas.append(beta)

@@ -202,6 +202,22 @@ class TestConstruct:
         with pytest.raises(ConstructionError, match="degree 3 deviates from its closed form"):
             construct(ExceptionalParams(F5, 1, 2, 1))
 
+    def test_z_other_than_the_generator_is_bracketed(self, monkeypatch, capsys):
+        # z with 1 on row 0 instead of p - 1: e_n's row q - n meets it, so
+        # [e_n, z] already deviates; only the general bracket sees that row
+        def tampered(ring, n, m):
+            z, e_n = make_generators(ring, n, m)
+            return RowElement(ring, m, 1, 0, {**z.rows, 0: 1}), e_n
+
+        monkeypatch.setattr(exceptional, "make_generators", tampered)
+        with pytest.raises(ConstructionError, match="degree 3 deviates from its closed form"):
+            construct(ExceptionalParams(F5, 1, 2, 1))
+        code = cli.main(["construct", "--p", "5", "--c", "1", "--n", "2", "--m", "1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_CHECK_FAILED
+        assert out == ""
+        assert err == "construction failed: element at degree 3 deviates from its closed form\n"
+
     def test_non_proportional_bracket_raises(self, monkeypatch, capsys):
         # at q = 5, [e_3, e_2] = 0 e_5; one row added to it leaves the module
         # coefficient 0, so the rows no longer match 0 times e_5's

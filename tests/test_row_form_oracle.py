@@ -4,7 +4,9 @@
 map from operator row to coefficient; `construct` runs on it.  The tests'
 generic arithmetic (`element_helpers.SemidirectElement`) is its reference:
 random homogeneous elements, built here from the grading alone, must
-convert and bracket exactly as the generic elements do.
+convert and bracket exactly as the generic elements do.  The row rule for
+ad z, `bracket_with_z`, has `RowElement.bracket` with the z of
+`make_generators` as its reference.
 """
 
 import random
@@ -12,7 +14,8 @@ import random
 import pytest
 
 from maxclass.arith import ConstructionError, PrimeField
-from maxclass.divided_powers import DividedPowers, make_generators
+from maxclass.divided_powers import (DividedPowers, RowElement, bracket_with_z,
+                                     make_generators)
 from element_helpers import (DPElement, Endo, SemidirectElement, generic_generators,
                              graded_degree, reference, row_form)
 
@@ -87,6 +90,49 @@ def test_family_chain_matches_generic(p, c, n, m):
         assert reference(row.to_element()) == e
         assert reference(row.bracket(re_n).to_element()) == e.bracket(e_n)
         assert reference(re_n.bracket(row).to_element()) == e_n.bracket(e)
+
+
+def assert_rule_is_bracket(e, z):
+    got, want = bracket_with_z(e), e.bracket(z)
+    assert (got.degree, got.coeff, got.rows) == (want.degree, want.coeff, want.rows)
+    return got
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_z_rule_matches_bracket(p, c):
+    # random row forms for every m: empty, sparse and full row maps, the
+    # wrap rows 0 and q - 1, module coefficients 0 and nonzero, and degrees
+    # over several multiples of q
+    ring = DividedPowers(PrimeField(p), c)
+    q = ring.q
+    rng = random.Random(p * 10 + c)
+    seen = set()
+    for m in range(1, q):
+        z, _ = make_generators(ring, m + 1, m)
+        for size in (0, rng.randrange(1, 4), q):
+            rows = {k: rng.randrange(1, p) for k in rng.sample(range(q), size)}
+            if size and rng.random() < 0.5:
+                rows[rng.choice([0, q - 1])] = rng.randrange(1, p)
+            degree = rng.randrange(1, 4 * q + 1)
+            coeff = rng.choice([0, rng.randrange(1, p)])
+            assert_rule_is_bracket(RowElement(ring, m, degree, coeff, rows), z)
+            seen.add({0: "empty", q: "full"}.get(len(rows), "sparse"))
+            seen.update(f"row {k}" for k in {0, q - 1} & rows.keys())
+            seen.add("coeff 0" if coeff == 0 else "coeff nonzero")
+            seen.add("above 2q" if degree > 2 * q else "below 2q")
+    assert seen == {"empty", "sparse", "full", "row 0", f"row {q - 1}", "coeff 0",
+                    "coeff nonzero", "above 2q", "below 2q"}
+
+
+@pytest.mark.parametrize("p,c,n,m", [(3, 2, 2, 1), (5, 2, 4, 1), (7, 2, 3, 2)])
+def test_z_rule_matches_bracket_on_family_chain(p, c, n, m):
+    # e_n, [e_n, z], ... up to degree 3q + 2n, through the re-entry at q + m
+    ring = DividedPowers(PrimeField(p), c)
+    z, e = make_generators(ring, n, m)
+    while e.degree < 3 * ring.q + 2 * n:
+        e = assert_rule_is_bracket(e, z)
+    assert e.degree == 3 * ring.q + 2 * n
 
 
 @pytest.mark.parametrize("p,c,m", CONFIGS)
